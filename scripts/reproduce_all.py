@@ -5,9 +5,17 @@ Usage: python scripts/reproduce_all.py [--out DIR] [--seed N] [--fast]
 
 --fast shrinks sample counts so the whole sweep finishes in well under a
 minute; without it expect a few minutes (the transport row dominates).
+
+Each command prints one stdout line with its exit code and the SHA-256 of the
+CSV it wrote; the CLI's own output and the timings go to stderr.  Two runs
+(say, before and after a refactor) can then be compared with one diff of
+their stdout.
 """
 
 import argparse
+import contextlib
+import hashlib
+import os
 import sys
 import time
 
@@ -45,8 +53,14 @@ def main():
         if args.fast:
             argv += FAST_OVERRIDES.get(command, [])
         start = time.time()
-        code = cli_main(argv)
-        print(f"{command:<10} exit={code} ({time.time() - start:5.1f}s)")
+        with contextlib.redirect_stdout(sys.stderr):  # the CLI prints its path
+            code = cli_main(argv)
+        print(f"{command:<10} {time.time() - start:5.1f}s", file=sys.stderr)
+        line = f"{command:<10} exit={code}"
+        if code == 0:
+            with open(os.path.join(args.out, f"{command}.csv"), "rb") as fp:
+                line += f" sha256={hashlib.sha256(fp.read()).hexdigest()}"
+        print(line)
         if code != 0:
             return code
     return 0

@@ -446,7 +446,10 @@ def cmd_capacity(config: RunConfig) -> str:
         res = capacity_lower_bound(spec)
         rows.append(("point", d, gamma, r, res.K_used, res.mass, res.norm_sq,
                      res.value, res.tail_ratio))
-        points.append((math.log(r), math.log(res.value)))
+        # the bound tends to 1 like 1 - c|u|^2, so the informative slope is
+        # that of log(1/bound - 1)
+        if res.value < 1.0:
+            points.append((math.log(r), math.log(1.0 / res.value - 1.0)))
     if len(points) >= 3:
         slope = float(np.polyfit([p[0] for p in points],
                                  [p[1] for p in points], 1)[0])

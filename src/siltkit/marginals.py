@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import SimplexQuadrature
+from .quadrature import SimplexQuadrature, interval_overlap
 from .rng import stream_generator
 from .specfun import log_gaussian_kernel_batch
 
 __all__ = [
     "TimeGrid",
     "OverlapDecomposition",
-    "MarginalPoint",
+    "grid_overlaps",
     "overlap_decomposition",
     "conditional_kernel",
     "marginal_density_q",
@@ -40,6 +40,7 @@ __all__ = [
 SINGULAR_VARIANCE = 1e-12
 SINGULAR_ARGUMENT = 1e-6
 _JITTER = 1e-7
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -82,26 +83,12 @@ class OverlapDecomposition:
     t: float
 
 
-@dataclass(frozen=True)
-class MarginalPoint:
-    """A point of R^(d x n): values at the n grid times, with implicit x_0 = 0."""
-
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 2:
-            raise ValueError("expected an (n, d) array of grid values")
-        object.__setattr__(self, "x", x)
-
-
-def _overlaps(s, t, grid: TimeGrid):
+def grid_overlaps(s, t, grid: TimeGrid):
     """alpha rows for arrays of (s, t); returns (alpha, sigma2) batched."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    left = grid.t[:-1][None, :]
-    right = grid.t[1:][None, :]
-    alpha = np.clip(np.minimum(t[:, None], right) - np.maximum(s[:, None], left), 0.0, None)
+    alpha = interval_overlap(s[:, None], t[:, None], grid.t[:-1][None, :],
+                             grid.t[1:][None, :])
     sigma2 = (t - s) - np.sum(alpha * alpha / grid.cell_lengths[None, :], axis=1)
     sigma2 = np.clip(sigma2, 0.0, t - s)  # cancellation can leave tiny negatives
     return alpha, sigma2
@@ -111,13 +98,11 @@ def overlap_decomposition(s: float, t: float, grid: TimeGrid) -> OverlapDecompos
     """Projection data of the increment over [s, t] onto the grid increments."""
     if not 0.0 <= s < t <= 1.0:
         raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
-    alpha, sigma2 = _overlaps(s, t, grid)
+    alpha, sigma2 = grid_overlaps(s, t, grid)
     return OverlapDecomposition(alpha=alpha[0], sigma2=float(sigma2[0]), s=s, t=t)
 
 
 def _point_values(x, grid_n: int) -> np.ndarray:
-    if isinstance(x, MarginalPoint):
-        x = x.x
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != grid_n:
         raise ValueError(f"expected grid values of shape ({grid_n}, d), got {x.shape}")
@@ -155,7 +140,7 @@ def _effective_nodes(grid: TimeGrid, quad: SimplexQuadrature):
     """
     s, t = quad.nodes[:, 0].copy(), quad.nodes[:, 1].copy()
     w = quad.weights.copy()
-    alpha, sigma2 = _overlaps(s, t, grid)
+    alpha, sigma2 = grid_overlaps(s, t, grid)
     bad = sigma2 < SINGULAR_VARIANCE
     if bad.any():
         keep = ~bad
@@ -175,7 +160,7 @@ def _effective_nodes(grid: TimeGrid, quad: SimplexQuadrature):
         s = np.concatenate([p[0] for p in parts])
         t = np.concatenate([p[1] for p in parts])
         w = np.concatenate([p[2] for p in parts])
-        alpha, sigma2 = _overlaps(s, t, grid)
+        alpha, sigma2 = grid_overlaps(s, t, grid)
         still = sigma2 < SINGULAR_VARIANCE
         if still.any():  # depth-one policy: drop, the set has measure zero
             s, t, w = s[~still], t[~still], w[~still]
@@ -184,8 +169,7 @@ def _effective_nodes(grid: TimeGrid, quad: SimplexQuadrature):
 
 
 def marginal_density_q_batch(u, grid: TimeGrid, points: np.ndarray,
-                             quad: SimplexQuadrature,
-                             chunk: int = 512) -> np.ndarray:
+                             quad: SimplexQuadrature) -> np.ndarray:
     """Density values q(x) for a batch of points of shape (count, n, d).
 
     The density at x is the triangle integral of the zero-eps conditional
@@ -207,8 +191,8 @@ def marginal_density_q_batch(u, grid: TimeGrid, points: np.ndarray,
     inv_two_var = 0.5 / sigma2
     out = np.empty(len(points))
     increments = np.diff(points, axis=1, prepend=np.zeros((len(points), 1, d)))
-    for lo in range(0, len(points), chunk):
-        hi = min(lo + chunk, len(points))
+    for lo in range(0, len(points), _CHUNK):
+        hi = min(lo + _CHUNK, len(points))
         # args[q, s, :] = sum_j coeff[q, j] * increments[s, j, :] - u
         args = np.einsum("qj,sjc->qsc", coeff, increments[lo:hi]) - u
         sq = np.einsum("qsc,qsc->qs", args, args)

@@ -9,6 +9,13 @@ Two fixed rules cover the toolkit's needs:
   geometrically shrinking panels, resolving integrands whose mass sits at
   x ~ |u|^2 for very small offsets, which the plain tensor rule cannot see.
 
+Two primitives shared across the package live here as well:
+``geometric_panels``, the one-dimensional gap rule on (0, 1] behind the
+diagonal-refined rule and the Sobolev norm, and ``interval_overlap``, the
+broadcasting length of an interval intersection behind the marginal
+projections, the residual variance and (through its unchecked core
+``_overlap``) the Sobolev pair geometry.
+
 The adaptive machinery at the bottom refines a list of starting cells
 (rectangles, or triangles in mapped coordinates) by greedy quadtree splitting
 until the summed local error estimates drop below a relative tolerance; it is
@@ -26,6 +33,8 @@ __all__ = [
     "ConvergenceError",
     "SimplexQuadrature",
     "simplex3_gauss_legendre",
+    "geometric_panels",
+    "interval_overlap",
     "adaptive_partition_integral",
     "triangle_grid_cells",
 ]
@@ -38,6 +47,37 @@ class ConvergenceError(RuntimeError):
 def _unit_gauss_legendre(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def geometric_panels(levels: int, order: int):
+    """Gauss-Legendre rule on (0, 1] with panels shrinking toward 0.
+
+    The panels are [2^-(j+1), 2^-j] for j < levels plus the final sliver
+    [0, 2^-levels], each carrying ``order`` nodes; returns (x, w) with the
+    nodes grouped panel by panel from the top down.
+    """
+    xg, wg = _unit_gauss_legendre(order)
+    edges = [2.0 ** (-j) for j in range(levels + 1)] + [0.0]
+    xs, ws = [], []
+    for hi, lo in zip(edges[:-1], edges[1:]):
+        xs.append(lo + (hi - lo) * xg)
+        ws.append((hi - lo) * wg)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def interval_overlap(s1, t1, s2, t2):
+    """Lebesgue measure of [s1, t1] intersect [s2, t2], broadcast over arrays;
+    every interval must have positive length."""
+    if not (np.all(s1 < t1) and np.all(s2 < t2)):
+        raise ValueError("intervals must have positive length")
+    return _overlap(s1, t1, s2, t2)
+
+
+def _overlap(s1, t1, s2, t2):
+    """interval_overlap without the length check, for computed intervals that
+    may collapse in floating point (a tiny length absorbed by a large
+    endpoint); such an interval has overlap 0."""
+    return np.clip(np.minimum(t1, t2) - np.maximum(s1, s2), 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -76,16 +116,13 @@ class SimplexQuadrature:
         return float(np.dot(self.weights, f(self.nodes[:, 0], self.nodes[:, 1])))
 
     @classmethod
-    def gauss_legendre(cls, n_a: int = 64, n_b: int = None) -> "SimplexQuadrature":
+    def gauss_legendre(cls, n_a: int = 64) -> "SimplexQuadrature":
         """Tensor rule mapped by s = a, t = a + b(1 - a); default 64 x 64."""
-        if n_b is None:
-            n_b = n_a
         a, wa = _unit_gauss_legendre(n_a)
-        b, wb = _unit_gauss_legendre(n_b)
-        aa, bb = np.meshgrid(a, b, indexing="ij")
+        aa, bb = np.meshgrid(a, a, indexing="ij")
         s = aa.ravel()
         t = (aa + bb * (1.0 - aa)).ravel()
-        w = (np.outer(wa, wb) * (1.0 - aa)).ravel()
+        w = (np.outer(wa, wa) * (1.0 - aa)).ravel()
         return cls(np.column_stack([s, t]), w)
 
     @classmethod
@@ -93,29 +130,20 @@ class SimplexQuadrature:
                            order_pos: int = 12) -> "SimplexQuadrature":
         """Diagonal-refined rule on (x, s) coordinates, x = t - s.
 
-        The gap axis is tiled with panels [2^-(j+1), 2^-j] for j < levels plus
-        the final sliver [0, 2^-levels]; each panel carries a Gauss-Legendre
-        cross with the position variable s on (0, 1 - x).
+        The gap axis carries the geometric_panels rule; each gap node carries
+        a Gauss-Legendre cross with the position variable s on (0, 1 - x).
         """
         if levels < 1:
             raise ValueError("levels must be >= 1")
-        xg, wxg = _unit_gauss_legendre(order_gap)
+        x, wx = geometric_panels(levels, order_gap)
         sg, wsg = _unit_gauss_legendre(order_pos)
-        edges = [2.0 ** (-j) for j in range(levels + 1)] + [0.0]
-        s_list, t_list, w_list = [], [], []
-        for hi, lo in zip(edges[:-1], edges[1:]):
-            x = lo + (hi - lo) * xg
-            wx = (hi - lo) * wxg
-            # position nodes scale with the remaining room 1 - x
-            xx, ss = np.meshgrid(x, sg, indexing="ij")
-            wxx, wss = np.meshgrid(wx, wsg, indexing="ij")
-            s = ss * (1.0 - xx)
-            w = wxx * wss * (1.0 - xx)
-            s_list.append(s.ravel())
-            t_list.append((s + xx).ravel())
-            w_list.append(w.ravel())
-        nodes = np.column_stack([np.concatenate(s_list), np.concatenate(t_list)])
-        return cls(nodes, np.concatenate(w_list))
+        # position nodes scale with the remaining room 1 - x
+        xx, ss = np.meshgrid(x, sg, indexing="ij")
+        wxx, wss = np.meshgrid(wx, wsg, indexing="ij")
+        s = ss * (1.0 - xx)
+        w = wxx * wss * (1.0 - xx)
+        nodes = np.column_stack([s.ravel(), (s + xx).ravel()])
+        return cls(nodes, w.ravel())
 
 
 def simplex3_gauss_legendre(n: int = 12):

@@ -23,7 +23,8 @@ from itertools import combinations
 import numpy as np
 from scipy.special import gammaln
 
-from .quadrature import SimplexQuadrature, simplex3_gauss_legendre
+from .quadrature import SimplexQuadrature, _unit_gauss_legendre, \
+    simplex3_gauss_legendre
 from .rng import stream_generator
 from .specfun import (
     calibrate_log_branch_constant,
@@ -36,7 +37,6 @@ from .specfun import (
 __all__ = [
     "Path",
     "MultiIndex",
-    "DynkinSymbol",
     "sample_path",
     "silt_epsilon",
     "centering_constant_2d",
@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _BINARY_MAGIC = b"SILTPATH1"
+_LINE_ORDER = 48
 
 
 @dataclass(frozen=True)
@@ -125,21 +126,6 @@ class MultiIndex:
 
     def __iter__(self):
         return iter(self.n)
-
-
-@dataclass(frozen=True)
-class DynkinSymbol:
-    """Order-k symbol: a continuous function on the k-simplex and a target order."""
-
-    k: int
-    phi: object
-    l: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("order k must be >= 2")
-        if not 1 <= self.l <= self.k:
-            raise ValueError(f"target order must satisfy 1 <= l <= k, got l={self.l}")
 
 
 def sample_path(m: int, d: int, seed: int, stream: int = 0) -> Path:
@@ -412,7 +398,7 @@ def _eval_symbol(phi, columns):
 
 def dynkin_renormalized_sum(path: Path, k: int, eps: float, phi,
                             q_kernel=None, quad: SimplexQuadrature = None,
-                            quad3=None, line_order: int = 48) -> float:
+                            quad3=None) -> float:
     """Log-weighted combination of the order-l functionals of the collapsed
     symbols: sum over l <= k of (log(eps)/(2 pi))^(k-l) T_l with the order-l
     symbol obtained from phi by summing over monotone surjections.
@@ -422,7 +408,7 @@ def dynkin_renormalized_sum(path: Path, k: int, eps: float, phi,
     log of the variance for the divergences to cancel; with the
     variance-parameterized Gaussian mollifier that is log(eps) itself.  The
     l = 1 functional has no mollifier factor and reduces to a line integral
-    over [0, 1].
+    over [0, 1], done by a 48-node Gauss-Legendre rule.
     """
     if k not in (2, 3):
         raise ValueError(f"only k in {{2, 3}} supported at desk scale, got {k}")
@@ -432,9 +418,7 @@ def dynkin_renormalized_sum(path: Path, k: int, eps: float, phi,
         weight = (log_scale / (2.0 * math.pi)) ** (k - l)
         collapsed = phi if l == k else dynkin_B(k, l, phi)
         if l == 1:
-            x, w = np.polynomial.legendre.leggauss(line_order)
-            x = 0.5 * (x + 1.0)
-            w = 0.5 * w
+            x, w = _unit_gauss_legendre(_LINE_ORDER)
             term = float(np.dot(w, _eval_symbol(collapsed, (x,))))
         else:
             term = dynkin_T(path, l, eps, collapsed, q_kernel=q_kernel,

@@ -13,17 +13,12 @@ products over coordinates of H_{n_i}(u_i/sqrt(tau_1)) H_{n_i}(u_i/sqrt(tau_2))
 of the product of d per-coordinate generating sequences, assembled by a
 truncated convolution (a dynamic program costing O(d k) per order).
 
-Two 4-d integration schemes are provided.  The default collapses the two
-shift variables exactly (the integrand depends on them only through the
-piecewise-linear overlap and admissible-length factors, so their integral is
-Gauss-exact per linear piece), leaving quadrature in the two gap variables
-alone; this stays accurate when the offset is small and the correlation mass
-sits on nearly-coincident interval pairs.  The alternative is the tensor
-product of two triangle rules; there, node pairs with correlation
-overlap/sqrt(tau_1 tau_2) = 1 (identical intervals, hit exactly by the
-tensor diagonal) are excluded from every order k >= 1, because the continuum
-diagonal has measure zero while fixed nodes sample it with positive weight
-and its k-series diverges, poisoning the truncation tail.
+The 4-d integral collapses the two shift variables exactly (the integrand
+depends on them only through the piecewise-linear overlap and
+admissible-length factors, so their integral is Gauss-exact per linear
+piece), leaving quadrature in the two gap variables alone; this stays
+accurate when the offset is small and the correlation mass sits on
+nearly-coincident interval pairs.
 
 Mass^2 / norm^2 then lower-bounds the capacity of the support of the
 intersection measure, by the standard inequality
@@ -33,11 +28,11 @@ measure(A)^2 <= norm^2 * capacity(A).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import SimplexQuadrature
+from .quadrature import _overlap, geometric_panels, interval_overlap
 from .siltcore import Path
 from .specfun import SimplexIntegralSpec, log_gaussian_kernel_batch, \
     normalized_hermite_all, simplex_moment_integral
@@ -53,34 +48,20 @@ __all__ = [
     "support_distance",
 ]
 
-_SELF_PAIR_RHO = 1.0 - 1e-9
 _TAIL_CUTOFF = 1e-14
-
-
-def interval_overlap(s1: float, t1: float, s2: float, t2: float) -> float:
-    """Lebesgue measure of [s1, t1] intersect [s2, t2]."""
-    if not (s1 < t1 and s2 < t2):
-        raise ValueError("intervals must have positive length")
-    return max(0.0, min(t1, t2) - max(s1, s2))
+_CHUNK_PAIRS = 30000
 
 
 @dataclass(frozen=True)
 class SobolevSpec:
-    """Norm-truncation parameters: index gamma < (4-d)/2, order cap, offset.
-
-    quad_a/quad_b select the tensor-product 4-d scheme when set; by default
-    the norm is computed by the collapsed scheme (exact in the shift
-    variables, quadrature only in the two gap variables), which stays
-    accurate when the offset is small and the correlation mass concentrates
-    on nearly-coincident interval pairs.
-    """
+    """Norm-truncation parameters: index gamma < (4-d)/2, order cap, offset,
+    and the geometric gap rule (tau_levels panels of tau_order nodes) on which
+    the collapsed integral is evaluated."""
 
     gamma: float
     K: int
     u: np.ndarray
     d: int
-    quad_a: SimplexQuadrature = field(default=None)
-    quad_b: SimplexQuadrature = field(default=None)
     tau_levels: int = 34
     tau_order: int = 6
 
@@ -99,8 +80,6 @@ class SobolevSpec:
             raise ValueError(f"offset has shape {u.shape}, expected ({self.d},)")
         if not np.linalg.norm(u) > 0:
             raise ValueError("offset must be nonzero")
-        if self.quad_a is not None and self.quad_b is None:
-            object.__setattr__(self, "quad_b", self.quad_a)
 
 
 @dataclass(frozen=True)
@@ -118,27 +97,6 @@ class CapacityResult:
     norm_sq: float
     K_used: int
     tail_ratio: float
-
-
-def _rule_tables(quad: SimplexQuadrature, u: np.ndarray, d: int, K: int):
-    """Per-node gap, log(weight * kernel), endpoints, and normalized Hermite
-    columns for the coordinates where the offset is nonzero.
-
-    Nodes whose kernel log-weight is below -800 are dropped outright: their
-    pairs cannot contribute above e-1000 of the norm scale, while their huge
-    Hermite factors would otherwise turn 0 * inf into NaN.
-    """
-    tau = quad.gaps
-    r2 = float(np.dot(u, u))
-    log_wp = np.log(quad.weights) + log_gaussian_kernel_batch(r2, d, tau)
-    keep = log_wp > -800.0
-    tau = tau[keep]
-    log_wp = log_wp[keep]
-    nodes = quad.nodes[keep]
-    tables = {}
-    for i in np.nonzero(u)[0]:
-        tables[int(i)] = normalized_hermite_all(K, u[i] / np.sqrt(tau))  # (K+1, N)
-    return nodes, tau, log_wp, tables
 
 
 def _zero_coordinate_factor(u: np.ndarray, K: int) -> np.ndarray:
@@ -165,59 +123,7 @@ def _convolve_orders(s_coef: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norm_orders_tensor(spec: SobolevSpec, chunk_pairs: int) -> np.ndarray:
-    """Raw per-order integrals via the tensor product of two triangle rules.
-
-    Adequate while the offset is large enough that the rules resolve interval
-    pairs overlapping at scale |u|^2; identical-interval pairs (the tensor
-    diagonal, where the order series diverges pointwise on a measure-zero
-    set) are excluded from every order k >= 1.
-    """
-    K = spec.K
-    nodes_a, tau_a, lwp_a, tab_a = _rule_tables(spec.quad_a, spec.u, spec.d, K)
-    nodes_b, tau_b, lwp_b, tab_b = _rule_tables(spec.quad_b, spec.u, spec.d, K)
-    s_a, t_a = nodes_a[:, 0], nodes_a[:, 1]
-    s_b, t_b = nodes_b[:, 0], nodes_b[:, 1]
-    zero_factor = _zero_coordinate_factor(spec.u, K)
-    active = sorted(tab_a.keys())
-    n_a, n_b = len(tau_a), len(tau_b)
-    acc = np.zeros(K + 1)
-    all_ab = np.arange(n_a * n_b)
-    for lo in range(0, n_a * n_b, chunk_pairs):
-        pairs = all_ab[lo: lo + chunk_pairs]
-        ia, ib = pairs // n_b, pairs % n_b
-        overlap = np.clip(np.minimum(t_a[ia], t_b[ib]) - np.maximum(s_a[ia], s_b[ib]),
-                          0.0, None)
-        rho = overlap / np.sqrt(tau_a[ia] * tau_b[ib])
-        with np.errstate(under="ignore"):
-            pair_w = np.exp(lwp_a[ia] + lwp_b[ib])
-        keep = rho < _SELF_PAIR_RHO
-        s_coef = np.tile(zero_factor, (len(pairs), 1))
-        for i in active:
-            s_coef = _convolve_orders(s_coef, tab_a[i][:, ia].T * tab_b[i][:, ib].T)
-        rho_pow = np.ones(len(pairs))
-        for k in range(K + 1):
-            w_eff = pair_w if k == 0 else pair_w * keep
-            acc[k] += float(np.dot(w_eff * rho_pow, s_coef[:, k]))
-            if k < K:
-                rho_pow = rho_pow * rho
-    return acc
-
-
-def _geometric_gap_rule(levels: int, order: int):
-    """Gauss-Legendre panels on (0, 1] shrinking geometrically toward 0."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    taus, weights = [], []
-    edges = [2.0 ** (-j) for j in range(levels + 1)] + [0.0]
-    for hi, lo in zip(edges[:-1], edges[1:]):
-        taus.append(lo + (hi - lo) * x)
-        weights.append((hi - lo) * w)
-    return np.concatenate(taus), np.concatenate(weights)
-
-
-def _norm_orders_collapsed(spec: SobolevSpec, chunk_pairs: int) -> np.ndarray:
+def _norm_orders_collapsed(spec: SobolevSpec) -> np.ndarray:
     """Raw per-order integrals, exact in the shift variables.
 
     Writing the two intervals as [a, a+tau1] and [a+eta, a+eta+tau2], the
@@ -235,7 +141,7 @@ def _norm_orders_collapsed(spec: SobolevSpec, chunk_pairs: int) -> np.ndarray:
     """
     K = spec.K
     r2 = float(np.dot(spec.u, spec.u))
-    tau, w_tau = _geometric_gap_rule(spec.tau_levels, spec.tau_order)
+    tau, w_tau = geometric_panels(spec.tau_levels, spec.tau_order)
     log_wp = np.log(w_tau) + log_gaussian_kernel_batch(r2, spec.d, tau)
     keep = log_wp > -800.0
     tau, log_wp = tau[keep], log_wp[keep]
@@ -254,8 +160,8 @@ def _norm_orders_collapsed(spec: SobolevSpec, chunk_pairs: int) -> np.ndarray:
     q_eta = max((K + 3) // 2 + 1, 4)
     gx, gw = np.polynomial.legendre.leggauss(q_eta)
     all_pairs = np.arange(n_tau * n_tau)
-    for lo in range(0, n_tau * n_tau, chunk_pairs):
-        pairs = all_pairs[lo: lo + chunk_pairs]
+    for lo in range(0, n_tau * n_tau, _CHUNK_PAIRS):
+        pairs = all_pairs[lo: lo + _CHUNK_PAIRS]
         ia, ib = pairs // n_tau, pairs % n_tau
         t1, t2 = tau[ia], tau[ib]
         low = np.maximum(-t2, t1 - 1.0)
@@ -271,12 +177,15 @@ def _norm_orders_collapsed(spec: SobolevSpec, chunk_pairs: int) -> np.ndarray:
         half = 0.5 * np.maximum(knots[:, 1:] - knots[:, :-1], 0.0)
         eta = mid[:, :, None] + half[:, :, None] * gx
         w_eta = half[:, :, None] * gw
-        ov = np.minimum(t1[:, None, None], eta + t2[:, None, None]) \
-            - np.maximum(0.0, eta)
-        ell = np.minimum(1.0 - t1[:, None, None], 1.0 - eta - t2[:, None, None]) \
-            - np.maximum(0.0, -eta)
-        base = w_eta * np.clip(ell, 0.0, None)
-        rho = np.clip(ov, 0.0, None) / np.sqrt(t1 * t2)[:, None, None]
+        t1e, t2e = t1[:, None, None], t2[:, None, None]
+        # first interval [0, t1] against [eta, eta + t2], which collapses
+        # where t2 is below the float resolution of eta (large tau_levels at
+        # tiny offsets); admissible left ends a: [0, 1 - t1] against
+        # [-eta, 1 - eta - t2]
+        ov = _overlap(0.0, t1e, eta, eta + t2e)
+        ell = _overlap(0.0, 1.0 - t1e, -eta, 1.0 - eta - t2e)
+        base = w_eta * ell
+        rho = ov / np.sqrt(t1 * t2)[:, None, None]
         with np.errstate(under="ignore"):
             pair_w = np.exp(log_wp[ia] + log_wp[ib])
         s_coef = np.tile(zero_factor, (len(pairs), 1))
@@ -291,18 +200,14 @@ def _norm_orders_collapsed(spec: SobolevSpec, chunk_pairs: int) -> np.ndarray:
     return acc
 
 
-def sobolev_norm_sq_truncated(spec: SobolevSpec,
-                              chunk_pairs: int = 30000) -> SobolevNormResult:
+def sobolev_norm_sq_truncated(spec: SobolevSpec) -> SobolevNormResult:
     """Truncated squared norm with per-order terms and truncation diagnostics.
 
     The reported value sums orders until either the cap K or the first order
     whose summand drops below 1e-14 of the running sum; tail_ratio is the
     last included summand relative to the total.
     """
-    if spec.quad_a is not None:
-        acc = _norm_orders_tensor(spec, chunk_pairs)
-    else:
-        acc = _norm_orders_collapsed(spec, chunk_pairs)
+    acc = _norm_orders_collapsed(spec)
     orders = np.arange(spec.K + 1)
     terms = (orders + 1.0) ** spec.gamma * acc
     total = terms[0]

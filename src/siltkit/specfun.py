@@ -31,7 +31,6 @@ __all__ = [
     "simplex_moment_integral",
     "simplex_moment_asymptotic",
     "hermite_eval",
-    "hermite_eval_all",
     "normalized_hermite_all",
     "normalized_hermite_log_sign",
     "cauchy_hermite_bound",
@@ -252,33 +251,28 @@ def hermite_eval(n: int, x):
     return h if h.ndim else float(h)
 
 
-def hermite_eval_all(n_max: int, x) -> np.ndarray:
-    """Stack of H_0(x), ..., H_{n_max}(x) along a new leading axis."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((n_max + 1,) + x.shape)
-    out[0] = 1.0
+def _normalized_hermite_rows(n_max: int, x, first):
+    """Yield first * H_n(x)/sqrt(n!) for n = 0, ..., n_max, one row at a time.
+
+    G_{n+1} = x G_n / sqrt(n+1) - sqrt(n/(n+1)) G_{n-1} keeps magnitudes near
+    exp(x^2/4) instead of n!-sized; the recurrence is linear, so seeding it
+    with a weight row ``first`` carries that weight through every order.
+    """
+    g_prev = first
+    yield g_prev
     if n_max >= 1:
-        out[1] = x
-    for m in range(1, n_max):
-        out[m + 1] = x * out[m] - m * out[m - 1]
-    return out
+        g = x * first
+        yield g
+        for m in range(1, n_max):
+            g, g_prev = x * g / math.sqrt(m + 1) - math.sqrt(m / (m + 1)) * g_prev, g
+            yield g
 
 
 def normalized_hermite_all(n_max: int, x) -> np.ndarray:
-    """Stack of H_n(x)/sqrt(n!) for n <= n_max, by the stable scaled recurrence.
-
-    G_{n+1} = x G_n / sqrt(n+1) - sqrt(n/(n+1)) G_{n-1} keeps magnitudes near
-    exp(x^2/4) instead of n!-sized, so orders in the hundreds stay finite for
-    moderate arguments.
-    """
+    """Stack of H_n(x)/sqrt(n!) for n <= n_max, by the stable scaled recurrence
+    (orders in the hundreds stay finite for moderate arguments)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((n_max + 1,) + x.shape)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = x
-    for m in range(1, n_max):
-        out[m + 1] = x * out[m] / math.sqrt(m + 1) - math.sqrt(m / (m + 1)) * out[m - 1]
-    return out
+    return np.array(list(_normalized_hermite_rows(n_max, x, np.ones_like(x))))
 
 
 def normalized_hermite_log_sign(n: int, x):
@@ -342,41 +336,36 @@ def szego_bound(n: int, x: float, alpha: float, c: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def calibrate_szego_constant(alpha: float = 0.25, n_max: int = 200,
-                             x_max: float = None, x_step: float = 0.01) -> float:
+def calibrate_szego_constant(alpha: float = 0.25, n_max: int = 200) -> float:
     """Grid-search sup of |H_n(x)| exp(-alpha x^2) (n or 1)^((8a-1)/12) / sqrt(n!).
 
-    Any c at least this large makes the szego_bound envelope hold on the grid;
-    callers add their own safety margin for off-grid arguments.  The weighted
-    recurrence on W_n = H_n exp(-alpha x^2)/sqrt(n!) keeps everything O(1).
+    The grid is x = 0, 0.01, ..., 2 sqrt(n_max) + 10.  Any c at least this
+    large makes the szego_bound envelope hold on the grid; callers add their
+    own safety margin for off-grid arguments.  Seeding the normalized
+    recurrence with exp(-alpha x^2) keeps every row O(1).
     """
-    if x_max is None:
-        x_max = 2.0 * math.sqrt(n_max) + 10.0
-    x = np.arange(0.0, x_max + x_step, x_step)
-    damp = np.exp(-alpha * x * x)
-    w_prev = damp.copy()
-    w = x * damp
+    x_max = 2.0 * math.sqrt(n_max) + 10.0
+    x = np.arange(0.0, x_max + 0.01, 0.01)
     power = (8.0 * alpha - 1.0) / 12.0
-    best = float(np.max(np.abs(w_prev)))  # n = 0 term, (0 or 1) = 1
-    best = max(best, float(np.max(np.abs(w))))  # n = 1
-    for m in range(1, n_max):
-        w, w_prev = x * w / math.sqrt(m + 1) - math.sqrt(m / (m + 1)) * w_prev, w
-        best = max(best, float(np.max(np.abs(w))) * (m + 1) ** power)
+    best = 0.0
+    rows = _normalized_hermite_rows(n_max, x, np.exp(-alpha * x * x))
+    for n, w in enumerate(rows):
+        best = max(best, float(np.max(np.abs(w))) * max(n, 1) ** power)
     return best
 
 
 @lru_cache(maxsize=None)
-def calibrate_log_branch_constant(margin: float = 1.05) -> float:
+def calibrate_log_branch_constant() -> float:
     """Smallest observed c with m(u, 2) <= c * log(1/|u|) on a dyadic u-grid.
 
     m(u, 2) is the simplex moment integral at alpha = 0, d = 2, whose
     small-``u`` growth is (1/pi) log(1/|u|); the sup over |u| = 2^-1..2^-16
-    (times ``margin``) gives a working constant for the logarithmic branch of
-    the chaos-term envelope.
+    (times a 1.05 margin) gives a working constant for the logarithmic branch
+    of the chaos-term envelope.
     """
     best = 0.0
     for j in range(1, 17):
         r = 2.0 ** (-j)
         m = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=2, u_norm=r))
         best = max(best, m / math.log(1.0 / r))
-    return margin * best
+    return 1.05 * best

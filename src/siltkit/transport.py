@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marginals import TimeGrid, MarginalPoint, marginal_density_q_batch, sample_mu_n
+from .marginals import TimeGrid, grid_overlaps, marginal_density_q_batch, \
+    sample_mu_n
 from .quadrature import ConvergenceError, SimplexQuadrature, \
     adaptive_partition_integral, triangle_grid_cells
 from .rng import stream_generator
@@ -38,7 +39,6 @@ __all__ = [
     "ConvergenceError",
     "DegenerateProposalError",
     "TransportPlanSpec",
-    "WeightedSample",
     "WeightedSampleBatch",
     "TalagrandBound",
     "EntropyEstimate",
@@ -63,6 +63,9 @@ _STREAM_PROPOSAL = 1
 _STREAM_REFERENCE = 2
 _STREAM_RESAMPLE = 3
 
+_SIGMA2_MAX_REFINEMENTS = 60000
+_SINKHORN_CHECK_EVERY = 20
+
 
 class DegenerateProposalError(RuntimeError):
     """All importance weights vanished numerically."""
@@ -86,12 +89,6 @@ class TransportPlanSpec:
 
 
 @dataclass(frozen=True)
-class WeightedSample:
-    point: MarginalPoint
-    weight: float
-
-
-@dataclass(frozen=True)
 class WeightedSampleBatch:
     """Self-normalized importance sample of the normalized marginal measure."""
 
@@ -99,10 +96,6 @@ class WeightedSampleBatch:
     weights: np.ndarray      # normalized, sum to 1
     raw_mean: float          # mean of q/m before normalization (-> 1)
     ess: float               # 1 / sum of squared normalized weights
-
-    def as_samples(self):
-        return [WeightedSample(MarginalPoint(p), float(w))
-                for p, w in zip(self.points, self.weights)]
 
 
 @dataclass(frozen=True)
@@ -162,9 +155,7 @@ def kappa(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 def log_sigma2_integral(u, d: int, n: int, rel_tol: float = 1e-6,
-                        quad: SimplexQuadrature = None,
-                        base_order: int = 8,
-                        max_refinements: int = 60000) -> float:
+                        quad: SimplexQuadrature = None) -> float:
     """Integral of log(sigma^2(s, t)) * kernel_d(t - s, u) over the triangle.
 
     sigma^2 vanishes where both endpoints sit on the uniform n-grid and on
@@ -177,14 +168,9 @@ def log_sigma2_integral(u, d: int, n: int, rel_tol: float = 1e-6,
     if r2 == 0:
         raise ValueError("offset must be nonzero")
     grid = TimeGrid.make_uniform(n)
-    left = grid.t[:-1]
-    right = grid.t[1:]
-    lengths = grid.cell_lengths
 
     def integrand(s, t):
-        alpha = np.clip(np.minimum(t[:, None], right) - np.maximum(s[:, None], left),
-                        0.0, None)
-        sigma2 = (t - s) - np.sum(alpha * alpha / lengths, axis=1)
+        _, sigma2 = grid_overlaps(s, t, grid)
         sigma2 = np.clip(sigma2, 1e-300, None)
         return np.log(sigma2) * np.exp(log_gaussian_kernel_batch(r2, d, t - s))
 
@@ -192,32 +178,30 @@ def log_sigma2_integral(u, d: int, n: int, rel_tol: float = 1e-6,
         return float(np.dot(quad.weights,
                             integrand(quad.nodes[:, 0], quad.nodes[:, 1])))
     cells = triangle_grid_cells(grid.t)
-    return adaptive_partition_integral(integrand, cells, rel_tol=rel_tol,
-                                       base_order=base_order,
-                                       max_refinements=max_refinements)
+    return adaptive_partition_integral(
+        integrand, cells, rel_tol=rel_tol,
+        max_refinements=_SIGMA2_MAX_REFINEMENTS)
 
 
-def entropy_bound(u, d: int, n: int, quad: SimplexQuadrature = None,
-                  rel_tol: float = 1e-6) -> float:
+def entropy_bound(u, d: int, n: int) -> float:
     """Closed upper bound for the relative entropy of the normalized marginal
     intersection measure with respect to the Brownian marginal."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     spec = SimplexIntegralSpec(alpha=0.0, d=d, u=u)
     m = simplex_moment_integral(spec)
-    e_log = log_sigma2_integral(u, d, n, rel_tol=rel_tol, quad=quad)
+    e_log = log_sigma2_integral(u, d, n)
     return -math.log(2.0 * m * (2.0 * math.pi) ** (0.5 * d)) \
         - 0.5 * d / m * e_log
 
 
-def talagrand_bound(u, d: int, n: int, quad: SimplexQuadrature = None,
-                    rel_tol: float = 1e-6) -> TalagrandBound:
+def talagrand_bound(u, d: int, n: int) -> TalagrandBound:
     """(2 / kappa_n) times the entropy bound, flagged vacuous when negative.
 
     A negative value still upper-bounds the (non-negative) relative entropy
     times 2/kappa_n in the formal sense but carries no information about the
     Wasserstein distance; it is reported raw rather than clamped.
     """
-    eb = entropy_bound(u, d, n, quad=quad, rel_tol=rel_tol)
+    eb = entropy_bound(u, d, n)
     k = kappa(n)
     return TalagrandBound(value=2.0 * eb / k, entropy=eb, kappa_n=k,
                           vacuous=eb < 0.0)
@@ -286,7 +270,7 @@ def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def sinkhorn_log(cost: np.ndarray, reg: float, max_iterations: int,
-                 tolerance: float, check_every: int = 20):
+                 tolerance: float):
     """Alternating dual scaling against a cost matrix, uniform marginals.
 
     The scaling vectors are iterated in linear space (two matrix-vector
@@ -321,7 +305,7 @@ def sinkhorn_log(cost: np.ndarray, reg: float, max_iterations: int,
         v = np.ones(m)
 
     while it < max_iterations:
-        for _ in range(check_every):
+        for _ in range(_SINKHORN_CHECK_EVERY):
             u = a / np.maximum(kernel @ v, tiny)
             v = b / np.maximum(kernel.T @ u, tiny)
             it += 1

@@ -90,3 +90,56 @@ def single_index_second_moment(idx, u, levels=34, order=6):
     a_k = np.sum(weta * ell * rho ** k, axis=(-1, -2))
     pair_w = np.exp(log_wp[:, None] + log_wp[None, :])
     return float(np.sum(pair_w * a_k * np.outer(h_per_node, h_per_node)))
+
+
+# Tensor-product Sobolev norm: the independent cross-check of the collapsed
+# scheme in siltkit.sobolev.  Shared with it are only the order-convolution
+# helpers; the 4-d integral here is a plain product of two triangle rules.
+
+SELF_PAIR_RHO = 1.0 - 1e-9
+
+
+def tensor_norm_sq(spec, quad):
+    """Sum over k <= spec.K of (k+1)^gamma times the order-k integral, by the
+    tensor product of the triangle rule ``quad`` with itself.
+
+    Nodes whose kernel log-weight is below -800 are dropped outright: their
+    pairs cannot contribute above e-1000 of the norm scale, while their huge
+    Hermite factors would otherwise turn 0 * inf into NaN.  Identical-interval
+    pairs (correlation 1, hit exactly by the tensor diagonal) are excluded
+    from every order k >= 1: the continuum diagonal has measure zero, while
+    fixed nodes sample it with positive weight and its order series diverges
+    there.
+    """
+    from siltkit.sobolev import _convolve_orders, _zero_coordinate_factor
+    from siltkit.specfun import log_gaussian_kernel_batch, normalized_hermite_all
+
+    K, u = spec.K, spec.u
+    tau = quad.gaps
+    log_wp = np.log(quad.weights) + log_gaussian_kernel_batch(
+        float(np.dot(u, u)), spec.d, tau)
+    keep = log_wp > -800.0
+    tau, log_wp, nodes = tau[keep], log_wp[keep], quad.nodes[keep]
+    tables = [normalized_hermite_all(K, u[i] / np.sqrt(tau))
+              for i in np.nonzero(u)[0]]
+    zero_factor = _zero_coordinate_factor(u, K)
+    n = len(tau)
+    acc = np.zeros(K + 1)
+    all_pairs = np.arange(n * n)
+    for lo in range(0, n * n, 30000):
+        ia, ib = np.divmod(all_pairs[lo: lo + 30000], n)
+        overlap = np.clip(np.minimum(nodes[ia, 1], nodes[ib, 1])
+                          - np.maximum(nodes[ia, 0], nodes[ib, 0]), 0.0, None)
+        rho = overlap / np.sqrt(tau[ia] * tau[ib])
+        with np.errstate(under="ignore"):
+            pair_w = np.exp(log_wp[ia] + log_wp[ib])
+        off_diagonal = rho < SELF_PAIR_RHO
+        s_coef = np.tile(zero_factor, (len(ia), 1))
+        for table in tables:
+            s_coef = _convolve_orders(s_coef, table[:, ia].T * table[:, ib].T)
+        rho_pow = np.ones(len(ia))
+        for k in range(K + 1):
+            w_eff = pair_w if k == 0 else pair_w * off_diagonal
+            acc[k] += float(np.dot(w_eff * rho_pow, s_coef[:, k]))
+            rho_pow = rho_pow * rho
+    return float(np.sum((np.arange(K + 1) + 1.0) ** spec.gamma * acc))

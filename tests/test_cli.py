@@ -221,8 +221,16 @@ class TestCommands:
         out = str(tmp_path)
         assert run_cli(["capacity", "--out", out, "--u-norms", "2^-2..2^-4",
                         "--k-max", "8"]) == 0
-        _, _, rows = read_rows(os.path.join(out, "capacity.csv"))
+        _, header, rows = read_rows(os.path.join(out, "capacity.csv"))
         assert rows[-1][0] == "slope_fit"
+        # the footer is the slope of log(1/bound - 1) on log|u|, recomputed
+        # here from the CSV's own point rows
+        col_u, col_lb = header.index("u_norm"), header.index("capacity_lb")
+        pts = [(math.log(float(r[col_u])), math.log(1.0 / float(r[col_lb]) - 1.0))
+               for r in rows if r[0] == "point" and float(r[col_lb]) < 1.0]
+        assert len(pts) == 3
+        slope = float(np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0])
+        assert float(rows[-1][col_lb]) == slope
 
 
 class TestReproducibility:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from siltkit.marginals import (
-    MarginalPoint,
     TimeGrid,
     conditional_kernel,
     marginal_batch_from_csv,
@@ -331,7 +330,3 @@ class TestSampler:
         buf.seek(0)
         back = marginal_batch_from_csv(buf)
         assert np.array_equal(points, back)
-
-    def test_marginal_point_validation(self):
-        with pytest.raises(ValueError):
-            MarginalPoint(np.zeros(3))

@@ -7,9 +7,56 @@ from siltkit.quadrature import (
     ConvergenceError,
     SimplexQuadrature,
     adaptive_partition_integral,
+    geometric_panels,
+    interval_overlap,
     simplex3_gauss_legendre,
     triangle_grid_cells,
 )
+
+
+class TestGeometricPanels:
+    @pytest.mark.parametrize("levels, order", [(34, 6), (30, 4), (5, 3)])
+    def test_weights_sum_to_one(self, levels, order):
+        x, w = geometric_panels(levels, order)
+        assert len(x) == len(w) == (levels + 1) * order
+        assert np.all((x > 0) & (x <= 1)) and np.all(w > 0)
+        assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("levels, order", [(12, 4), (6, 6)])
+    def test_each_panel_exact_for_low_degree(self, levels, order):
+        x, w = geometric_panels(levels, order)
+        edges = [2.0 ** -j for j in range(levels + 1)] + [0.0]
+        for p, (hi, lo) in enumerate(zip(edges[:-1], edges[1:])):
+            xp = x[p * order:(p + 1) * order]
+            wp = w[p * order:(p + 1) * order]
+            assert np.all((xp >= lo) & (xp <= hi))
+            for j in range(2 * order):
+                exact = (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
+                assert float(np.dot(wp, xp ** j)) == pytest.approx(
+                    exact, rel=1e-12, abs=1e-300)
+
+
+class TestIntervalOverlap:
+    def test_broadcasts_intervals_against_grid_cells(self):
+        gen = np.random.default_rng(3)
+        s = gen.uniform(0, 0.9, 40)
+        t = s + gen.uniform(0.01, 0.1, 40)
+        grid = np.linspace(0.0, 1.0, 8)
+        batch = interval_overlap(s[:, None], t[:, None], grid[None, :-1],
+                                 grid[None, 1:])
+        assert batch.shape == (40, 7)
+        for i in range(40):
+            for j in range(7):
+                assert batch[i, j] == interval_overlap(s[i], t[i], grid[j],
+                                                       grid[j + 1])
+        # the cells tile [0, 1], so each interval's overlaps sum to its length
+        assert np.allclose(batch.sum(axis=1), t - s, rtol=0, atol=1e-15)
+
+    def test_non_positive_length_in_batch_rejected(self):
+        with pytest.raises(ValueError):
+            interval_overlap(np.array([0.1, 0.5]), np.array([0.2, 0.5]), 0.0, 1.0)
+        with pytest.raises(ValueError):
+            interval_overlap(0.0, 1.0, np.array([0.3]), np.array([0.2]))
 
 
 class TestSimplexQuadrature:

@@ -10,7 +10,6 @@ from scipy.stats import kstest
 
 from siltkit.quadrature import SimplexQuadrature, simplex3_gauss_legendre
 from siltkit.siltcore import (
-    DynkinSymbol,
     MultiIndex,
     Path,
     centering_constant_2d,
@@ -394,8 +393,6 @@ class TestDynkin:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             dynkin_B(2, 3, lambda *ts: 1.0)
-        with pytest.raises(ValueError):
-            DynkinSymbol(k=3, phi=None, l=4)
 
     def test_order2_coincides_with_silt(self, quad64):
         p = sample_path(512, 2, 5)

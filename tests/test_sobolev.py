@@ -19,6 +19,7 @@ from siltkit.sobolev import (
 from siltkit.specfun import SimplexIntegralSpec, simplex_moment_integral
 
 from conftest import axis_offset
+from exact_oracles import tensor_norm_sq
 
 # frozen after the collapsed and tensor 4-d schemes agreed to 1e-3 at K=24
 # (d=4, gamma=-0.5, |u|=0.5); the recorded value is the default collapsed
@@ -66,21 +67,30 @@ class TestSobolevNorm:
                                                               u=u))
         assert res.value == pytest.approx(m_exact ** 2, rel=1e-5)
         quad = SimplexQuadrature.gauss_legendre(24)
-        tensor = sobolev_norm_sq_truncated(
-            SobolevSpec(gamma=-0.5, K=0, u=u, d=4, quad_a=quad))
+        tensor = tensor_norm_sq(spec, quad)
         mass_quad = float(np.dot(
             quad.weights,
             np.exp(-0.09 / (2 * quad.gaps)) / (2 * np.pi * quad.gaps) ** 2))
-        assert tensor.value == pytest.approx(mass_quad ** 2, rel=1e-13)
+        assert tensor == pytest.approx(mass_quad ** 2, rel=1e-13)
 
     def test_collapsed_and_tensor_schemes_agree(self):
         u = axis_offset(0.5, 4)
-        collapsed = sobolev_norm_sq_truncated(
-            SobolevSpec(gamma=-0.5, K=24, u=u, d=4))
-        tensor = sobolev_norm_sq_truncated(SobolevSpec(
-            gamma=-0.5, K=24, u=u, d=4,
-            quad_a=SimplexQuadrature.geometric_diagonal(30, 4, 24)))
-        assert collapsed.value == pytest.approx(tensor.value, rel=1e-3)
+        spec = SobolevSpec(gamma=-0.5, K=24, u=u, d=4)
+        collapsed = sobolev_norm_sq_truncated(spec)
+        tensor = tensor_norm_sq(
+            spec, SimplexQuadrature.geometric_diagonal(30, 4, 24))
+        assert collapsed.value == pytest.approx(tensor, rel=1e-3)
+
+    def test_gaps_below_float_resolution(self):
+        # at 50 levels the smallest gaps (~1e-17) vanish against eta ~ 1/2 in
+        # floating point; those collapsed intervals overlap nothing
+        u = axis_offset(1e-7, 4)
+        res = sobolev_norm_sq_truncated(
+            SobolevSpec(gamma=-0.5, K=2, u=u, d=4, tau_levels=50))
+        m_exact = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=4,
+                                                              u=u))
+        assert np.all(np.isfinite(res.terms))
+        assert res.value == pytest.approx(m_exact ** 2, rel=1e-5)
 
     def test_monotone_in_truncation_order(self):
         u = axis_offset(0.4, 4)

@@ -174,9 +174,6 @@ class TestImportanceSampling:
                    / math.sqrt(4000))
         assert abs(batch.raw_mean - 1.0) <= 3 * se
         assert 0 < batch.ess <= 4000
-        samples = batch.as_samples()
-        assert len(samples) == 4000
-        assert samples[0].weight == pytest.approx(batch.weights[0])
 
     def test_equal_weights_full_ess(self):
         weights = np.full(250, 1.0 / 250)
