@@ -373,6 +373,8 @@ def cmd_marginal(config: RunConfig) -> str:
     d = int(config.params["dim"])
     n = int(config.params["n"])
     count = int(config.params["count"])
+    if count < 2:  # the standard error needs two samples
+        raise UsageError(f"count must be >= 2, got {count}")
     quad = SimplexQuadrature.gauss_legendre(int(config.params["quad_order"]))
     norms = parse_norm_list(config.params["u_norms"])
     direction = parse_direction(config.params["u_dir"], d)
@@ -397,8 +399,8 @@ def cmd_transport(config: RunConfig) -> str:
     d = int(config.params["dim"])
     n = int(config.params["n"])
     count = int(config.params["count"])
-    if count > 5000:
-        raise UsageError(f"count capped at 5000, got {count}")
+    if not 2 <= count <= 5000:
+        raise UsageError(f"count must be in 2..5000, got {count}")
     if d * n > 16:
         raise UsageError(f"flattened dimension d*n capped at 16, got {d * n}")
     quad = SimplexQuadrature.gauss_legendre(int(config.params["quad_order"]))
@@ -415,8 +417,8 @@ def cmd_transport(config: RunConfig) -> str:
         m_exact = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=d, u=u))
         bound = talagrand_bound(u, d, n)
         batch = weighted_theta_samples(u, d, n, config.seed, count, quad)
-        entropy = empirical_relative_entropy(u, d, n, config.seed, count, quad)
-        w2 = empirical_w2(u, d, n, config.seed, count, plan, quad=quad)
+        entropy = empirical_relative_entropy(batch)
+        w2 = empirical_w2(batch, config.seed, plan)
         rows.append((d, n, r, m_exact, bound.kappa_n, bound.entropy, bound.value,
                      entropy.value, entropy.stderr, w2.value, w2.stderr,
                      batch.ess, int(bound.vacuous)))

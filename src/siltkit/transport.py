@@ -248,10 +248,9 @@ def relative_entropy_terms(ratios: np.ndarray) -> np.ndarray:
         return np.where(ratios > 0, ratios * np.log(ratios), 0.0)
 
 
-def empirical_relative_entropy(u, d: int, n: int, seed: int, count: int,
-                               quad: SimplexQuadrature) -> EntropyEstimate:
-    """Monte Carlo estimate of E[(q/m) log(q/m)] under the Brownian marginal."""
-    batch = weighted_theta_samples(u, d, n, seed, count, quad)
+def empirical_relative_entropy(batch: WeightedSampleBatch) -> EntropyEstimate:
+    """Monte Carlo E[(q/m) log(q/m)] under the Brownian marginal, from a batch."""
+    count = len(batch.points)
     raw = batch.weights * (batch.raw_mean * count)  # back to unnormalized q/m
     h = relative_entropy_terms(raw)
     value = float(np.mean(h))
@@ -341,23 +340,21 @@ def entropic_w2(x: np.ndarray, y: np.ndarray, plan: TransportPlanSpec):
     return 2.0 * c1 - c2, max(err1, err2), it1 + it2
 
 
-def empirical_w2(u, d: int, n: int, seed: int, count: int,
-                 plan: TransportPlanSpec,
-                 quad: SimplexQuadrature = None) -> W2Estimate:
+def empirical_w2(batch: WeightedSampleBatch, seed: int,
+                 plan: TransportPlanSpec) -> W2Estimate:
     """Squared Wasserstein distance between the normalized marginal
     intersection measure and the Brownian marginal, from samples.
 
-    The intersection side is an importance sample resampled to uniform
-    weights; the Brownian side is an independent draw.  The error bar is half
-    the gap between two disjoint half-batch estimates.
+    The intersection side is the importance batch resampled to uniform
+    weights; the Brownian side is an independent draw.  ``seed`` is the
+    batch's master seed; resampling and the draw use streams of their own.
+    The error bar is half the gap between two disjoint half-batch estimates.
     """
-    if count > 5000:
-        raise ValueError(f"count capped at 5000 at desk scale, got {count}")
+    count, n, d = batch.points.shape
+    if not 2 <= count <= 5000:
+        raise ValueError(f"count must be in 2..5000 at desk scale, got {count}")
     if d * n > 16:
         raise ValueError(f"flattened dimension d*n capped at 16, got {d * n}")
-    if quad is None:
-        quad = SimplexQuadrature.gauss_legendre(64)
-    batch = weighted_theta_samples(u, d, n, seed, count, quad)
     idx = systematic_resample(batch.weights, count, seed)
     theta_cloud = batch.points[idx].reshape(count, n * d)
     mu_cloud = sample_mu_n(n, d, seed, count, stream=_STREAM_REFERENCE)

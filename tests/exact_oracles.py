@@ -143,3 +143,32 @@ def tensor_norm_sq(spec, quad):
             acc[k] += float(np.dot(w_eff * rho_pow, s_coef[:, k]))
             rho_pow = rho_pow * rho
     return float(np.sum((np.arange(K + 1) + 1.0) ** spec.gamma * acc))
+
+
+# Marginal density q by direct contraction: the form siltkit.marginals used
+# before it became a quadratic form in the grid increments.  It shares only
+# the quadrature nodes with the library (singular nodes subdivided the same
+# way) and forms every kernel argument c X_s - u explicitly, so the GEMM's
+# expansion and its cancellation are checked against a sum of squares.
+
+def marginal_density_q_einsum(u, grid, points, quad):
+    """q(x) for points of shape (count, n, d) on the uniform grid."""
+    from siltkit.marginals import _effective_nodes
+
+    points = np.asarray(points, dtype=float)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    d = points.shape[2]
+    w, alpha, sigma2 = _effective_nodes(grid, quad)
+    coeff = alpha * grid.n  # alpha_j / cell length on the uniform grid
+    log_norm = -0.5 * d * np.log(2.0 * np.pi * sigma2)
+    inv_two_var = 0.5 / sigma2
+    out = np.empty(len(points))
+    increments = np.diff(points, axis=1, prepend=np.zeros((len(points), 1, d)))
+    for lo in range(0, len(points), 512):
+        hi = min(lo + 512, len(points))
+        # args[q, s, :] = sum_j coeff[q, j] * increments[s, j, :] - u
+        args = np.einsum("qj,sjc->qsc", coeff, increments[lo:hi]) - u
+        sq = np.einsum("qsc,qsc->qs", args, args)
+        with np.errstate(under="ignore"):
+            out[lo:hi] = w @ np.exp(log_norm[:, None] - inv_two_var[:, None] * sq)
+    return out

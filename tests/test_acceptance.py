@@ -46,6 +46,7 @@ from siltkit.transport import (
     hessian_matrix_diagonals,
     kappa,
     talagrand_bound,
+    weighted_theta_samples,
 )
 
 from conftest import axis_offset
@@ -281,7 +282,8 @@ def test_11_entropy_chain(quad64):
     for r in (0.2, 0.5):
         u = axis_offset(r, 4)
         for n in (1, 2):
-            estimate = empirical_relative_entropy(u, 4, n, 1111, 4000, quad64)
+            estimate = empirical_relative_entropy(
+                weighted_theta_samples(u, 4, n, 1111, 4000, quad64))
             bound = entropy_bound(u, 4, n)
             assert estimate.value >= -3 * estimate.stderr, (r, n, estimate)
             assert bound >= 0, (r, n, bound)
@@ -301,7 +303,8 @@ def test_12_wasserstein_chain(quad64):
     target = float(shift @ shift)
     assert abs(calibration - target) <= 0.10 * target
     u = axis_offset(0.3, 4)
-    estimate = empirical_w2(u, 4, 2, 1212, 2000, plan, quad=quad64)
+    estimate = empirical_w2(
+        weighted_theta_samples(u, 4, 2, 1212, 2000, quad64), 1212, plan)
     bound = talagrand_bound(u, 4, 2)
     if bound.vacuous:
         print(f"  vacuous bound reported: {bound.value:.4f}")

@@ -199,6 +199,17 @@ class TestCommands:
                         "--count", "6000"]) == 2
         assert run_cli(["transport", "--out", str(tmp_path), "--n", "5"]) == 2
 
+    @pytest.mark.parametrize("command,extra", [
+        ("marginal", []), ("transport", ["--reg", "1.0"])])
+    def test_count_below_two_is_usage_error(self, tmp_path, capsys, command,
+                                            extra):
+        # one sample has no standard error and no half-batch split
+        for count in ("1", "0"):
+            assert run_cli([command, "--out", str(tmp_path), "--count", count,
+                            "--quad-order", "24"] + extra) == 2
+            assert "count must be" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(tmp_path, f"{command}.csv"))
+
     def test_transport_nonconvergence_exits_3(self, tmp_path):
         assert run_cli(["transport", "--out", str(tmp_path), "--count", "200",
                         "--quad-order", "24", "--max-iter", "3",

@@ -22,6 +22,7 @@ from siltkit.specfun import SimplexIntegralSpec, gaussian_kernel_batch, \
     simplex_moment_integral
 
 from conftest import axis_offset
+from exact_oracles import marginal_density_q_einsum
 
 
 def exact_projection_residual(s, t, grid):
@@ -197,6 +198,21 @@ class TestConditionalKernel:
             assert abs(mc - exact) <= 3 * se
 
 
+def oblique_offset(r, d):
+    """Offset of norm r touching every coordinate, so no column drops out."""
+    direction = np.linspace(1.0, -0.5, d) if d > 1 else np.ones(1)
+    return r * direction / np.linalg.norm(direction)
+
+
+def assert_matches_einsum(u, grid, points, quad, rel=1e-12):
+    got = marginal_density_q_batch(u, grid, points, quad)
+    ref = marginal_density_q_einsum(u, grid, points, quad)
+    assert got.shape == ref.shape
+    assert np.all(ref > 0)
+    worst = float(np.max(np.abs(got - ref) / ref))
+    assert worst <= rel, worst
+
+
 class TestMarginalDensity:
     def test_zero_point_against_raw_quadrature(self, quad64):
         d, n, r = 4, 2, 0.3
@@ -294,6 +310,57 @@ class TestMarginalDensity:
         mc = float(np.mean(q))
         se = float(np.std(q, ddof=1) / math.sqrt(len(q)))
         assert abs(mc - m) <= 3 * se
+
+    # the GEMM form of q against the explicit sum of squares
+    @pytest.mark.parametrize("d", [1, 2, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_dimensions_and_offsets(self, n, d, quad64):
+        grid = TimeGrid.make_uniform(n)
+        points = sample_mu_n(n, d, 70 + 10 * n + d, 200)
+        for r in (1e-3, 0.2, 2.0):
+            assert_matches_einsum(oblique_offset(r, d), grid, points, quad64)
+
+    @pytest.mark.parametrize("count", [1, 511, 513, 1025])
+    def test_counts_across_chunk_edges(self, count):
+        grid = TimeGrid.make_uniform(3)
+        quad = SimplexQuadrature.gauss_legendre(24)
+        points = sample_mu_n(3, 4, 5, count)
+        for r in (1e-3, 0.2, 2.0):
+            assert_matches_einsum(oblique_offset(r, 4), grid, points, quad)
+
+    @pytest.mark.parametrize("order,count", [(24, 300), (64, 300), (128, 40)])
+    def test_rules(self, order, count):
+        # the 128^2 rule reaches sigma^2 ~ 8e-9, where a rounding error in
+        # the expanded square is amplified most in the exponent
+        quad = SimplexQuadrature.gauss_legendre(order)
+        for n in (2, 4):
+            grid = TimeGrid.make_uniform(n)
+            points = sample_mu_n(n, 4, order + n, count)
+            for r in (1e-3, 0.2, 2.0):
+                assert_matches_einsum(oblique_offset(r, 4), grid, points, quad)
+
+    def test_rule_with_on_grid_node(self):
+        # the rule of test_singular_nodes_are_subdivided: one node on two
+        # grid times, replaced by jittered copies with sigma^2 ~ 1e-7
+        grid = TimeGrid.make_uniform(3)
+        base = SimplexQuadrature.gauss_legendre(24)
+        nodes = np.vstack([base.nodes, [[1 / 3, 2 / 3]]])
+        weights = np.concatenate([base.weights * (0.5 - 1e-4) / 0.5, [1e-4]])
+        dirty = SimplexQuadrature(nodes, weights)
+        x = np.array([[0.05, 0.0], [0.3, -0.2], [0.1, 0.4]])
+        points = np.concatenate([x[None], sample_mu_n(3, 2, 8, 300)])
+        for u in (np.array([0.25, 0.1]), oblique_offset(1e-3, 2),
+                  oblique_offset(2.0, 2)):
+            assert_matches_einsum(u, grid, points, dirty)
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_stress_batch_with_large_increments(self, n, quad64):
+        # increments five times their Brownian size: larger terms in the
+        # expanded square and more cancellation against |u|^2
+        grid = TimeGrid.make_uniform(n)
+        points = 5.0 * sample_mu_n(n, 4, 600 + n, 300)
+        for r in (1e-3, 0.2, 2.0):
+            assert_matches_einsum(oblique_offset(r, 4), grid, points, quad64)
 
 
 class TestSampler:

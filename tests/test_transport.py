@@ -202,15 +202,18 @@ class TestImportanceSampling:
         for r in (0.2, 0.5):
             u = axis_offset(r, 4)
             for n in (1, 2):
-                est = empirical_relative_entropy(u, 4, n, 2024, 3000, quad64)
+                est = empirical_relative_entropy(
+                    weighted_theta_samples(u, 4, n, 2024, 3000, quad64))
                 bound = entropy_bound(u, 4, n)
                 assert est.value >= -3 * est.stderr
                 assert est.value <= bound + 3 * est.stderr
 
     def test_entropy_deterministic_given_seed(self, quad64):
         u = axis_offset(0.3, 4)
-        a = empirical_relative_entropy(u, 4, 2, 5, 500, quad64)
-        b = empirical_relative_entropy(u, 4, 2, 5, 500, quad64)
+        a = empirical_relative_entropy(
+            weighted_theta_samples(u, 4, 2, 5, 500, quad64))
+        b = empirical_relative_entropy(
+            weighted_theta_samples(u, 4, 2, 5, 500, quad64))
         assert a.value == b.value and a.stderr == b.stderr
 
 
@@ -270,16 +273,23 @@ class TestEntropicTransport:
 
     def test_caps_enforced(self, quad64):
         plan = TransportPlanSpec()
+        u = axis_offset(0.3, 4)
         with pytest.raises(ValueError):
-            empirical_w2(axis_offset(0.3, 4), 4, 2, 1, 6000, plan)
+            empirical_w2(weighted_theta_samples(u, 4, 2, 1, 6000, quad64), 1,
+                         plan)
         with pytest.raises(ValueError):
-            empirical_w2(axis_offset(0.3, 4), 4, 5, 1, 100, plan)
+            empirical_w2(weighted_theta_samples(u, 4, 5, 1, 100, quad64), 1,
+                         plan)
+        with pytest.raises(ValueError):  # a one-sample batch has no halves
+            empirical_w2(weighted_theta_samples(u, 4, 2, 1, 1, quad64), 1,
+                         plan)
 
     def test_end_to_end_below_talagrand(self, quad64):
         u = axis_offset(0.3, 4)
         plan = TransportPlanSpec(regularization=0.3, max_iterations=20000,
                                  tolerance=1e-8)
-        est = empirical_w2(u, 4, 2, 31, 1000, plan, quad=quad64)
+        est = empirical_w2(weighted_theta_samples(u, 4, 2, 31, 1000, quad64),
+                           31, plan)
         bound = talagrand_bound(u, 4, 2)
         assert not bound.vacuous
         assert est.value <= bound.value
