@@ -18,6 +18,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -219,14 +220,21 @@ def cmd_hermite(config: RunConfig) -> str:
                      rows)
 
 
+@lru_cache(maxsize=None)
+def _silt_rule(quad_order: int) -> SimplexQuadrature:
+    """The silt tasks' rule, built once per process and shared read-only."""
+    quad = SimplexQuadrature.gauss_legendre(quad_order)
+    quad.nodes.flags.writeable = quad.weights.flags.writeable = False
+    return quad
+
+
 def _silt_task(args):
     (seed, stream, d, m, eps_ladder, u, quad_order) = args
-    quad = SimplexQuadrature.gauss_legendre(quad_order)
     path = sample_path(m, d, seed, stream=stream)
+    raws = silt_epsilon(path, np.array(eps_ladder), u, _silt_rule(quad_order))
     out = []
     u_norm = float(np.linalg.norm(u))
-    for eps in eps_ladder:
-        raw = silt_epsilon(path, eps, u, quad)
+    for eps, raw in zip(eps_ladder, raws.tolist()):
         if d == 2 and u_norm == 0:
             mode, adjusted = "centered2d", raw - centering_constant_2d(eps)
         elif d == 2:

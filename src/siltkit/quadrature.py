@@ -13,8 +13,7 @@ Two primitives shared across the package live here as well:
 ``geometric_panels``, the one-dimensional gap rule on (0, 1] behind the
 diagonal-refined rule and the Sobolev norm, and ``interval_overlap``, the
 broadcasting length of an interval intersection behind the marginal
-projections, the residual variance and (through its unchecked core
-``_overlap``) the Sobolev pair geometry.
+projections and the residual variance.
 
 The adaptive machinery at the bottom refines a list of starting cells
 (rectangles, or triangles in mapped coordinates) by greedy quadtree splitting
@@ -70,13 +69,6 @@ def interval_overlap(s1, t1, s2, t2):
     every interval must have positive length."""
     if not (np.all(s1 < t1) and np.all(s2 < t2)):
         raise ValueError("intervals must have positive length")
-    return _overlap(s1, t1, s2, t2)
-
-
-def _overlap(s1, t1, s2, t2):
-    """interval_overlap without the length check, for computed intervals that
-    may collapse in floating point (a tiny length absorbed by a large
-    endpoint); such an interval has overlap 0."""
     return np.clip(np.minimum(t1, t2) - np.maximum(s1, s2), 0.0, None)
 
 

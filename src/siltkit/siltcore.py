@@ -153,15 +153,19 @@ def _as_offset(u, d) -> np.ndarray:
     return u
 
 
-def silt_epsilon(path: Path, eps: float, u, quad: SimplexQuadrature) -> float:
-    """Triangle quadrature of the Gaussian kernel of w(t) - w(s) - u at scale eps."""
-    if not eps > 0:
+def silt_epsilon(path: Path, eps, u, quad: SimplexQuadrature):
+    """Triangle quadrature of the Gaussian kernel of w(t) - w(s) - u at scale
+    eps: a float, or an array for a 1-d array of scales (one interpolation)."""
+    scales = np.asarray(eps, dtype=float)
+    if scales.ndim > 1 or not np.all(scales > 0):
         raise ValueError(f"mollification scale must be positive, got {eps}")
     u = _as_offset(u, path.d)
     s, t = quad.nodes[:, 0], quad.nodes[:, 1]
     inc = path.at(t) - path.at(s) - u
     sq = np.sum(inc * inc, axis=-1)
-    return float(np.dot(quad.weights, np.exp(log_gaussian_kernel_batch(sq, path.d, eps))))
+    values = np.array([np.dot(quad.weights, np.exp(log_gaussian_kernel_batch(
+        sq, path.d, e))) for e in scales.ravel()])
+    return float(values[0]) if scales.ndim == 0 else values
 
 
 def centering_constant_2d(eps: float) -> float:

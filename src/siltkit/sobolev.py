@@ -15,10 +15,11 @@ truncated convolution (a dynamic program costing O(d k) per order).
 
 The 4-d integral collapses the two shift variables exactly (the integrand
 depends on them only through the piecewise-linear overlap and
-admissible-length factors, so their integral is Gauss-exact per linear
-piece), leaving quadrature in the two gap variables alone; this stays
-accurate when the offset is small and the correlation mass sits on
-nearly-coincident interval pairs.
+admissible-length factors, so their integral is exact per linear piece by a
+positive recurrence, with the endpoint overlaps 0, min(tau_1, tau_2) or
+tau_1 + tau_2 - 1 taken in closed form), leaving quadrature in the two gap
+variables alone; this stays accurate when the offset is small and the
+correlation mass sits on nearly-coincident interval pairs.
 
 Mass^2 / norm^2 then lower-bounds the capacity of the support of the
 intersection measure, by the standard inequality
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _overlap, geometric_panels, interval_overlap
+from .quadrature import geometric_panels, interval_overlap
 from .siltcore import Path
 from .specfun import SimplexIntegralSpec, log_gaussian_kernel_batch, \
     normalized_hermite_all, simplex_moment_integral
@@ -104,14 +105,9 @@ def _zero_coordinate_factor(u: np.ndarray, K: int) -> np.ndarray:
     with zero offset component (node-independent)."""
     h0 = normalized_hermite_all(K, np.zeros(1))[:, 0]  # H_n(0)/sqrt(n!)
     base = h0 * h0
-    factor = np.zeros(K + 1)
-    factor[0] = 1.0
-    n_zero = int(np.sum(u == 0.0))
-    for _ in range(n_zero):
-        out = np.zeros(K + 1)
-        for k in range(K + 1):
-            out[k] = np.dot(factor[: k + 1], base[k::-1])
-        factor = out
+    factor = np.eye(1, K + 1)[0]
+    for _ in range(int(np.sum(u == 0.0))):
+        factor = np.convolve(factor, base)[: K + 1]
     return factor
 
 
@@ -123,21 +119,50 @@ def _convolve_orders(s_coef: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def _shift_integrals(t1: np.ndarray, t2: np.ndarray, K: int) -> np.ndarray:
+    """Integrals over the shift eta of (overlap / sqrt(t1 t2))^k times the
+    admissible length, k = 0..K, one row per gap pair (t1, t2).
+
+    Both factors are linear between the knots low <= min(0, t1-t2) <=
+    max(0, t1-t2) <= high: constant at min(t1, t2) and 1 - max(t1, t2) on
+    the middle piece (length |t1 - t2|), and on each of the mirrored outer
+    pieces (length h) rising to those values from max(0, t1+t2-1) and
+    max(0, 1-t1-t2).  Endpoints are closed forms, never rounded knots.  For
+    f = a..b and g = e0..e1 linear on [0, 1], the integral of f^k g is
+    exactly (e0 (A_k + H_k) + e1 (B_k + H_k)) / ((k+1)(k+2)), where H_k, A_k
+    and B_k sum a^i b^(k-i) with weights 1, i and k-i, by recurrences of
+    non-negative terms.  e0 A_k vanishes: a = 0 (so A_k = 0) unless
+    t1 + t2 > 1, and then e0 = 0.
+    """
+    lo, hi = np.minimum(t1, t2), np.maximum(t1, t2)
+    excess, root = t1 + t2 - 1.0, np.sqrt(t1 * t2)
+    h = np.where(excess > 0.0, 1.0 - hi, lo)
+    a, b = np.maximum(excess, 0.0) / root, lo / root
+    e0, e1 = np.maximum(-excess, 0.0), 1.0 - hi
+    out = np.empty((len(t1), K + 1))
+    a_k, b_k, h_k, b_sum = np.ones_like(a), np.ones_like(a), np.ones_like(a), 0.0
+    with np.errstate(under="ignore"):
+        for k in range(K + 1):
+            if k:
+                a_k, b_k = a_k * a, b_k * b
+                h_k = b * h_k + a_k
+                b_sum = a * b_sum + k * b_k
+            out[:, k] = (2.0 * h / ((k + 1) * (k + 2))
+                         * (e0 * h_k + e1 * (b_sum + h_k)) + (hi - lo) * e1 * b_k)
+    return out
+
+
 def _norm_orders_collapsed(spec: SobolevSpec) -> np.ndarray:
     """Raw per-order integrals, exact in the shift variables.
 
     Writing the two intervals as [a, a+tau1] and [a+eta, a+eta+tau2], the
-    integrand depends on a only through the admissible length l(eta) (a
-    piecewise-linear function) and on eta only through the overlap (also
-    piecewise linear), so
-
-        integral over (a, eta) of overlap^k  =  sum over linear pieces of
-        Gauss-exact integrals of overlap(eta)^k * l(eta),
-
-    leaving a two-dimensional integral over the gaps (tau1, tau2) that is
-    done on geometric panels.  Orders k >= 1 draw only from eta with
-    positive overlap; the order-0 term factorizes exactly into the squared
-    one-dimensional mass integral.
+    integrand depends on a only through the admissible length l(eta) and on
+    eta only through the overlap, both piecewise linear; the integral over
+    (a, eta) of overlap^k is exact per linear piece by a positive recurrence
+    (``_shift_integrals``, endpoint overlaps 0, min(tau1, tau2) or
+    tau1 + tau2 - 1 in closed form).  That leaves a two-dimensional integral
+    over the gaps (tau1, tau2), done on geometric panels.  The order-0 term
+    factorizes exactly into the squared one-dimensional mass integral.
     """
     K = spec.K
     r2 = float(np.dot(spec.u, spec.u))
@@ -146,57 +171,24 @@ def _norm_orders_collapsed(spec: SobolevSpec) -> np.ndarray:
     keep = log_wp > -800.0
     tau, log_wp = tau[keep], log_wp[keep]
     n_tau = len(tau)
-    tables = {}
-    for i in np.nonzero(spec.u)[0]:
-        tables[int(i)] = normalized_hermite_all(K, spec.u[i] / np.sqrt(tau))
+    tables = [normalized_hermite_all(K, spec.u[i] / np.sqrt(tau))
+              for i in np.nonzero(spec.u)[0]]
     zero_factor = _zero_coordinate_factor(spec.u, K)
-    active = sorted(tables.keys())
     # order-0: exact factorization through the 1-d mass quadrature
     with np.errstate(under="ignore"):
         mass_1d = float(np.dot(np.exp(log_wp), 1.0 - tau))
     acc = np.zeros(K + 1)
     acc[0] = mass_1d * mass_1d
-    # Gauss nodes exact for polynomials of degree K+1 on each eta piece
-    q_eta = max((K + 3) // 2 + 1, 4)
-    gx, gw = np.polynomial.legendre.leggauss(q_eta)
-    all_pairs = np.arange(n_tau * n_tau)
     for lo in range(0, n_tau * n_tau, _CHUNK_PAIRS):
-        pairs = all_pairs[lo: lo + _CHUNK_PAIRS]
-        ia, ib = pairs // n_tau, pairs % n_tau
-        t1, t2 = tau[ia], tau[ib]
-        low = np.maximum(-t2, t1 - 1.0)
-        high = np.minimum(t1, 1.0 - t2)
-        knots = np.sort(np.stack([
-            low,
-            np.clip(t1 - t2, low, high),
-            np.clip(0.0, low, high),
-            high,
-        ], axis=1), axis=1)
-        # eta nodes per piece: shape (pairs, 3, q_eta)
-        mid = 0.5 * (knots[:, 1:] + knots[:, :-1])
-        half = 0.5 * np.maximum(knots[:, 1:] - knots[:, :-1], 0.0)
-        eta = mid[:, :, None] + half[:, :, None] * gx
-        w_eta = half[:, :, None] * gw
-        t1e, t2e = t1[:, None, None], t2[:, None, None]
-        # first interval [0, t1] against [eta, eta + t2], which collapses
-        # where t2 is below the float resolution of eta (large tau_levels at
-        # tiny offsets); admissible left ends a: [0, 1 - t1] against
-        # [-eta, 1 - eta - t2]
-        ov = _overlap(0.0, t1e, eta, eta + t2e)
-        ell = _overlap(0.0, 1.0 - t1e, -eta, 1.0 - eta - t2e)
-        base = w_eta * ell
-        rho = ov / np.sqrt(t1 * t2)[:, None, None]
+        ia, ib = np.divmod(np.arange(lo, min(lo + _CHUNK_PAIRS, n_tau * n_tau)),
+                           n_tau)
         with np.errstate(under="ignore"):
             pair_w = np.exp(log_wp[ia] + log_wp[ib])
-        s_coef = np.tile(zero_factor, (len(pairs), 1))
-        for i in active:
-            s_coef = _convolve_orders(s_coef, tables[i][:, ia].T * tables[i][:, ib].T)
-        rho_pow = rho.copy()
-        for k in range(1, K + 1):
-            a_k = np.einsum("pjg,pjg->p", base, rho_pow)
-            acc[k] += float(np.dot(pair_w, a_k * s_coef[:, k]))
-            if k < K:
-                rho_pow = rho_pow * rho
+        s_coef = np.tile(zero_factor, (len(ia), 1))
+        for table in tables:
+            s_coef = _convolve_orders(s_coef, table[:, ia].T * table[:, ib].T)
+        shift = _shift_integrals(tau[ia], tau[ib], K)
+        acc[1:] += pair_w @ (shift[:, 1:] * s_coef[:, 1:])
     return acc
 
 
@@ -205,7 +197,8 @@ def sobolev_norm_sq_truncated(spec: SobolevSpec) -> SobolevNormResult:
 
     The reported value sums orders until either the cap K or the first order
     whose summand drops below 1e-14 of the running sum; tail_ratio is the
-    last included summand relative to the total.
+    last included summand relative to the total, or the first dropped one
+    when only order 0 is included (order 0 against itself would read 1).
     """
     acc = _norm_orders_collapsed(spec)
     orders = np.arange(spec.K + 1)
@@ -217,7 +210,8 @@ def sobolev_norm_sq_truncated(spec: SobolevSpec) -> SobolevNormResult:
             break
         total += terms[k]
         k_used = k
-    tail_ratio = abs(terms[k_used]) / abs(total) if total != 0 else math.inf
+    last = 1 if k_used == 0 and spec.K > 0 else k_used
+    tail_ratio = abs(terms[last]) / abs(total) if total != 0 else math.inf
     return SobolevNormResult(value=float(total), terms=terms, K_used=k_used,
                              tail_ratio=float(tail_ratio))
 

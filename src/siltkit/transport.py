@@ -251,6 +251,8 @@ def relative_entropy_terms(ratios: np.ndarray) -> np.ndarray:
 def empirical_relative_entropy(batch: WeightedSampleBatch) -> EntropyEstimate:
     """Monte Carlo E[(q/m) log(q/m)] under the Brownian marginal, from a batch."""
     count = len(batch.points)
+    if count < 2:
+        raise ValueError(f"count must be >= 2 for a standard error, got {count}")
     raw = batch.weights * (batch.raw_mean * count)  # back to unnormalized q/m
     h = relative_entropy_terms(raw)
     value = float(np.mean(h))

@@ -172,3 +172,85 @@ def marginal_density_q_einsum(u, grid, points, quad):
         with np.errstate(under="ignore"):
             out[lo:hi] = w @ np.exp(log_norm[:, None] - inv_two_var[:, None] * sq)
     return out
+
+
+# Collapsed Sobolev orders with the shift variable done by Gauss quadrature:
+# the form siltkit.sobolev used before the closed-form piece integral.  It
+# shares the gap rule, the Hermite tables and the order convolution with the
+# library; only the integral over eta differs, which is what it checks.
+
+def _overlap(s1, t1, s2, t2):
+    """Interval overlap without a length check: an interval that collapses
+    in floating point (a tiny length absorbed by a large endpoint) overlaps
+    nothing."""
+    return np.clip(np.minimum(t1, t2) - np.maximum(s1, s2), 0.0, None)
+
+
+def collapsed_orders_gauss_eta(spec):
+    """Raw per-order integrals of ``siltkit.sobolev._norm_orders_collapsed``,
+    with the shift variable eta integrated by a Gauss rule per linear piece
+    that is exact for polynomials of degree K+1."""
+    from siltkit.quadrature import geometric_panels
+    from siltkit.sobolev import _CHUNK_PAIRS, _convolve_orders, \
+        _zero_coordinate_factor
+    from siltkit.specfun import log_gaussian_kernel_batch, normalized_hermite_all
+
+    K = spec.K
+    r2 = float(np.dot(spec.u, spec.u))
+    tau, w_tau = geometric_panels(spec.tau_levels, spec.tau_order)
+    log_wp = np.log(w_tau) + log_gaussian_kernel_batch(r2, spec.d, tau)
+    keep = log_wp > -800.0
+    tau, log_wp = tau[keep], log_wp[keep]
+    n_tau = len(tau)
+    tables = {}
+    for i in np.nonzero(spec.u)[0]:
+        tables[int(i)] = normalized_hermite_all(K, spec.u[i] / np.sqrt(tau))
+    zero_factor = _zero_coordinate_factor(spec.u, K)
+    active = sorted(tables.keys())
+    # order-0: exact factorization through the 1-d mass quadrature
+    with np.errstate(under="ignore"):
+        mass_1d = float(np.dot(np.exp(log_wp), 1.0 - tau))
+    acc = np.zeros(K + 1)
+    acc[0] = mass_1d * mass_1d
+    # Gauss nodes exact for polynomials of degree K+1 on each eta piece
+    q_eta = max((K + 3) // 2 + 1, 4)
+    gx, gw = np.polynomial.legendre.leggauss(q_eta)
+    all_pairs = np.arange(n_tau * n_tau)
+    for lo in range(0, n_tau * n_tau, _CHUNK_PAIRS):
+        pairs = all_pairs[lo: lo + _CHUNK_PAIRS]
+        ia, ib = pairs // n_tau, pairs % n_tau
+        t1, t2 = tau[ia], tau[ib]
+        low = np.maximum(-t2, t1 - 1.0)
+        high = np.minimum(t1, 1.0 - t2)
+        knots = np.sort(np.stack([
+            low,
+            np.clip(t1 - t2, low, high),
+            np.clip(0.0, low, high),
+            high,
+        ], axis=1), axis=1)
+        # eta nodes per piece: shape (pairs, 3, q_eta)
+        mid = 0.5 * (knots[:, 1:] + knots[:, :-1])
+        half = 0.5 * np.maximum(knots[:, 1:] - knots[:, :-1], 0.0)
+        eta = mid[:, :, None] + half[:, :, None] * gx
+        w_eta = half[:, :, None] * gw
+        t1e, t2e = t1[:, None, None], t2[:, None, None]
+        # first interval [0, t1] against [eta, eta + t2], which collapses
+        # where t2 is below the float resolution of eta (large tau_levels at
+        # tiny offsets); admissible left ends a: [0, 1 - t1] against
+        # [-eta, 1 - eta - t2]
+        ov = _overlap(0.0, t1e, eta, eta + t2e)
+        ell = _overlap(0.0, 1.0 - t1e, -eta, 1.0 - eta - t2e)
+        base = w_eta * ell
+        rho = ov / np.sqrt(t1 * t2)[:, None, None]
+        with np.errstate(under="ignore"):
+            pair_w = np.exp(log_wp[ia] + log_wp[ib])
+        s_coef = np.tile(zero_factor, (len(pairs), 1))
+        for i in active:
+            s_coef = _convolve_orders(s_coef, tables[i][:, ia].T * tables[i][:, ib].T)
+        rho_pow = rho.copy()
+        for k in range(1, K + 1):
+            a_k = np.einsum("pjg,pjg->p", base, rho_pow)
+            acc[k] += float(np.dot(pair_w, a_k * s_coef[:, k]))
+            if k < K:
+                rho_pow = rho_pow * rho
+    return acc

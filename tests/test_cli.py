@@ -14,6 +14,7 @@ from siltkit.cli import (
     parse_multi_indices,
     parse_norm_list,
     resolve_config,
+    _silt_rule,
 )
 
 
@@ -144,6 +145,14 @@ class TestCommands:
         _, _, rows = read_rows(os.path.join(out, "silt.csv"))
         assert all(r[-1] == "renorm3d" for r in rows)
 
+    def test_silt_rule_built_once_and_read_only(self):
+        rule = _silt_rule(24)
+        assert _silt_rule(24) is rule
+        with pytest.raises(ValueError):
+            rule.weights[0] = 1.0
+        with pytest.raises(ValueError):
+            rule.nodes[0, 0] = 0.5
+
     def test_chaos_zero_violations_and_k0_identity(self, tmp_path):
         out = str(tmp_path)
         assert run_cli(["chaos", "--out", out, "--seed", "3", "--paths", "4",
@@ -227,6 +236,15 @@ class TestCommands:
                         "--k-max", "8"]) == 0
         _, _, rows = read_rows(os.path.join(out, "capacity.csv"))
         assert all(r[0] == "point" for r in rows)
+
+    def test_capacity_tail_ratio_when_cut_at_order_zero(self, tmp_path):
+        out = str(tmp_path)
+        assert run_cli(["capacity", "--out", out, "--u-norms", "1e-7",
+                        "--tau-levels", "50", "--k-max", "4"]) == 0
+        _, header, rows = read_rows(os.path.join(out, "capacity.csv"))
+        row = dict(zip(header, rows[0]))
+        assert row["K_used"] == "0"
+        assert 0 < float(row["tail_ratio"]) < 1e-14
 
     def test_capacity_footer_with_three_points(self, tmp_path):
         out = str(tmp_path)

@@ -92,6 +92,20 @@ class TestSiltEpsilon:
     def test_domain_error(self, quad64):
         with pytest.raises(ValueError):
             silt_epsilon(zero_path(2), 0.0, np.zeros(2), quad64)
+        with pytest.raises(ValueError):
+            silt_epsilon(zero_path(2), np.array([0.1, -0.1]), np.zeros(2),
+                         quad64)
+
+    def test_scale_array_matches_scalar_calls(self, quad64):
+        # one interpolation serves every scale, with the same bits per scale
+        path = sample_path(256, 3, 8)
+        u = np.array([0.2, 0.0, -0.1])
+        ladder = [0.2, 0.1, 0.05, 0.025]
+        values = silt_epsilon(path, np.array(ladder), u, quad64)
+        assert isinstance(values, np.ndarray) and values.shape == (4,)
+        singles = [silt_epsilon(path, eps, u, quad64) for eps in ladder]
+        assert all(type(v) is float for v in singles)
+        assert values.tolist() == singles
 
     def test_mean_matches_convolution_identity(self, quad64):
         u = np.array([0.4, 0.2])

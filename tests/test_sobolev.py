@@ -11,6 +11,8 @@ from siltkit.sobolev import (
     CapacityResult,
     SobolevSpec,
     SupportQuery,
+    _norm_orders_collapsed,
+    _shift_integrals,
     capacity_lower_bound,
     interval_overlap,
     sobolev_norm_sq_truncated,
@@ -19,7 +21,7 @@ from siltkit.sobolev import (
 from siltkit.specfun import SimplexIntegralSpec, simplex_moment_integral
 
 from conftest import axis_offset
-from exact_oracles import tensor_norm_sq
+from exact_oracles import collapsed_orders_gauss_eta, tensor_norm_sq
 
 # frozen after the collapsed and tensor 4-d schemes agreed to 1e-3 at K=24
 # (d=4, gamma=-0.5, |u|=0.5); the recorded value is the default collapsed
@@ -92,6 +94,15 @@ class TestSobolevNorm:
         assert np.all(np.isfinite(res.terms))
         assert res.value == pytest.approx(m_exact ** 2, rel=1e-5)
 
+    def test_tail_ratio_when_cut_at_order_zero(self):
+        # order 1 already falls below the 1e-14 cutoff; the ratio reported
+        # is that dropped order's, not order 0 against itself
+        res = sobolev_norm_sq_truncated(SobolevSpec(
+            gamma=-0.5, K=4, u=axis_offset(1e-7, 4), d=4, tau_levels=50))
+        assert res.K_used == 0
+        assert res.tail_ratio == abs(res.terms[1]) / res.value
+        assert 0 < res.tail_ratio < 1e-14
+
     def test_monotone_in_truncation_order(self):
         u = axis_offset(0.4, 4)
         values = [sobolev_norm_sq_truncated(
@@ -153,6 +164,56 @@ class TestSobolevNorm:
             se = float(np.std(sq, ddof=1) / math.sqrt(len(sq))) \
                 * (k + 1.0) ** gamma
             assert abs(mc - res.terms[k]) <= 3 * se
+
+
+def assert_orders_match_gauss_eta(spec):
+    got = _norm_orders_collapsed(spec)
+    want = collapsed_orders_gauss_eta(spec)
+    assert np.all(want > 0)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+class TestClosedFormShiftIntegral:
+    """The shift-variable integral in closed form, against the Gauss-in-eta
+    form it replaced and against 40-digit quadrature."""
+
+    @pytest.mark.parametrize("j", range(2, 8))
+    def test_default_sweep_matches_gauss_eta(self, j):
+        assert_orders_match_gauss_eta(
+            SobolevSpec(gamma=-0.5, K=64, u=axis_offset(2.0 ** -j, 4), d=4))
+
+    def test_multi_coordinate_offset_matches_gauss_eta(self):
+        assert_orders_match_gauss_eta(SobolevSpec(
+            gamma=-0.5, K=64, u=np.array([0.3, 0.2, 0.0, 0.1]), d=4))
+
+    @pytest.mark.parametrize("K", [0, 1, 2, 256])
+    def test_order_caps_match_gauss_eta(self, K):
+        assert_orders_match_gauss_eta(
+            SobolevSpec(gamma=-0.5, K=K, u=axis_offset(0.25, 4), d=4))
+
+    @pytest.mark.parametrize("k", [8, 32, 64])
+    def test_piece_integral_against_mpmath(self, k):
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 40
+        rng = np.random.default_rng(7)
+        taus = 2.0 ** (-12 * rng.random((20, 2)))
+        taus[:5] = 0.5 + 0.5 * rng.random((5, 2))  # pieces with t1 + t2 > 1
+        got = _shift_integrals(taus[:, 0], taus[:, 1], k)[:, k]
+        for (t1, t2), value in zip(taus, got):
+            t1, t2 = mp.mpf(t1), mp.mpf(t2)
+            top = min(t1, t2)
+
+            def integrand(eta):
+                ov = max(0, min(t1, eta + t2) - max(0, eta))
+                ell = max(0, min(1 - t1, 1 - eta - t2) - max(0, -eta))
+                return (ov / top) ** k * ell
+
+            # scaled by min(t1, t2)^-k: mpmath's tolerance is absolute
+            knots = [max(-t2, t1 - 1), min(0, t1 - t2), max(0, t1 - t2),
+                     min(t1, 1 - t2)]
+            exact = mp.quad(integrand, knots, method="gauss-legendre") \
+                * (top / mp.sqrt(t1 * t2)) ** k
+            assert abs(value - exact) <= 1e-13 * exact
 
 
 class TestCapacity:

@@ -280,9 +280,11 @@ class TestEntropicTransport:
         with pytest.raises(ValueError):
             empirical_w2(weighted_theta_samples(u, 4, 5, 1, 100, quad64), 1,
                          plan)
+        one = weighted_theta_samples(u, 4, 2, 1, 1, quad64)
         with pytest.raises(ValueError):  # a one-sample batch has no halves
-            empirical_w2(weighted_theta_samples(u, 4, 2, 1, 1, quad64), 1,
-                         plan)
+            empirical_w2(one, 1, plan)
+        with pytest.raises(ValueError):  # ... and no standard error
+            empirical_relative_entropy(one)
 
     def test_end_to_end_below_talagrand(self, quad64):
         u = axis_offset(0.3, 4)
