@@ -221,17 +221,37 @@ def cmd_hermite(config: RunConfig) -> str:
 
 
 @lru_cache(maxsize=None)
-def _silt_rule(quad_order: int) -> SimplexQuadrature:
-    """The silt tasks' rule, built once per process and shared read-only."""
+def _triangle_rule(quad_order: int) -> SimplexQuadrature:
+    """The silt and dynkin tasks' triangle rule, built once per process and
+    shared read-only."""
     quad = SimplexQuadrature.gauss_legendre(quad_order)
     quad.nodes.flags.writeable = quad.weights.flags.writeable = False
     return quad
 
 
+@lru_cache(maxsize=None)
+def _chaos_rule(levels: int, order_gap: int, order_pos: int) -> SimplexQuadrature:
+    """The chaos tasks' diagonal-refined rule, built once per process and
+    shared read-only."""
+    quad = SimplexQuadrature.geometric_diagonal(levels, order_gap, order_pos)
+    quad.nodes.flags.writeable = quad.weights.flags.writeable = False
+    return quad
+
+
+@lru_cache(maxsize=None)
+def _simplex3_rule(order: int) -> tuple:
+    """The dynkin tasks' 3-simplex rule, built once per process and shared
+    read-only."""
+    nodes, weights = simplex3_gauss_legendre(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _silt_task(args):
     (seed, stream, d, m, eps_ladder, u, quad_order) = args
     path = sample_path(m, d, seed, stream=stream)
-    raws = silt_epsilon(path, np.array(eps_ladder), u, _silt_rule(quad_order))
+    raws = silt_epsilon(path, np.array(eps_ladder), u,
+                        _triangle_rule(quad_order))
     out = []
     u_norm = float(np.linalg.norm(u))
     for eps, raw in zip(eps_ladder, raws.tolist()):
@@ -288,13 +308,13 @@ def cmd_silt(config: RunConfig) -> str:
 def _chaos_task(args):
     (seed, stream, d, m, indices, norms, direction, levels, order_gap,
      order_pos) = args
-    quad = SimplexQuadrature.geometric_diagonal(levels, order_gap, order_pos)
+    quad = _chaos_rule(levels, order_gap, order_pos)
     path = sample_path(m, d, seed, stream=stream)
+    offsets = np.array(norms)[:, None] * direction
     out = []
     for idx in indices:
-        for r in norms:
-            u = r * direction
-            term = chaos_term(path, idx, u, quad)
+        terms = chaos_term(path, idx, offsets, quad)
+        for r, u, term in zip(norms, offsets, terms.tolist()):
             bound = chaos_term_bound(path, idx, u)
             log_abs = math.log(abs(term)) if term != 0 else -math.inf
             out.append((stream, idx, r, log_abs, bound, bound - log_abs))
@@ -339,17 +359,16 @@ def cmd_chaos(config: RunConfig) -> str:
 
 def _dynkin_task(args):
     (seed, stream, k, m, eps_ladder, quad_order, quad3_order) = args
-    quad = SimplexQuadrature.gauss_legendre(quad_order)
-    quad3 = simplex3_gauss_legendre(quad3_order) if k == 3 else None
+    quad = _triangle_rule(quad_order)
+    quad3 = _simplex3_rule(quad3_order) if k == 3 else None
     path = sample_path(m, 2, seed, stream=stream)
     one = (lambda *ts: np.ones_like(ts[0], dtype=float))
-    out = []
-    for eps in eps_ladder:
-        t_val = dynkin_T(path, k, eps, one, quad=quad, quad3=quad3)
-        renorm = dynkin_renormalized_sum(path, k, eps, one, quad=quad,
-                                         quad3=quad3)
-        out.append((stream, eps, t_val, renorm))
-    return out
+    scales = np.array(eps_ladder)
+    t_vals = dynkin_T(path, k, scales, one, quad=quad, quad3=quad3)
+    renorm = dynkin_renormalized_sum(path, k, scales, one, quad=quad,
+                                     quad3=quad3, t_top=t_vals)
+    return [(stream, eps, t_val, value) for eps, t_val, value
+            in zip(eps_ladder, t_vals.tolist(), renorm.tolist())]
 
 
 def cmd_dynkin(config: RunConfig) -> str:

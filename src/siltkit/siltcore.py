@@ -153,19 +153,25 @@ def _as_offset(u, d) -> np.ndarray:
     return u
 
 
-def silt_epsilon(path: Path, eps, u, quad: SimplexQuadrature):
-    """Triangle quadrature of the Gaussian kernel of w(t) - w(s) - u at scale
-    eps: a float, or an array for a 1-d array of scales (one interpolation)."""
+def _as_scales(eps) -> np.ndarray:
+    """Mollification scales as a 1-d array; every scale must be positive."""
     scales = np.asarray(eps, dtype=float)
     if scales.ndim > 1 or not np.all(scales > 0):
         raise ValueError(f"mollification scale must be positive, got {eps}")
+    return scales.ravel()
+
+
+def silt_epsilon(path: Path, eps, u, quad: SimplexQuadrature):
+    """Triangle quadrature of the Gaussian kernel of w(t) - w(s) - u at scale
+    eps: a float, or an array for a 1-d array of scales (one interpolation)."""
+    scales = _as_scales(eps)
     u = _as_offset(u, path.d)
     s, t = quad.nodes[:, 0], quad.nodes[:, 1]
     inc = path.at(t) - path.at(s) - u
     sq = np.sum(inc * inc, axis=-1)
     values = np.array([np.dot(quad.weights, np.exp(log_gaussian_kernel_batch(
-        sq, path.d, e))) for e in scales.ravel()])
-    return float(values[0]) if scales.ndim == 0 else values
+        sq, path.d, e))) for e in scales])
+    return float(values[0]) if np.ndim(eps) == 0 else values
 
 
 def centering_constant_2d(eps: float) -> float:
@@ -227,8 +233,9 @@ def _coerce_index(idx, d) -> tuple:
 
 
 def chaos_term(path: Path, idx, u, quad: SimplexQuadrature,
-               normalization: str = "per-factor") -> float:
-    """One multi-index term of the Hermite-product expansion.
+               normalization: str = "per-factor"):
+    """One multi-index term of the Hermite-product expansion: a float, or an
+    array for a 2-d array of offsets (one row each, one interpolation).
 
     Per node the integrand is the product over coordinates j of
 
@@ -238,12 +245,16 @@ def chaos_term(path: Path, idx, u, quad: SimplexQuadrature,
     1/sqrt(n_j!)) or by 1/sqrt(n_j!) ("single"), times the Gaussian kernel of
     u at variance t-s.  Factors are combined as sign/log-magnitude pairs and
     the node sum is compensated, since the products alternate in sign across
-    hundreds of orders of magnitude.
+    hundreds of orders of magnitude.  The increment factors do not depend on
+    the offset, so an offset array shares them.
     """
     idx = _coerce_index(idx, path.d)
-    u = _as_offset(u, path.d)
-    r2 = float(np.dot(u, u))
-    if r2 == 0:
+    offsets = np.array(u, dtype=float, ndmin=2)
+    if offsets.ndim != 2 or offsets.shape[1] != path.d:
+        raise ValueError(f"offsets must have shape ({path.d},) or (n, {path.d})")
+    # a dot per row, as for one offset: an array call keeps the scalar bits
+    r2 = np.array([float(np.dot(v, v)) for v in offsets])[:, None]
+    if np.any(r2 == 0):
         raise ValueError("offset must be nonzero")
     if normalization not in ("per-factor", "single"):
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -252,20 +263,20 @@ def chaos_term(path: Path, idx, u, quad: SimplexQuadrature,
     sqrt_tau = np.sqrt(tau)
     inc = path.at(t) - path.at(s)
     log_mag = log_gaussian_kernel_batch(r2, path.d, tau) + np.log(quad.weights)
-    sign = np.ones_like(tau)
+    sign = np.ones_like(log_mag)
     for j, n in enumerate(idx):
         if n == 0:
             continue  # both Hermite factors are identically 1
         sg_w, lg_w = normalized_hermite_log_sign(n, inc[:, j] / sqrt_tau)
-        sg_u, lg_u = normalized_hermite_log_sign(n, u[j] / sqrt_tau)
+        sg_u, lg_u = normalized_hermite_log_sign(n, offsets[:, j, None] / sqrt_tau)
         sign *= sg_w * sg_u
         log_mag += lg_w + lg_u
         if normalization == "single":
             log_mag += 0.5 * float(gammaln(n + 1))
-    peak = np.max(log_mag)
-    if not np.isfinite(peak):
-        return 0.0
-    return float(peak_exp_sum(sign, log_mag, peak))
+    values = np.array([peak_exp_sum(sg, lm, peak) if np.isfinite(peak) else 0.0
+                       for sg, lm, peak in zip(sign, log_mag,
+                                               np.max(log_mag, axis=1))])
+    return float(values[0]) if np.ndim(u) < 2 else values
 
 
 def peak_exp_sum(sign, log_mag, peak) -> float:
@@ -356,9 +367,10 @@ def gaussian_mollifier(x, eps: float):
     return gaussian_kernel_batch(np.asarray(x, dtype=float), eps, d=2)
 
 
-def dynkin_T(path: Path, k: int, eps: float, phi, q_kernel=None,
-             quad: SimplexQuadrature = None, quad3=None) -> float:
-    """Order-k mollified multiple-intersection functional of a planar path.
+def dynkin_T(path: Path, k: int, eps, phi, q_kernel=None,
+             quad: SimplexQuadrature = None, quad3=None):
+    """Order-k mollified multiple-intersection functional of a planar path:
+    a float, or an array for a 1-d array of scales (one interpolation).
 
     Integrates the product of q_eps over consecutive increments against phi
     over the ordered k-simplex; supported for k = 2 (using a triangle rule)
@@ -368,25 +380,21 @@ def dynkin_T(path: Path, k: int, eps: float, phi, q_kernel=None,
         raise ValueError(f"order-k functionals are planar only, got d={path.d}")
     if k not in (2, 3):
         raise ValueError(f"only k in {{2, 3}} supported at desk scale, got {k}")
-    if not eps > 0:
-        raise ValueError(f"mollification scale must be positive, got {eps}")
+    scales = _as_scales(eps)
     if q_kernel is None:
         q_kernel = gaussian_mollifier
     if k == 2:
-        if quad is None:
-            quad = SimplexQuadrature.gauss_legendre(48)
-        s, t = quad.nodes[:, 0], quad.nodes[:, 1]
-        dens = q_kernel(path.at(t) - path.at(s), eps)
-        return float(np.dot(quad.weights, dens * _eval_symbol(phi, (s, t))))
-    if quad3 is None:
-        quad3 = simplex3_gauss_legendre(12)
-    nodes, weights = quad3
-    v1 = path.at(nodes[:, 0])
-    v2 = path.at(nodes[:, 1])
-    v3 = path.at(nodes[:, 2])
-    dens = q_kernel(v2 - v1, eps) * q_kernel(v3 - v2, eps)
-    phi_vals = _eval_symbol(phi, (nodes[:, 0], nodes[:, 1], nodes[:, 2]))
-    return float(np.dot(weights, phi_vals * dens))
+        quad = SimplexQuadrature.gauss_legendre(48) if quad is None else quad
+        columns, weights = tuple(quad.nodes.T), quad.weights
+    else:
+        nodes, weights = simplex3_gauss_legendre(12) if quad3 is None else quad3
+        columns = tuple(nodes.T)
+    points = [path.at(c) for c in columns]
+    increments = [b - a for a, b in zip(points[:-1], points[1:])]
+    phi_vals = _eval_symbol(phi, columns)
+    values = np.array([np.dot(weights, phi_vals * math.prod(
+        q_kernel(inc, e) for inc in increments)) for e in scales.tolist()])
+    return float(values[0]) if np.ndim(eps) == 0 else values
 
 
 def _eval_symbol(phi, columns):
@@ -400,35 +408,41 @@ def _eval_symbol(phi, columns):
         return np.array([float(phi(*point)) for point in zip(*columns)])
 
 
-def dynkin_renormalized_sum(path: Path, k: int, eps: float, phi,
+def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
                             q_kernel=None, quad: SimplexQuadrature = None,
-                            quad3=None) -> float:
+                            quad3=None, t_top=None):
     """Log-weighted combination of the order-l functionals of the collapsed
     symbols: sum over l <= k of (log(eps)/(2 pi))^(k-l) T_l with the order-l
-    symbol obtained from phi by summing over monotone surjections.
+    symbol obtained from phi by summing over monotone surjections.  A float,
+    or an array for a 1-d array of scales (one interpolation per order).
 
     The mean of an order-l functional diverges like (log(1/v)/(2 pi))^(l-1)
     with v the mollifier's variance, so the log in the weights must be the
     log of the variance for the divergences to cancel; with the
     variance-parameterized Gaussian mollifier that is log(eps) itself.  The
     l = 1 functional has no mollifier factor and reduces to a line integral
-    over [0, 1], done by a 48-node Gauss-Legendre rule.
+    over [0, 1], done by a 48-node Gauss-Legendre rule.  ``t_top``, when
+    given, is dynkin_T(path, k, eps, phi) with the same rules and kernel,
+    already evaluated by the caller; it is used as the l = k term.
     """
     if k not in (2, 3):
         raise ValueError(f"only k in {{2, 3}} supported at desk scale, got {k}")
-    log_scale = math.log(eps)
-    total = 0.0
+    scales = _as_scales(eps)
+    log_scales = [math.log(e) for e in scales]
+    total = np.zeros(len(scales))
     for l in range(1, k + 1):
-        weight = (log_scale / (2.0 * math.pi)) ** (k - l)
+        weight = np.array([(x / (2.0 * math.pi)) ** (k - l) for x in log_scales])
         collapsed = phi if l == k else dynkin_B(k, l, phi)
         if l == 1:
             x, w = _unit_gauss_legendre(_LINE_ORDER)
             term = float(np.dot(w, _eval_symbol(collapsed, (x,))))
+        elif l == k and t_top is not None:
+            term = np.asarray(t_top, dtype=float)
         else:
-            term = dynkin_T(path, l, eps, collapsed, q_kernel=q_kernel,
+            term = dynkin_T(path, l, scales, collapsed, q_kernel=q_kernel,
                             quad=quad, quad3=quad3)
         total += weight * term
-    return total
+    return float(total[0]) if np.ndim(eps) == 0 else total
 
 
 # ---------------------------------------------------------------------------

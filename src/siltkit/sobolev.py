@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import geometric_panels, interval_overlap
-from .siltcore import Path
 from .specfun import SimplexIntegralSpec, log_gaussian_kernel_batch, \
     normalized_hermite_all, simplex_moment_integral
 
@@ -42,11 +41,9 @@ __all__ = [
     "SobolevSpec",
     "SobolevNormResult",
     "CapacityResult",
-    "SupportQuery",
     "interval_overlap",
     "sobolev_norm_sq_truncated",
     "capacity_lower_bound",
-    "support_distance",
 ]
 
 _TAIL_CUTOFF = 1e-14
@@ -173,7 +170,10 @@ def _norm_orders_collapsed(spec: SobolevSpec) -> np.ndarray:
     n_tau = len(tau)
     tables = [normalized_hermite_all(K, spec.u[i] / np.sqrt(tau))
               for i in np.nonzero(spec.u)[0]]
-    zero_factor = _zero_coordinate_factor(spec.u, K)
+    # the zero-offset coordinates give every pair the same row, so the first
+    # convolution is g @ T with T[i, k] = row[k - i] for k >= i, else 0
+    lag = np.abs(np.subtract.outer(np.arange(K + 1), np.arange(K + 1)))
+    zero_toeplitz = np.triu(_zero_coordinate_factor(spec.u, K)[lag])
     # order-0: exact factorization through the 1-d mass quadrature
     with np.errstate(under="ignore"):
         mass_1d = float(np.dot(np.exp(log_wp), 1.0 - tau))
@@ -184,9 +184,10 @@ def _norm_orders_collapsed(spec: SobolevSpec) -> np.ndarray:
                            n_tau)
         with np.errstate(under="ignore"):
             pair_w = np.exp(log_wp[ia] + log_wp[ib])
-        s_coef = np.tile(zero_factor, (len(ia), 1))
-        for table in tables:
-            s_coef = _convolve_orders(s_coef, table[:, ia].T * table[:, ib].T)
+        pair_rows = (table[:, ia].T * table[:, ib].T for table in tables)
+        s_coef = next(pair_rows) @ zero_toeplitz
+        for g in pair_rows:
+            s_coef = _convolve_orders(s_coef, g)
         shift = _shift_integrals(tau[ia], tau[ib], K)
         acc[1:] += pair_w @ (shift[:, 1:] * s_coef[:, 1:])
     return acc
@@ -223,37 +224,3 @@ def capacity_lower_bound(spec: SobolevSpec) -> CapacityResult:
     return CapacityResult(value=mass * mass / norm.value, mass=mass,
                           norm_sq=norm.value, K_used=norm.K_used,
                           tail_ratio=norm.tail_ratio)
-
-
-# ---------------------------------------------------------------------------
-# Support diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SupportQuery:
-    path: Path
-    u: np.ndarray
-
-    def __post_init__(self):
-        u = np.atleast_1d(np.asarray(self.u, dtype=float))
-        object.__setattr__(self, "u", u)
-        if not np.linalg.norm(u) > 0:
-            raise ValueError("offset must be nonzero")
-        if u.shape != (self.path.d,):
-            raise ValueError(f"offset has shape {u.shape}, expected ({self.path.d},)")
-
-
-def support_distance(query: SupportQuery) -> float:
-    """min over grid pairs s < t of |path(t) - path(s) - u|.
-
-    Zero exactly when the sampled trajectory realizes the offset u as one of
-    its increments; positive distance means the discretized path stays off
-    the increment set.
-    """
-    values = query.path.values
-    u = query.u
-    best = math.inf
-    for i in range(len(values) - 1):
-        diff = values[i + 1:] - values[i] - u
-        best = min(best, float(np.min(np.sqrt(np.sum(diff * diff, axis=1)))))
-    return best

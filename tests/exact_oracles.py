@@ -254,3 +254,44 @@ def collapsed_orders_gauss_eta(spec):
             if k < K:
                 rho_pow = rho_pow * rho
     return acc
+
+
+# Collapsed Sobolev orders with every coordinate convolved by the per-order
+# loop: the form siltkit.sobolev used before the zero-offset coordinates
+# became one Toeplitz GEMM.  It shares everything else with the library, so
+# it checks the GEMM alone.
+
+def collapsed_orders_convolution_loop(spec):
+    """Raw per-order integrals of ``siltkit.sobolev._norm_orders_collapsed``,
+    with the zero-offset factor tiled per pair and every nonzero coordinate
+    folded in by ``_convolve_orders``."""
+    from siltkit.quadrature import geometric_panels
+    from siltkit.sobolev import _CHUNK_PAIRS, _convolve_orders, \
+        _shift_integrals, _zero_coordinate_factor
+    from siltkit.specfun import log_gaussian_kernel_batch, normalized_hermite_all
+
+    K = spec.K
+    r2 = float(np.dot(spec.u, spec.u))
+    tau, w_tau = geometric_panels(spec.tau_levels, spec.tau_order)
+    log_wp = np.log(w_tau) + log_gaussian_kernel_batch(r2, spec.d, tau)
+    keep = log_wp > -800.0
+    tau, log_wp = tau[keep], log_wp[keep]
+    n_tau = len(tau)
+    tables = [normalized_hermite_all(K, spec.u[i] / np.sqrt(tau))
+              for i in np.nonzero(spec.u)[0]]
+    zero_factor = _zero_coordinate_factor(spec.u, K)
+    with np.errstate(under="ignore"):
+        mass_1d = float(np.dot(np.exp(log_wp), 1.0 - tau))
+    acc = np.zeros(K + 1)
+    acc[0] = mass_1d * mass_1d
+    for lo in range(0, n_tau * n_tau, _CHUNK_PAIRS):
+        ia, ib = np.divmod(np.arange(lo, min(lo + _CHUNK_PAIRS, n_tau * n_tau)),
+                           n_tau)
+        with np.errstate(under="ignore"):
+            pair_w = np.exp(log_wp[ia] + log_wp[ib])
+        s_coef = np.tile(zero_factor, (len(ia), 1))
+        for table in tables:
+            s_coef = _convolve_orders(s_coef, table[:, ia].T * table[:, ib].T)
+        shift = _shift_integrals(tau[ia], tau[ib], K)
+        acc[1:] += pair_w @ (shift[:, 1:] * s_coef[:, 1:])
+    return acc

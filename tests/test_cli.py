@@ -14,7 +14,9 @@ from siltkit.cli import (
     parse_multi_indices,
     parse_norm_list,
     resolve_config,
-    _silt_rule,
+    _chaos_rule,
+    _simplex3_rule,
+    _triangle_rule,
 )
 
 
@@ -146,12 +148,21 @@ class TestCommands:
         assert all(r[-1] == "renorm3d" for r in rows)
 
     def test_silt_rule_built_once_and_read_only(self):
-        rule = _silt_rule(24)
-        assert _silt_rule(24) is rule
+        rule = _triangle_rule(24)
+        assert _triangle_rule(24) is rule
         with pytest.raises(ValueError):
             rule.weights[0] = 1.0
         with pytest.raises(ValueError):
             rule.nodes[0, 0] = 0.5
+
+    def test_chaos_and_dynkin_rules_built_once_and_read_only(self):
+        chaos = _chaos_rule(6, 2, 4)
+        simplex3 = _simplex3_rule(6)
+        assert _chaos_rule(6, 2, 4) is chaos
+        assert _simplex3_rule(6) is simplex3
+        for array in (chaos.nodes, chaos.weights) + simplex3:
+            with pytest.raises(ValueError):
+                array[0] = 0.5
 
     def test_chaos_zero_violations_and_k0_identity(self, tmp_path):
         out = str(tmp_path)
@@ -271,6 +282,8 @@ class TestReproducibility:
          "--eps-ladder", "0.2,0.1"],
         ["marginal", "--count", "400", "--quad-order", "24",
          "--u-norms", "0.4"],
+        ["dynkin", "--replicas", "4", "--grid-m", "128", "--quad-order", "16",
+         "--quad3-order", "8"],
     ])
     def test_byte_identical_across_worker_counts(self, tmp_path, args):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad, quad as scipy_quad
 from scipy.stats import kstest
 
+from siltkit.cli import _chaos_task, _dynkin_task
 from siltkit.quadrature import SimplexQuadrature, simplex3_gauss_legendre
 from siltkit.siltcore import (
     MultiIndex,
@@ -296,6 +297,33 @@ class TestChaosTerm:
         single = chaos_term(p, (2, 1), u, quad_geo, normalization="single")
         assert single == pytest.approx(per * math.sqrt(2.0), rel=1e-10)
 
+    def test_offset_array_matches_scalar_calls(self, quad_geo):
+        # one interpolation and one set of increment factors serve every
+        # offset, with the same bits per offset; the last index vanishes at
+        # the second offset (H_1(0) = 0), the non-finite-peak branch
+        p = sample_path(256, 4, 9)
+        offsets = np.array([[0.3, 0.1, 0.0, 0.05], [0.05, 0.0, 0.0, 0.0],
+                            [0.4, -0.2, 0.1, 0.3]])
+        for idx, normalization in [((0, 0, 0, 0), "per-factor"),
+                                   ((2, 1, 0, 0), "per-factor"),
+                                   ((1, 0, 0, 1), "single")]:
+            values = chaos_term(p, idx, offsets, quad_geo, normalization)
+            assert isinstance(values, np.ndarray) and values.shape == (3,)
+            singles = [chaos_term(p, idx, u, quad_geo, normalization)
+                       for u in offsets]
+            assert all(type(v) is float for v in singles)
+            assert values.tolist() == singles
+        assert singles[1] == 0.0
+
+    def test_offset_array_domain_errors(self, quad_geo):
+        p = sample_path(64, 2, 1)
+        with pytest.raises(ValueError):
+            chaos_term(p, (1, 0), np.array([[0.2, 0.1], [0.0, 0.0]]), quad_geo)
+        with pytest.raises(ValueError):
+            chaos_term(p, (1, 0), np.ones((2, 3)), quad_geo)
+        with pytest.raises(ValueError):
+            chaos_term(p, (1, 0), np.ones((2, 2, 2)), quad_geo)
+
     def test_second_moment_matches_exact_term(self, quad_geo_fine):
         # E[term^2] for one multi-index against the exact collapsed integral
         from siltkit.sobolev import SobolevSpec, sobolev_norm_sq_truncated
@@ -429,6 +457,38 @@ class TestDynkin:
         with pytest.raises(ValueError):
             dynkin_T(sample_path(64, 2, 1), 4, 0.1, one, quad=quad64)
 
+    def test_scale_array_matches_scalar_calls(self, quad64):
+        # one interpolation per order serves every scale, with the same bits
+        # per scale, and a precomputed top-order term changes no bit
+        p = sample_path(512, 2, 12)
+        quad3 = simplex3_gauss_legendre(10)
+        ladder = [0.4, 0.2, 0.1]
+        phi = lambda *ts: 1.0 + ts[0] * ts[-1]
+        rules = dict(quad=quad64, quad3=quad3)
+        for k in (2, 3):
+            t_vals = dynkin_T(p, k, np.array(ladder), phi, **rules)
+            singles = [dynkin_T(p, k, eps, phi, **rules) for eps in ladder]
+            assert isinstance(t_vals, np.ndarray) and t_vals.shape == (3,)
+            assert all(type(v) is float for v in singles)
+            assert t_vals.tolist() == singles
+            sums = [dynkin_renormalized_sum(p, k, eps, phi, **rules)
+                    for eps in ladder]
+            assert all(type(v) is float for v in sums)
+            assert dynkin_renormalized_sum(
+                p, k, np.array(ladder), phi, **rules).tolist() == sums
+            assert dynkin_renormalized_sum(
+                p, k, np.array(ladder), phi, t_top=t_vals,
+                **rules).tolist() == sums
+
+    def test_scale_array_domain_errors(self, quad64):
+        one = lambda *ts: np.ones_like(ts[0])
+        p = sample_path(64, 2, 1)
+        for scales in (np.array([0.1, -0.1]), np.full((2, 2), 0.1)):
+            with pytest.raises(ValueError):
+                dynkin_T(p, 2, scales, one, quad=quad64)
+            with pytest.raises(ValueError):
+                dynkin_renormalized_sum(p, 2, scales, one, quad=quad64)
+
     def test_renormalized_order2_mean(self):
         quad = SimplexQuadrature.gauss_legendre(96)
         one = lambda *ts: np.ones_like(ts[0])
@@ -468,6 +528,44 @@ class TestDynkin:
             mc = float(np.mean(vals))
             se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
             assert abs(mc - mean_s3(eps)) <= 3 * se
+
+
+class TestInterpolationsPerTask:
+    """The chaos and dynkin tasks interpolate each path a fixed number of
+    times, however many offsets or scales they evaluate."""
+
+    @staticmethod
+    def count_path_at(monkeypatch):
+        calls = []
+        original = Path.at
+
+        def counting(self, t):
+            calls.append(len(np.atleast_1d(t)))
+            return original(self, t)
+
+        monkeypatch.setattr(Path, "at", counting)
+        return calls
+
+    def test_chaos_task(self, monkeypatch):
+        calls = self.count_path_at(monkeypatch)
+        indices = ((0, 0, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0))
+        for norms in [(0.25,), tuple(2.0 ** -j for j in range(2, 9))]:
+            calls.clear()
+            rows = _chaos_task((3, 0, 4, 128, indices, norms,
+                                np.full(4, 0.5), 8, 2, 4))
+            assert len(rows) == len(indices) * len(norms)
+            assert len(calls) == 2 * len(indices)  # w(t) and w(s) per index
+
+    @pytest.mark.parametrize("k, per_replica", [(2, 2), (3, 5)])
+    def test_dynkin_task(self, monkeypatch, k, per_replica):
+        # T_2 reads w at 2 node columns and T_3 at 3; T_k is evaluated once
+        # for both the t_value and the renormalized sum
+        calls = self.count_path_at(monkeypatch)
+        for ladder in [(0.4,), (0.4, 0.2, 0.1, 0.05)]:
+            calls.clear()
+            rows = _dynkin_task((3, 0, k, 128, ladder, 8, 6))
+            assert len(rows) == len(ladder)
+            assert len(calls) == per_replica
 
 
 class TestPathIO:

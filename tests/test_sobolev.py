@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
@@ -10,18 +11,17 @@ from siltkit.siltcore import Path, chaos_term, sample_path
 from siltkit.sobolev import (
     CapacityResult,
     SobolevSpec,
-    SupportQuery,
     _norm_orders_collapsed,
     _shift_integrals,
     capacity_lower_bound,
     interval_overlap,
     sobolev_norm_sq_truncated,
-    support_distance,
 )
 from siltkit.specfun import SimplexIntegralSpec, simplex_moment_integral
 
 from conftest import axis_offset
-from exact_oracles import collapsed_orders_gauss_eta, tensor_norm_sq
+from exact_oracles import collapsed_orders_convolution_loop, \
+    collapsed_orders_gauss_eta, tensor_norm_sq
 
 # frozen after the collapsed and tensor 4-d schemes agreed to 1e-3 at K=24
 # (d=4, gamma=-0.5, |u|=0.5); the recorded value is the default collapsed
@@ -216,6 +216,27 @@ class TestClosedFormShiftIntegral:
             assert abs(value - exact) <= 1e-13 * exact
 
 
+class TestToeplitzConvolution:
+    """The zero-offset coordinates folded in by one Toeplitz GEMM, against
+    the per-order convolution loop it replaced."""
+
+    @staticmethod
+    def assert_orders_match_loop(spec):
+        got = _norm_orders_collapsed(spec)
+        want = collapsed_orders_convolution_loop(spec)
+        assert np.all(want > 0)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    @pytest.mark.parametrize("j", range(2, 8))
+    def test_default_sweep_matches_loop(self, j):
+        self.assert_orders_match_loop(
+            SobolevSpec(gamma=-0.5, K=64, u=axis_offset(2.0 ** -j, 4), d=4))
+
+    def test_multi_coordinate_offset_matches_loop(self):
+        self.assert_orders_match_loop(SobolevSpec(
+            gamma=-0.5, K=64, u=np.array([0.3, 0.2, 0.0, 0.1]), d=4))
+
+
 class TestCapacity:
     def test_mass_growth_exponent(self):
         # numerator m^2 scales like |u|^(-2(d-2))
@@ -247,6 +268,36 @@ class TestCapacity:
         assert res.value == pytest.approx(res.mass ** 2 / res.norm_sq,
                                           rel=1e-14)
         assert 0 <= res.K_used <= 8
+
+
+@dataclass(frozen=True)
+class SupportQuery:
+    path: Path
+    u: np.ndarray
+
+    def __post_init__(self):
+        u = np.atleast_1d(np.asarray(self.u, dtype=float))
+        object.__setattr__(self, "u", u)
+        if not np.linalg.norm(u) > 0:
+            raise ValueError("offset must be nonzero")
+        if u.shape != (self.path.d,):
+            raise ValueError(f"offset has shape {u.shape}, expected ({self.path.d},)")
+
+
+def support_distance(query: SupportQuery) -> float:
+    """min over grid pairs s < t of |path(t) - path(s) - u|.
+
+    Zero exactly when the sampled trajectory realizes the offset u as one of
+    its increments; positive distance means the discretized path stays off
+    the increment set.
+    """
+    values = query.path.values
+    u = query.u
+    best = math.inf
+    for i in range(len(values) - 1):
+        diff = values[i + 1:] - values[i] - u
+        best = min(best, float(np.min(np.sqrt(np.sum(diff * diff, axis=1)))))
+    return best
 
 
 class TestSupportDistance:
