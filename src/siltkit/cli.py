@@ -314,8 +314,8 @@ def _chaos_task(args):
     out = []
     for idx in indices:
         terms = chaos_term(path, idx, offsets, quad)
-        for r, u, term in zip(norms, offsets, terms.tolist()):
-            bound = chaos_term_bound(path, idx, u)
+        bounds = chaos_term_bound(path, idx, offsets)
+        for r, term, bound in zip(norms, terms.tolist(), bounds.tolist()):
             log_abs = math.log(abs(term)) if term != 0 else -math.inf
             out.append((stream, idx, r, log_abs, bound, bound - log_abs))
     return out
@@ -467,12 +467,13 @@ def cmd_capacity(config: RunConfig) -> str:
     tau_order = int(config.params["tau_order"])
     norms = parse_norm_list(config.params["u_norms"])
     direction = parse_direction(config.params["u_dir"], d)
+    specs = [SobolevSpec(gamma=gamma, K=k_max, u=r * direction, d=d,
+                         tau_levels=tau_levels, tau_order=tau_order)
+             for r in norms]
     rows = []
     points = []
-    for r in norms:
-        spec = SobolevSpec(gamma=gamma, K=k_max, u=r * direction, d=d,
-                           tau_levels=tau_levels, tau_order=tau_order)
-        res = capacity_lower_bound(spec)
+    for r, res in zip(norms, parallel_map(capacity_lower_bound, specs,
+                                          config.workers)):
         rows.append(("point", d, gamma, r, res.K_used, res.mass, res.norm_sq,
                      res.value, res.tail_ratio))
         # the bound tends to 1 like 1 - c|u|^2, so the informative slope is

@@ -16,8 +16,8 @@ functionals with their combinatorial renormalization operators.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -49,13 +49,8 @@ __all__ = [
     "dynkin_T",
     "dynkin_renormalized_sum",
     "gaussian_mollifier",
-    "path_to_csv",
-    "path_from_csv",
-    "path_to_binary",
-    "path_from_binary",
 ]
 
-_BINARY_MAGIC = b"SILTPATH1"
 _LINE_ORDER = 48
 
 
@@ -92,17 +87,38 @@ class Path:
         return len(self.times) - 1
 
     def at(self, t) -> np.ndarray:
-        """Linear interpolation of the path at times t, shape (len(t), d)."""
+        """Linear interpolation of the path at times t, shape (len(t), d).
+
+        The stencil (cell index and weight per query time) depends only on
+        the grid and the query times, so it is built once per process for
+        each (grid, query) pair and shared by every path on that grid; the
+        values are then interpolated one coordinate at a time.  Times past
+        the last node extrapolate from the last cell.
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.m - 1)
-        left = self.times[idx]
-        span = self.times[idx + 1] - left
-        lam = ((t - left) / span)[:, None]
-        return self.values[idx] + lam * (self.values[idx + 1] - self.values[idx])
+        idx, lam = _stencil(self.times.tobytes(), t.tobytes())
+        upper = idx + 1
+        out = np.empty((len(t), self.d))
+        for j, col in enumerate(self.values.T):
+            a = col.take(idx)
+            out[:, j] = a + lam * (col.take(upper) - a)
+        return out
 
     def max_abs(self) -> np.ndarray:
         """Per-coordinate sup of |w_i| over the grid (interpolation cannot exceed it)."""
         return np.max(np.abs(self.values), axis=0)
+
+
+@lru_cache(maxsize=16)
+def _stencil(times: bytes, t: bytes) -> tuple:
+    """Read-only (cell index, weight) of linear interpolation at the query
+    times t on the grid times, both given as float64 bytes."""
+    times, t = np.frombuffer(times), np.frombuffer(t)
+    idx = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+    left = times[idx]
+    lam = (t - left) / (times[idx + 1] - left)
+    idx.flags.writeable = lam.flags.writeable = False
+    return idx, lam
 
 
 @dataclass(frozen=True)
@@ -151,6 +167,14 @@ def _as_offset(u, d) -> np.ndarray:
     if u.shape != (d,):
         raise ValueError(f"offset has shape {u.shape}, expected ({d},)")
     return u
+
+
+def _as_offset_rows(u, d) -> np.ndarray:
+    """One offset or a 2-d array of offsets, as rows of a 2-d array."""
+    offsets = np.array(u, dtype=float, ndmin=2)
+    if offsets.ndim != 2 or offsets.shape[1] != d:
+        raise ValueError(f"offsets must have shape ({d},) or (n, {d})")
+    return offsets
 
 
 def _as_scales(eps) -> np.ndarray:
@@ -249,9 +273,7 @@ def chaos_term(path: Path, idx, u, quad: SimplexQuadrature,
     the offset, so an offset array shares them.
     """
     idx = _coerce_index(idx, path.d)
-    offsets = np.array(u, dtype=float, ndmin=2)
-    if offsets.ndim != 2 or offsets.shape[1] != path.d:
-        raise ValueError(f"offsets must have shape ({path.d},) or (n, {path.d})")
+    offsets = _as_offset_rows(u, path.d)
     # a dot per row, as for one offset: an array call keeps the scalar bits
     r2 = np.array([float(np.dot(v, v)) for v in offsets])[:, None]
     if np.any(r2 == 0):
@@ -287,8 +309,9 @@ def peak_exp_sum(sign, log_mag, peak) -> float:
 
 def chaos_term_bound(path: Path, idx, u, szego_c: float = None,
                      log_branch_c: float = None,
-                     normalization: str = "per-factor") -> float:
-    """Deterministic log-envelope for |chaos_term| at this path, index, offset.
+                     normalization: str = "per-factor"):
+    """Deterministic log-envelope for |chaos_term| at this path, index, offset:
+    a float, or an array for a 2-d array of offsets (one row each).
 
     Power branch (every (d, k) except d = 2 with k = 0): chains the Szego
     envelope at exponent 1/4 over the offset factors, the Cauchy-integral
@@ -300,32 +323,38 @@ def chaos_term_bound(path: Path, idx, u, szego_c: float = None,
 
     on the remaining simplex moment integral.  Logarithmic branch (d = 2,
     k = 0): c0 * log(1/|u|) with c0 from calibrate_log_branch_constant.
+    Only the |u| term depends on the offset, so an offset array shares the
+    rest.
     """
     idx = _coerce_index(idx, path.d)
-    u = _as_offset(u, path.d)
-    r = float(np.linalg.norm(u))
-    if r == 0:
+    offsets = _as_offset_rows(u, path.d)
+    # a norm per row, as for one offset: an array call keeps the scalar bits
+    norms = [float(np.linalg.norm(v)) for v in offsets]
+    if 0.0 in norms:
         raise ValueError("offset must be nonzero")
     if normalization not in ("per-factor", "single"):
         raise ValueError(f"unknown normalization {normalization!r}")
     d = path.d
     k = sum(idx)
     if d == 2 and k == 0:
-        if r >= 1:
+        if any(r >= 1 for r in norms):
             raise ValueError("log-branch envelope needs |u| < 1")
         c0 = calibrate_log_branch_constant() if log_branch_c is None else log_branch_c
-        return math.log(c0) + math.log(math.log(1.0 / r))
-    if szego_c is None:
-        szego_c = 1.05 * calibrate_szego_constant(0.25, 200)
-    z_sum = float(np.sum(path.max_abs()))
-    log_c = (k + 0.5 * d - 2.0) * math.log(2.0) + float(gammaln(0.5 * (k + d) - 1.0)) \
-        - 0.5 * d * math.log(math.pi)
-    for n in idx:
-        log_c += math.log(szego_c) + 0.5 + 0.5 * float(gammaln(n + 1)) \
-            - math.log(max(n, 1)) / 12.0
-        if normalization == "single":
-            log_c += 0.5 * float(gammaln(n + 1))
-    return log_c + 2.0 * z_sum - (k + d - 2.0) * math.log(r)
+        values = [math.log(c0) + math.log(math.log(1.0 / r)) for r in norms]
+    else:
+        if szego_c is None:
+            szego_c = 1.05 * calibrate_szego_constant(0.25, 200)
+        z_sum = float(np.sum(path.max_abs()))
+        log_c = (k + 0.5 * d - 2.0) * math.log(2.0) \
+            + float(gammaln(0.5 * (k + d) - 1.0)) - 0.5 * d * math.log(math.pi)
+        for n in idx:
+            log_c += math.log(szego_c) + 0.5 + 0.5 * float(gammaln(n + 1)) \
+                - math.log(max(n, 1)) / 12.0
+            if normalization == "single":
+                log_c += 0.5 * float(gammaln(n + 1))
+        values = [log_c + 2.0 * z_sum - (k + d - 2.0) * math.log(r)
+                  for r in norms]
+    return values[0] if np.ndim(u) < 2 else np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -443,43 +472,3 @@ def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
                             quad=quad, quad3=quad3)
         total += weight * term
     return float(total[0]) if np.ndim(eps) == 0 else total
-
-
-# ---------------------------------------------------------------------------
-# Path import/export
-# ---------------------------------------------------------------------------
-
-def path_to_csv(path: Path, fp) -> None:
-    """Write columns t, w1, ..., wd with a mandatory header row."""
-    header = "t," + ",".join(f"w{j + 1}" for j in range(path.d))
-    fp.write(header + "\n")
-    for i in range(path.m + 1):
-        row = [f"{path.times[i]:.17g}"] + [f"{v:.17g}" for v in path.values[i]]
-        fp.write(",".join(row) + "\n")
-
-
-def path_from_csv(fp, seed: int = 0) -> Path:
-    header = fp.readline().strip()
-    cols = header.split(",")
-    if cols[0] != "t" or len(cols) < 2:
-        raise ValueError(f"expected header 't,w1,...', got {header!r}")
-    data = np.loadtxt(fp, delimiter=",", ndmin=2)
-    return Path(times=data[:, 0], values=data[:, 1:], seed=seed)
-
-
-def path_to_binary(path: Path, fp) -> None:
-    """Little-endian cache: magic, d, m, seed, then times and values."""
-    fp.write(_BINARY_MAGIC)
-    fp.write(struct.pack("<IQq", path.d, path.m, path.seed))
-    fp.write(path.times.astype("<f8").tobytes())
-    fp.write(path.values.astype("<f8").tobytes())
-
-
-def path_from_binary(fp) -> Path:
-    magic = fp.read(len(_BINARY_MAGIC))
-    if magic != _BINARY_MAGIC:
-        raise ValueError(f"bad magic bytes {magic!r}")
-    d, m, seed = struct.unpack("<IQq", fp.read(struct.calcsize("<IQq")))
-    times = np.frombuffer(fp.read(8 * (m + 1)), dtype="<f8").astype(float)
-    values = np.frombuffer(fp.read(8 * (m + 1) * d), dtype="<f8").astype(float)
-    return Path(times=times, values=values.reshape(m + 1, d), seed=seed)

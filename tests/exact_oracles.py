@@ -295,3 +295,15 @@ def collapsed_orders_convolution_loop(spec):
         shift = _shift_integrals(tau[ia], tau[ib], K)
         acc[1:] += pair_w @ (shift[:, 1:] * s_coef[:, 1:])
     return acc
+
+
+def path_interpolation_gather(path, t):
+    """Path.at as it was before its stencil was shared: the cell index and
+    weight are searched again on every call, and the values are gathered as
+    2-d rows."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    idx = np.clip(np.searchsorted(path.times, t, side="right") - 1, 0, path.m - 1)
+    left = path.times[idx]
+    span = path.times[idx + 1] - left
+    lam = ((t - left) / span)[:, None]
+    return path.values[idx] + lam * (path.values[idx + 1] - path.values[idx])

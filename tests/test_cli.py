@@ -284,6 +284,8 @@ class TestReproducibility:
          "--u-norms", "0.4"],
         ["dynkin", "--replicas", "4", "--grid-m", "128", "--quad-order", "16",
          "--quad3-order", "8"],
+        ["capacity", "--u-norms", "2^-2..2^-5", "--k-max", "8",
+         "--tau-levels", "12", "--tau-order", "4"],
     ])
     def test_byte_identical_across_worker_counts(self, tmp_path, args):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -1,5 +1,7 @@
 import io
 import math
+import struct
+from functools import lru_cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -8,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad, quad as scipy_quad
 from scipy.stats import kstest
 
-from siltkit.cli import _chaos_task, _dynkin_task
+from siltkit import siltcore
+from siltkit.cli import _chaos_task, _dynkin_task, _silt_task
 from siltkit.quadrature import SimplexQuadrature, simplex3_gauss_legendre
 from siltkit.siltcore import (
     MultiIndex,
@@ -20,10 +23,6 @@ from siltkit.siltcore import (
     dynkin_renormalized_sum,
     dynkin_T,
     gaussian_mollifier,
-    path_from_binary,
-    path_from_csv,
-    path_to_binary,
-    path_to_csv,
     renormalized_2d,
     renormalized_3d,
     sample_path,
@@ -35,7 +34,7 @@ from siltkit.specfun import SimplexIntegralSpec, gaussian_kernel_batch, \
 
 from conftest import axis_offset
 from exact_oracles import mollified_covariance, mollified_variance, \
-    single_index_second_moment
+    path_interpolation_gather, single_index_second_moment
 
 
 def zero_path(d, nodes=9):
@@ -81,6 +80,85 @@ class TestPathSampling:
     def test_interpolation_hits_nodes(self):
         p = sample_path(64, 2, 5)
         assert np.allclose(p.at(p.times), p.values)
+
+
+class TestInterpolationStencil:
+    """Path.at shares one stencil per (grid, query) pair and interpolates one
+    coordinate at a time, bit for bit as the gather oracle."""
+
+    @staticmethod
+    def assert_matches_gather(path, t):
+        got = path.at(t)
+        assert got.shape == (np.atleast_1d(t).size, path.d)
+        assert np.array_equal(got, path_interpolation_gather(path, t))
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_sampled_grids(self, d):
+        p = sample_path(256, d, 8, stream=d)
+        quad = SimplexQuadrature.gauss_legendre(24)
+        for column in quad.nodes.T:
+            self.assert_matches_gather(p, column)
+        self.assert_matches_gather(p, p.times)
+        self.assert_matches_gather(p, np.random.default_rng(d).random(500))
+
+    def test_non_uniform_grid(self):
+        times = np.concatenate([[0.0], np.sort(
+            np.random.default_rng(1).random(40)), [1.0]])
+        values = np.random.default_rng(2).standard_normal((len(times), 3))
+        values[0] = 0.0
+        p = Path(times=times, values=values)
+        self.assert_matches_gather(p, np.linspace(0.0, 1.0, 333))
+        self.assert_matches_gather(p, times)
+
+    def test_grid_ending_before_one_extrapolates(self):
+        times = np.array([0.0, 0.1, 0.35, 0.5, 0.6])
+        values = np.array([[0.0, 0.0], [0.2, -0.1], [0.1, 0.4],
+                           [-0.3, 0.2], [0.5, 0.5]])
+        p = Path(times=times, values=values)
+        t = np.array([0.55, 0.6, 0.7, 0.95, 1.0])
+        self.assert_matches_gather(p, t)
+        # the last cell continues past the last node
+        assert np.allclose(p.at(1.0), values[-1] + 4.0 * (values[-1] - values[-2]))
+
+    def test_scalar_and_zero_dimensional_queries(self):
+        p = sample_path(64, 2, 5)
+        for t in (0.3, np.float64(0.3), np.array(0.3), 0.0, 1.0, [0.3]):
+            self.assert_matches_gather(p, t)
+
+    def test_equal_length_grids_do_not_share_a_stencil(self):
+        values = sample_path(16, 2, 3).values
+        uniform = Path(times=np.linspace(0.0, 1.0, 17), values=values)
+        squared = Path(times=np.linspace(0.0, 1.0, 17) ** 2, values=values)
+        t = np.linspace(0.0, 1.0, 101)
+        assert not np.array_equal(uniform.at(t), squared.at(t))
+        self.assert_matches_gather(uniform, t)
+        self.assert_matches_gather(squared, t)
+
+    def test_cached_arrays_read_only(self):
+        p = sample_path(32, 1, 0)
+        t = np.linspace(0.0, 1.0, 7)
+        idx, lam = siltcore._stencil(p.times.tobytes(), t.tobytes())
+        assert siltcore._stencil(p.times.tobytes(), t.tobytes())[0] is idx
+        for arr in (idx, lam):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert np.array_equal(p.at(t), path_interpolation_gather(p, t))
+
+    def test_silt_replicas_build_each_stencil_once(self, monkeypatch):
+        builds = []
+        build = siltcore._stencil.__wrapped__
+
+        def counting(times, t):
+            builds.append(t)
+            return build(times, t)
+
+        monkeypatch.setattr(siltcore, "_stencil", lru_cache(maxsize=16)(counting))
+        for stream in range(8):
+            rows = _silt_task((4, stream, 2, 128, (0.2, 0.1), np.zeros(2), 16))
+            assert len(rows) == 2
+        # one stencil for the s column and one for the t column
+        assert len(builds) == len(set(builds)) == 2
 
 
 class TestSiltEpsilon:
@@ -378,6 +456,37 @@ class TestChaosTermBound:
         idx = (1, 1, 0, 0)
         assert chaos_term_bound(bigger, idx, u) > chaos_term_bound(p, idx, u)
 
+    def test_offset_array_matches_scalar_calls(self):
+        offsets = np.array([[0.3, 0.1, 0.0, 0.05], [0.05, 0.0, 0.0, 0.0],
+                            [0.4, -0.2, 0.1, 0.3]])
+        p = sample_path(128, 4, 7)
+        for idx, normalization in [((0, 0, 0, 0), "per-factor"),
+                                   ((2, 1, 0, 0), "per-factor"),
+                                   ((1, 0, 3, 1), "single")]:
+            values = chaos_term_bound(p, idx, offsets,
+                                      normalization=normalization)
+            assert isinstance(values, np.ndarray) and values.shape == (3,)
+            singles = [chaos_term_bound(p, idx, u, normalization=normalization)
+                       for u in offsets]
+            assert all(type(v) is float for v in singles)
+            assert values.tolist() == singles
+        planar = sample_path(64, 2, 3)  # the logarithmic branch
+        offsets = np.array([[0.3, 0.1], [0.0, 0.02]])
+        assert chaos_term_bound(planar, (0, 0), offsets).tolist() == [
+            chaos_term_bound(planar, (0, 0), u) for u in offsets]
+        # an empty sweep has no rows to bound, in either branch
+        for idx in [(0, 0), (1, 0)]:
+            assert chaos_term_bound(planar, idx, np.zeros((0, 2))).shape == (0,)
+
+    def test_offset_array_domain_errors(self):
+        p = sample_path(64, 2, 1)
+        with pytest.raises(ValueError):
+            chaos_term_bound(p, (1, 0), np.array([[0.2, 0.1], [0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            chaos_term_bound(p, (0, 0), np.array([[0.2, 0.1], [1.0, 0.5]]))
+        with pytest.raises(ValueError):
+            chaos_term_bound(p, (1, 0), np.ones((2, 3)))
+
     def test_no_violations_and_slope(self, quad_geo):
         direction = np.ones(4) / 2.0
         norms = [2.0 ** -j for j in range(3, 11)]
@@ -566,6 +675,45 @@ class TestInterpolationsPerTask:
             rows = _dynkin_task((3, 0, k, 128, ladder, 8, 6))
             assert len(rows) == len(ladder)
             assert len(calls) == per_replica
+
+
+_BINARY_MAGIC = b"SILTPATH1"
+
+
+def path_to_csv(path: Path, fp) -> None:
+    """Write columns t, w1, ..., wd with a mandatory header row."""
+    header = "t," + ",".join(f"w{j + 1}" for j in range(path.d))
+    fp.write(header + "\n")
+    for i in range(path.m + 1):
+        row = [f"{path.times[i]:.17g}"] + [f"{v:.17g}" for v in path.values[i]]
+        fp.write(",".join(row) + "\n")
+
+
+def path_from_csv(fp, seed: int = 0) -> Path:
+    header = fp.readline().strip()
+    cols = header.split(",")
+    if cols[0] != "t" or len(cols) < 2:
+        raise ValueError(f"expected header 't,w1,...', got {header!r}")
+    data = np.loadtxt(fp, delimiter=",", ndmin=2)
+    return Path(times=data[:, 0], values=data[:, 1:], seed=seed)
+
+
+def path_to_binary(path: Path, fp) -> None:
+    """Little-endian cache: magic, d, m, seed, then times and values."""
+    fp.write(_BINARY_MAGIC)
+    fp.write(struct.pack("<IQq", path.d, path.m, path.seed))
+    fp.write(path.times.astype("<f8").tobytes())
+    fp.write(path.values.astype("<f8").tobytes())
+
+
+def path_from_binary(fp) -> Path:
+    magic = fp.read(len(_BINARY_MAGIC))
+    if magic != _BINARY_MAGIC:
+        raise ValueError(f"bad magic bytes {magic!r}")
+    d, m, seed = struct.unpack("<IQq", fp.read(struct.calcsize("<IQq")))
+    times = np.frombuffer(fp.read(8 * (m + 1)), dtype="<f8").astype(float)
+    values = np.frombuffer(fp.read(8 * (m + 1) * d), dtype="<f8").astype(float)
+    return Path(times=times, values=values.reshape(m + 1, d), seed=seed)
 
 
 class TestPathIO:
