@@ -33,8 +33,6 @@ __all__ = [
     "marginal_density_q",
     "marginal_density_q_batch",
     "sample_mu_n",
-    "marginal_batch_to_csv",
-    "marginal_batch_from_csv",
 ]
 
 SINGULAR_VARIANCE = 1e-12
@@ -218,23 +216,3 @@ def sample_mu_n(n: int, d: int, seed: int, count: int, stream: int = 0) -> np.nd
     gen = stream_generator(seed, stream)
     increments = gen.standard_normal((count, n, d)) * np.sqrt(1.0 / n)
     return np.cumsum(increments, axis=1)
-
-
-def marginal_batch_to_csv(points: np.ndarray, fp) -> None:
-    """Rows are flattened points; columns are labeled x{j}_{coordinate}."""
-    points = np.asarray(points, dtype=float)
-    count, n, d = points.shape
-    header = ",".join(f"x{j + 1}_{c + 1}" for j in range(n) for c in range(d))
-    fp.write(header + "\n")
-    flat = points.reshape(count, n * d)
-    for row in flat:
-        fp.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def marginal_batch_from_csv(fp) -> np.ndarray:
-    header = fp.readline().strip().split(",")
-    labels = [tuple(map(int, name[1:].split("_"))) for name in header]
-    n = max(j for j, _ in labels)
-    d = max(c for _, c in labels)
-    data = np.loadtxt(fp, delimiter=",", ndmin=2)
-    return data.reshape(len(data), n, d)

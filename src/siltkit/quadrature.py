@@ -174,31 +174,31 @@ def triangle_grid_cells(grid_nodes) -> list:
     return cells
 
 
-def _cell_apply(f, cell, box, gl):
-    """Gauss-Legendre estimate of the integral of f over one sub-box of a cell.
+def _boxes_apply(f, items, gl) -> list:
+    """Gauss-Legendre estimates of the integral of f over sub-boxes of cells,
+    one per (cell, box) item, from one call of f on all their nodes.
 
     For 'rect' cells the box lives directly in (s, t).  For 'tri' cells the
     box lives in the unit (a, b) square mapped by s = c0 + h a,
     t = s + b (c1 - s) with Jacobian h^2 (1 - a); splitting boxes toward b = 0
-    chases the t -> s edge where log-type singularities sit.
+    chases the t -> s edge where log-type singularities sit.  Every item takes
+    the elementwise operations of a lone box and is summed along one
+    contiguous axis, so its estimate does not depend on the batch.
     """
-    kind, c0, c1, d0, d1 = cell
     x, w = gl
-    lo_a, hi_a, lo_b, hi_b = box
-    xa = lo_a + (hi_a - lo_a) * x
-    xb = lo_b + (hi_b - lo_b) * x
-    A, B = np.meshgrid(xa, xb, indexing="ij")
+    rect = np.array([cell[0] == "rect" for cell, _ in items])[:, None, None]
+    c0, c1, d0, d1, lo_a, hi_a, lo_b, hi_b = np.array(
+        [cell[1:] + box for cell, box in items],
+        dtype=float).reshape(-1, 8).T[..., None, None]
+    A = lo_a + (hi_a - lo_a) * x[:, None]
+    B = lo_b + (hi_b - lo_b) * x
     W = np.outer(w, w) * (hi_a - lo_a) * (hi_b - lo_b)
-    if kind == "rect":
-        s = c0 + (c1 - c0) * A
-        t = d0 + (d1 - d0) * B
-        jac = (c1 - c0) * (d1 - d0)
-    else:
-        h = c1 - c0
-        s = c0 + h * A
-        t = s + B * (c1 - s)
-        jac = h * h * (1.0 - A)
-    return float(np.sum(W * jac * f(s.ravel(), t.ravel()).reshape(s.shape)))
+    h = c1 - c0
+    s = np.broadcast_to(c0 + h * A, W.shape)
+    t = np.where(rect, d0 + (d1 - d0) * B, s + B * (c1 - s))
+    jac = np.where(rect, h * (d1 - d0), h * h * (1.0 - A))
+    values = W * jac * f(s.ravel(), t.ravel()).reshape(W.shape)
+    return np.sum(values.reshape(len(items), -1), axis=1).tolist()
 
 
 def adaptive_partition_integral(f, cells, rel_tol: float = 1e-6,
@@ -214,34 +214,34 @@ def adaptive_partition_integral(f, cells, rel_tol: float = 1e-6,
     are split worst-first until the summed scores fall under rel_tol times
     the running total (or the width floor is reached).  Ties break on
     insertion order, so the result is deterministic.
+
+    f is called on concatenated batches of boxes: once for every starting
+    cell's box and its four halves, then once per split for the four halves
+    of each of the two children.  A child's one-panel estimate is the half
+    estimate its parent already holds.
     """
     gl = _unit_gauss_legendre(base_order)
 
-    def splits(box):
+    def halves(box):  # the two bisections in a, then the two in b
         lo_a, hi_a, lo_b, hi_b = box
         ma, mb = 0.5 * (lo_a + hi_a), 0.5 * (lo_b + hi_b)
-        return (
-            [(lo_a, ma, lo_b, hi_b), (ma, hi_a, lo_b, hi_b)],
-            [(lo_a, hi_a, lo_b, mb), (lo_a, hi_a, mb, hi_b)],
-        )
+        return [(lo_a, ma, lo_b, hi_b), (ma, hi_a, lo_b, hi_b),
+                (lo_a, hi_a, lo_b, mb), (lo_a, hi_a, mb, hi_b)]
 
     heap = []
     seq = 0
     total = 0.0
     err_total = 0.0
 
-    def push(cell, box):
+    def push(cell, box, coarse, fine):
         nonlocal seq, total, err_total
-        coarse = _cell_apply(f, cell, box, gl)
-        in_a, in_b = splits(box)
-        fine_a = [_cell_apply(f, cell, child, gl) for child in in_a]
-        fine_b = [_cell_apply(f, cell, child, gl) for child in in_b]
-        err_a = abs(sum(fine_a) - coarse)
-        err_b = abs(sum(fine_b) - coarse)
+        err_a = abs(sum(fine[:2]) - coarse)
+        err_b = abs(sum(fine[2:]) - coarse)
         if err_a >= err_b:
-            children, value, err = in_a, sum(fine_a), err_a
+            pick, err = slice(0, 2), err_a
         else:
-            children, value, err = in_b, sum(fine_b), err_b
+            pick, err = slice(2, 4), err_b
+        children, value = list(zip(halves(box)[pick], fine[pick])), sum(fine[pick])
         narrow = (box[1] - box[0]) < min_width or (box[3] - box[2]) < min_width
         if narrow:
             err = 0.0
@@ -250,8 +250,11 @@ def adaptive_partition_integral(f, cells, rel_tol: float = 1e-6,
         heapq.heappush(heap, (-err, seq, cell, children, value))
         seq += 1
 
-    for cell in cells:
-        push(cell, (0.0, 1.0, 0.0, 1.0))
+    unit = (0.0, 1.0, 0.0, 1.0)
+    est = _boxes_apply(f, [(cell, box) for cell in cells
+                           for box in [unit] + halves(unit)], gl)
+    for k, cell in enumerate(cells):
+        push(cell, unit, est[5 * k], est[5 * k + 1:5 * k + 5])
     refinements = 0
     while heap and err_total > rel_tol * max(abs(total), 1e-300):
         if refinements >= max_refinements:
@@ -264,7 +267,9 @@ def adaptive_partition_integral(f, cells, rel_tol: float = 1e-6,
         if -neg_err <= 0:
             break
         total -= value
-        for child in children:
-            push(cell, child)
+        est = _boxes_apply(f, [(cell, half) for child, _ in children
+                               for half in halves(child)], gl)
+        for k, (child, coarse) in enumerate(children):
+            push(cell, child, coarse, est[4 * k:4 * k + 4])
         refinements += 1
     return total

@@ -302,9 +302,10 @@ def chaos_term(path: Path, idx, u, quad: SimplexQuadrature,
 
 
 def peak_exp_sum(sign, log_mag, peak) -> float:
-    """exp(peak) * compensated sum of sign * exp(log_mag - peak)."""
+    """exp(peak) * compensated sum of sign * exp(log_mag - peak); terms that
+    underflow to zero leave the exact sum unchanged and are dropped first."""
     terms = sign * np.exp(log_mag - peak)
-    return math.exp(peak) * math.fsum(terms.tolist())
+    return math.exp(peak) * math.fsum(terms[terms != 0.0].tolist())
 
 
 def chaos_term_bound(path: Path, idx, u, szego_c: float = None,

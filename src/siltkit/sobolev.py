@@ -179,11 +179,12 @@ def _norm_orders_collapsed(spec: SobolevSpec) -> np.ndarray:
         mass_1d = float(np.dot(np.exp(log_wp), 1.0 - tau))
     acc = np.zeros(K + 1)
     acc[0] = mass_1d * mass_1d
-    for lo in range(0, n_tau * n_tau, _CHUNK_PAIRS):
-        ia, ib = np.divmod(np.arange(lo, min(lo + _CHUNK_PAIRS, n_tau * n_tau)),
-                           n_tau)
+    # every factor is symmetric in (tau1, tau2): off-diagonal pairs weigh 2
+    pairs_a, pairs_b = np.triu_indices(n_tau)
+    for lo in range(0, len(pairs_a), _CHUNK_PAIRS):
+        ia, ib = pairs_a[lo:lo + _CHUNK_PAIRS], pairs_b[lo:lo + _CHUNK_PAIRS]
         with np.errstate(under="ignore"):
-            pair_w = np.exp(log_wp[ia] + log_wp[ib])
+            pair_w = np.exp(log_wp[ia] + log_wp[ib]) * np.where(ia == ib, 1.0, 2.0)
         pair_rows = (table[:, ia].T * table[:, ib].T for table in tables)
         s_coef = next(pair_rows) @ zero_toeplitz
         for g in pair_rows:

@@ -288,8 +288,7 @@ def sinkhorn_log(cost: np.ndarray, reg: float, max_iterations: int,
     b = np.full(m, 1.0 / m)
     f = np.zeros(n)
     g = np.zeros(m)
-    with np.errstate(under="ignore"):
-        kernel = np.exp(-(cost - f[:, None] - g[None, :]) / reg)
+    kernel = np.empty_like(cost, dtype=float)
     u = np.ones(n)
     v = np.ones(m)
     err = np.inf
@@ -297,13 +296,21 @@ def sinkhorn_log(cost: np.ndarray, reg: float, max_iterations: int,
     tiny = 1e-300
 
     def absorb():
-        nonlocal f, g, kernel, u, v
+        """Fold the scalings into the potentials and rebuild the kernel
+        exp(-(cost - f - g) / reg) in its own buffer."""
+        nonlocal f, g, u, v
         f = f + reg * np.log(np.maximum(u, tiny))
         g = g + reg * np.log(np.maximum(v, tiny))
+        np.subtract(cost, f[:, None], out=kernel)
+        np.subtract(kernel, g[None, :], out=kernel)
+        np.negative(kernel, out=kernel)
+        np.divide(kernel, reg, out=kernel)
         with np.errstate(under="ignore"):
-            kernel = np.exp(-(cost - f[:, None] - g[None, :]) / reg)
+            np.exp(kernel, out=kernel)
         u = np.ones(n)
         v = np.ones(m)
+
+    absorb()  # unit scalings leave f = g = 0: the kernel at zero potentials
 
     while it < max_iterations:
         for _ in range(_SINKHORN_CHECK_EVERY):

@@ -9,9 +9,13 @@ admissible-length factor.  Everything here is quadrature in the two gap
 variables only, independent of the package's path-functional code paths.
 """
 
+import heapq
 import math
 
 import numpy as np
+
+from siltkit.quadrature import ConvergenceError, _unit_gauss_legendre
+from siltkit.transport import _SINKHORN_CHECK_EVERY
 
 
 def gap_rule(levels=50, order=5):
@@ -297,6 +301,51 @@ def collapsed_orders_convolution_loop(spec):
     return acc
 
 
+# Collapsed Sobolev orders over every ordered gap pair: the form
+# siltkit.sobolev used before each unordered pair was visited once with
+# weight 2.  It shares everything else with the library, so it checks the
+# pair folding alone.
+
+def collapsed_orders_ordered_pairs(spec):
+    """Raw per-order integrals of ``siltkit.sobolev._norm_orders_collapsed``,
+    with the pairs (i, j) and (j, i) summed separately."""
+    from siltkit.quadrature import geometric_panels
+    from siltkit.sobolev import _CHUNK_PAIRS, _convolve_orders, \
+        _shift_integrals, _zero_coordinate_factor
+    from siltkit.specfun import log_gaussian_kernel_batch, normalized_hermite_all
+
+    K = spec.K
+    r2 = float(np.dot(spec.u, spec.u))
+    tau, w_tau = geometric_panels(spec.tau_levels, spec.tau_order)
+    log_wp = np.log(w_tau) + log_gaussian_kernel_batch(r2, spec.d, tau)
+    keep = log_wp > -800.0
+    tau, log_wp = tau[keep], log_wp[keep]
+    n_tau = len(tau)
+    tables = [normalized_hermite_all(K, spec.u[i] / np.sqrt(tau))
+              for i in np.nonzero(spec.u)[0]]
+    # the zero-offset coordinates give every pair the same row, so the first
+    # convolution is g @ T with T[i, k] = row[k - i] for k >= i, else 0
+    lag = np.abs(np.subtract.outer(np.arange(K + 1), np.arange(K + 1)))
+    zero_toeplitz = np.triu(_zero_coordinate_factor(spec.u, K)[lag])
+    # order-0: exact factorization through the 1-d mass quadrature
+    with np.errstate(under="ignore"):
+        mass_1d = float(np.dot(np.exp(log_wp), 1.0 - tau))
+    acc = np.zeros(K + 1)
+    acc[0] = mass_1d * mass_1d
+    for lo in range(0, n_tau * n_tau, _CHUNK_PAIRS):
+        ia, ib = np.divmod(np.arange(lo, min(lo + _CHUNK_PAIRS, n_tau * n_tau)),
+                           n_tau)
+        with np.errstate(under="ignore"):
+            pair_w = np.exp(log_wp[ia] + log_wp[ib])
+        pair_rows = (table[:, ia].T * table[:, ib].T for table in tables)
+        s_coef = next(pair_rows) @ zero_toeplitz
+        for g in pair_rows:
+            s_coef = _convolve_orders(s_coef, g)
+        shift = _shift_integrals(tau[ia], tau[ib], K)
+        acc[1:] += pair_w @ (shift[:, 1:] * s_coef[:, 1:])
+    return acc
+
+
 def path_interpolation_gather(path, t):
     """Path.at as it was before its stencil was shared: the cell index and
     weight are searched again on every call, and the values are gathered as
@@ -307,3 +356,165 @@ def path_interpolation_gather(path, t):
     span = path.times[idx + 1] - left
     lam = ((t - left) / span)[:, None]
     return path.values[idx] + lam * (path.values[idx + 1] - path.values[idx])
+
+
+# Adaptive refinement with one integrand call per box: the form
+# siltkit.quadrature used before boxes were evaluated in batches.  Each push
+# evaluates the box and its four halves on their own, so a child's one-panel
+# estimate is computed again rather than taken from its parent.
+
+def _cell_apply(f, cell, box, gl):
+    """Gauss-Legendre estimate of the integral of f over one sub-box of a cell.
+
+    For 'rect' cells the box lives directly in (s, t).  For 'tri' cells the
+    box lives in the unit (a, b) square mapped by s = c0 + h a,
+    t = s + b (c1 - s) with Jacobian h^2 (1 - a); splitting boxes toward b = 0
+    chases the t -> s edge where log-type singularities sit.
+    """
+    kind, c0, c1, d0, d1 = cell
+    x, w = gl
+    lo_a, hi_a, lo_b, hi_b = box
+    xa = lo_a + (hi_a - lo_a) * x
+    xb = lo_b + (hi_b - lo_b) * x
+    A, B = np.meshgrid(xa, xb, indexing="ij")
+    W = np.outer(w, w) * (hi_a - lo_a) * (hi_b - lo_b)
+    if kind == "rect":
+        s = c0 + (c1 - c0) * A
+        t = d0 + (d1 - d0) * B
+        jac = (c1 - c0) * (d1 - d0)
+    else:
+        h = c1 - c0
+        s = c0 + h * A
+        t = s + B * (c1 - s)
+        jac = h * h * (1.0 - A)
+    return float(np.sum(W * jac * f(s.ravel(), t.ravel()).reshape(s.shape)))
+
+
+def adaptive_partition_integral_per_box(f, cells, rel_tol: float = 1e-6,
+                                base_order: int = 8,
+                                max_refinements: int = 40000,
+                                min_width: float = 1e-14) -> float:
+    """Greedy adaptive integral of a vectorized f(s, t) over starting cells.
+
+    Each parameter box is scored by comparing its one-panel estimate against
+    both directional bisections; the worse disagreement picks the split
+    direction, so refinement toward edge singularities grades the boxes
+    anisotropically instead of exploding a quadtree along the edge.  Boxes
+    are split worst-first until the summed scores fall under rel_tol times
+    the running total (or the width floor is reached).  Ties break on
+    insertion order, so the result is deterministic.
+    """
+    gl = _unit_gauss_legendre(base_order)
+
+    def splits(box):
+        lo_a, hi_a, lo_b, hi_b = box
+        ma, mb = 0.5 * (lo_a + hi_a), 0.5 * (lo_b + hi_b)
+        return (
+            [(lo_a, ma, lo_b, hi_b), (ma, hi_a, lo_b, hi_b)],
+            [(lo_a, hi_a, lo_b, mb), (lo_a, hi_a, mb, hi_b)],
+        )
+
+    heap = []
+    seq = 0
+    total = 0.0
+    err_total = 0.0
+
+    def push(cell, box):
+        nonlocal seq, total, err_total
+        coarse = _cell_apply(f, cell, box, gl)
+        in_a, in_b = splits(box)
+        fine_a = [_cell_apply(f, cell, child, gl) for child in in_a]
+        fine_b = [_cell_apply(f, cell, child, gl) for child in in_b]
+        err_a = abs(sum(fine_a) - coarse)
+        err_b = abs(sum(fine_b) - coarse)
+        if err_a >= err_b:
+            children, value, err = in_a, sum(fine_a), err_a
+        else:
+            children, value, err = in_b, sum(fine_b), err_b
+        narrow = (box[1] - box[0]) < min_width or (box[3] - box[2]) < min_width
+        if narrow:
+            err = 0.0
+        total += value
+        err_total += err
+        heapq.heappush(heap, (-err, seq, cell, children, value))
+        seq += 1
+
+    for cell in cells:
+        push(cell, (0.0, 1.0, 0.0, 1.0))
+    refinements = 0
+    while heap and err_total > rel_tol * max(abs(total), 1e-300):
+        if refinements >= max_refinements:
+            raise ConvergenceError(
+                f"adaptive refinement exceeded {max_refinements} splits "
+                f"(remaining error {err_total:.3e} on total {total:.6e})"
+            )
+        neg_err, _, cell, children, value = heapq.heappop(heap)
+        err_total += neg_err  # removes the popped box's score
+        if -neg_err <= 0:
+            break
+        total -= value
+        for child in children:
+            push(cell, child)
+        refinements += 1
+    return total
+
+
+# Sinkhorn as it was before the Gibbs kernel was built in one buffer: each
+# build allocates the intermediate arrays of the expression.
+
+def sinkhorn_log_temporaries(cost: np.ndarray, reg: float, max_iterations: int,
+                 tolerance: float):
+    """Alternating dual scaling against a cost matrix, uniform marginals.
+
+    The scaling vectors are iterated in linear space (two matrix-vector
+    products per sweep) and absorbed into the log-domain potentials whenever
+    they threaten to overflow, which keeps the scheme stable at small
+    regularization without paying a log-sum-exp per entry.
+
+    Returns (transport cost <P, C>, marginal L1 violation, iterations);
+    raises ConvergenceError when the violation cannot be pushed under the
+    tolerance within the iteration budget.
+    """
+    n, m = cost.shape
+    a = np.full(n, 1.0 / n)
+    b = np.full(m, 1.0 / m)
+    f = np.zeros(n)
+    g = np.zeros(m)
+    with np.errstate(under="ignore"):
+        kernel = np.exp(-(cost - f[:, None] - g[None, :]) / reg)
+    u = np.ones(n)
+    v = np.ones(m)
+    err = np.inf
+    it = 0
+    tiny = 1e-300
+
+    def absorb():
+        nonlocal f, g, kernel, u, v
+        f = f + reg * np.log(np.maximum(u, tiny))
+        g = g + reg * np.log(np.maximum(v, tiny))
+        with np.errstate(under="ignore"):
+            kernel = np.exp(-(cost - f[:, None] - g[None, :]) / reg)
+        u = np.ones(n)
+        v = np.ones(m)
+
+    while it < max_iterations:
+        for _ in range(_SINKHORN_CHECK_EVERY):
+            u = a / np.maximum(kernel @ v, tiny)
+            v = b / np.maximum(kernel.T @ u, tiny)
+            it += 1
+            if it >= max_iterations:
+                break
+        if max(u.max(), v.max()) > 1e150 or min(u.min(), v.min()) < 1e-150:
+            absorb()
+        row_sums = u * (kernel @ v)
+        err = float(np.sum(np.abs(row_sums - a)))
+        if err < tolerance:
+            break
+    if err >= tolerance:
+        raise ConvergenceError(
+            f"entropic transport stopped at marginal violation {err:.3e} "
+            f"after {it} iterations (tolerance {tolerance:.1e})"
+        )
+    absorb()  # fold the final scalings into the potentials; kernel is now the plan
+    plan_cost = float(u @ ((kernel * cost) @ v))
+    return plan_cost, err, it

@@ -9,8 +9,6 @@ from scipy.integrate import dblquad
 from siltkit.marginals import (
     TimeGrid,
     conditional_kernel,
-    marginal_batch_from_csv,
-    marginal_batch_to_csv,
     marginal_density_q,
     marginal_density_q_batch,
     overlap_decomposition,
@@ -361,6 +359,26 @@ class TestMarginalDensity:
         points = 5.0 * sample_mu_n(n, 4, 600 + n, 300)
         for r in (1e-3, 0.2, 2.0):
             assert_matches_einsum(oblique_offset(r, 4), grid, points, quad64)
+
+
+def marginal_batch_to_csv(points: np.ndarray, fp) -> None:
+    """Rows are flattened points; columns are labeled x{j}_{coordinate}."""
+    points = np.asarray(points, dtype=float)
+    count, n, d = points.shape
+    header = ",".join(f"x{j + 1}_{c + 1}" for j in range(n) for c in range(d))
+    fp.write(header + "\n")
+    flat = points.reshape(count, n * d)
+    for row in flat:
+        fp.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def marginal_batch_from_csv(fp) -> np.ndarray:
+    header = fp.readline().strip().split(",")
+    labels = [tuple(map(int, name[1:].split("_"))) for name in header]
+    n = max(j for j, _ in labels)
+    d = max(c for _, c in labels)
+    data = np.loadtxt(fp, delimiter=",", ndmin=2)
+    return data.reshape(len(data), n, d)
 
 
 class TestSampler:

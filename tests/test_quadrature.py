@@ -13,6 +13,8 @@ from siltkit.quadrature import (
     triangle_grid_cells,
 )
 
+from exact_oracles import adaptive_partition_integral_per_box
+
 
 class TestGeometricPanels:
     @pytest.mark.parametrize("levels, order", [(34, 6), (30, 4), (5, 3)])
@@ -132,3 +134,79 @@ class TestAdaptiveIntegral:
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             triangle_grid_cells([0.0, 0.5, 0.5, 1.0])
+
+
+class CountingIntegrand:
+    """Wraps f(s, t) and counts its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, s, t):
+        self.calls += 1
+        return self.f(s, t)
+
+
+GRIDS = {
+    "one_cell": [0.0, 1.0],
+    "uniform": np.linspace(0.0, 1.0, 5),
+    "non_uniform": [0.0, 0.05, 0.3, 0.35, 0.9, 1.0],
+}
+INTEGRANDS = {
+    "log_gap": lambda s, t: np.log(t - s),
+    "one": lambda s, t: np.ones_like(s),
+    "exp_gap": lambda s, t: np.exp(-(t - s)),
+    "log_product": lambda s, t: np.log(s) * np.log(1.0 - t) * np.cos(3.0 * t),
+}
+
+
+class TestBatchedRefinement:
+    """Boxes evaluated in one integrand call per split, against the
+    per-box refinement it replaced."""
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("name", INTEGRANDS)
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+    def test_bits_and_calls_match_per_box(self, grid, name, rel_tol):
+        cells = triangle_grid_cells(GRIDS[grid])
+        assert {cell[0] for cell in cells} == (
+            {"tri"} if grid == "one_cell" else {"tri", "rect"})
+        batched = CountingIntegrand(INTEGRANDS[name])
+        per_box = CountingIntegrand(INTEGRANDS[name])
+        got = adaptive_partition_integral(batched, cells, rel_tol=rel_tol)
+        want = adaptive_partition_integral_per_box(per_box, cells,
+                                                   rel_tol=rel_tol)
+        assert got.hex() == want.hex()
+        # per box: the box and its four halves; one push per cell, two per split
+        refinements = (per_box.calls // 5 - len(cells)) // 2
+        assert per_box.calls == 5 * (len(cells) + 2 * refinements)
+        assert batched.calls == refinements + 1
+
+    @pytest.mark.parametrize("budget", [0, 1, 3, 17])
+    def test_same_convergence_error(self, budget):
+        cells = triangle_grid_cells(GRIDS["non_uniform"])
+        f = INTEGRANDS["log_gap"]
+        with pytest.raises(ConvergenceError) as got:
+            adaptive_partition_integral(f, cells, rel_tol=1e-13,
+                                        max_refinements=budget)
+        with pytest.raises(ConvergenceError) as want:
+            adaptive_partition_integral_per_box(f, cells, rel_tol=1e-13,
+                                                max_refinements=budget)
+        assert str(got.value) == str(want.value)
+        assert f"exceeded {budget} splits" in str(got.value)
+
+    @pytest.mark.parametrize("min_width", [1e-3, 0.05])
+    def test_min_width_stops_refinement_as_before(self, min_width):
+        # boxes narrower than min_width score 0, so refinement ends at the
+        # width floor instead of exhausting the budget
+        cells = triangle_grid_cells(GRIDS["uniform"])
+        f = INTEGRANDS["log_gap"]
+        got = adaptive_partition_integral(f, cells, rel_tol=1e-15,
+                                          max_refinements=10 ** 6,
+                                          min_width=min_width)
+        want = adaptive_partition_integral_per_box(f, cells, rel_tol=1e-15,
+                                                   max_refinements=10 ** 6,
+                                                   min_width=min_width)
+        assert got.hex() == want.hex()
+        assert got == pytest.approx(-0.75, rel=1e-2)
+

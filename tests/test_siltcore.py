@@ -23,6 +23,7 @@ from siltkit.siltcore import (
     dynkin_renormalized_sum,
     dynkin_T,
     gaussian_mollifier,
+    peak_exp_sum,
     renormalized_2d,
     renormalized_3d,
     sample_path,
@@ -30,7 +31,7 @@ from siltkit.siltcore import (
     silt_epsilon,
 )
 from siltkit.specfun import SimplexIntegralSpec, gaussian_kernel_batch, \
-    simplex_moment_integral
+    log_gaussian_kernel_batch, simplex_moment_integral
 
 from conftest import axis_offset
 from exact_oracles import mollified_covariance, mollified_variance, \
@@ -401,6 +402,21 @@ class TestChaosTerm:
             chaos_term(p, (1, 0), np.ones((2, 3)), quad_geo)
         with pytest.raises(ValueError):
             chaos_term(p, (1, 0), np.ones((2, 2, 2)), quad_geo)
+
+    def test_peak_sum_drops_only_zero_terms(self, quad_geo):
+        # the node log-magnitudes of chaos_term rows: kernel times weight on
+        # the diagonal-refined rule, where the smallest gaps underflow
+        gen = np.random.default_rng(12)
+        log_w = np.log(quad_geo.weights)
+        for r, d in [(0.3, 4), (0.05, 2), (0.8, 3)]:
+            log_mag = log_gaussian_kernel_batch(r * r, d, quad_geo.gaps) + log_w \
+                + gen.normal(0.0, 5.0, len(log_w))
+            sign = gen.choice([-1.0, 1.0], len(log_w))
+            peak = float(np.max(log_mag))
+            terms = sign * np.exp(log_mag - peak)
+            assert np.count_nonzero(terms == 0.0) > 0
+            unfiltered = math.exp(peak) * math.fsum(terms.tolist())
+            assert peak_exp_sum(sign, log_mag, peak).hex() == unfiltered.hex()
 
     def test_second_moment_matches_exact_term(self, quad_geo_fine):
         # E[term^2] for one multi-index against the exact collapsed integral

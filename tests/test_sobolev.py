@@ -21,7 +21,7 @@ from siltkit.specfun import SimplexIntegralSpec, simplex_moment_integral
 
 from conftest import axis_offset
 from exact_oracles import collapsed_orders_convolution_loop, \
-    collapsed_orders_gauss_eta, tensor_norm_sq
+    collapsed_orders_gauss_eta, collapsed_orders_ordered_pairs, tensor_norm_sq
 
 # frozen after the collapsed and tensor 4-d schemes agreed to 1e-3 at K=24
 # (d=4, gamma=-0.5, |u|=0.5); the recorded value is the default collapsed
@@ -236,6 +236,28 @@ class TestToeplitzConvolution:
         self.assert_orders_match_loop(SobolevSpec(
             gamma=-0.5, K=64, u=np.array([0.3, 0.2, 0.0, 0.1]), d=4))
 
+
+
+class TestUnorderedPairs:
+    """Each unordered gap pair visited once with weight 2, against the sum
+    over ordered pairs it replaced, order by order."""
+
+    @pytest.mark.parametrize("spec", [
+        *(SobolevSpec(gamma=-0.5, K=64, u=axis_offset(2.0 ** -j, 4), d=4)
+          for j in range(2, 8)),
+        SobolevSpec(gamma=-0.5, K=64, u=np.array([0.3, 0.2, 0.0, 0.1]), d=4),
+        SobolevSpec(gamma=-0.5, K=1, u=axis_offset(0.25, 4), d=4),
+        SobolevSpec(gamma=-0.5, K=256, u=axis_offset(0.25, 4), d=4),
+        # 296 gap nodes kept: the unordered pairs span two chunks
+        SobolevSpec(gamma=-0.5, K=16, u=axis_offset(2.0 ** -7, 4), d=4,
+                    tau_order=12),
+    ])
+    def test_orders_match_ordered_pairs(self, spec):
+        got = _norm_orders_collapsed(spec)
+        want = collapsed_orders_ordered_pairs(spec)
+        assert got[0] == want[0]
+        assert np.all(want > 0)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
 
 class TestCapacity:
     def test_mass_growth_exponent(self):

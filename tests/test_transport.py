@@ -9,6 +9,7 @@ from siltkit.marginals import TimeGrid
 from siltkit.quadrature import ConvergenceError, SimplexQuadrature, \
     adaptive_partition_integral
 from siltkit.rng import stream_generator
+from siltkit import transport
 from siltkit.specfun import log_gaussian_kernel_batch
 from siltkit.transport import (
     DegenerateProposalError,
@@ -29,6 +30,8 @@ from siltkit.transport import (
 )
 
 from conftest import axis_offset
+from exact_oracles import adaptive_partition_integral_per_box, \
+    sinkhorn_log_temporaries
 
 # frozen after the two independent quadrature schemes agreed to 1e-4
 # (adaptive cell refinement vs per-cell scipy dblquad), d=4, n=2, |u|=0.2
@@ -143,6 +146,17 @@ class TestEntropyBound:
         adaptive = log_sigma2_integral(u, 4, 1, rel_tol=1e-8)
         fixed = log_sigma2_integral(u, 4, 1, quad=quad_geo)
         assert fixed == pytest.approx(adaptive, rel=1e-3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8])
+    def test_batched_refinement_keeps_bits(self, n, rel_tol, monkeypatch):
+        values = [log_sigma2_integral(axis_offset(r, 4), 4, n, rel_tol=rel_tol)
+                  for r in (0.1, 0.3, 0.5)]
+        monkeypatch.setattr(transport, "adaptive_partition_integral",
+                            adaptive_partition_integral_per_box)
+        per_box = [log_sigma2_integral(axis_offset(r, 4), 4, n, rel_tol=rel_tol)
+                   for r in (0.1, 0.3, 0.5)]
+        assert values == per_box
 
 
 class TestTalagrandBound:
@@ -264,6 +278,46 @@ class TestEntropicTransport:
         with pytest.raises(ConvergenceError):
             sinkhorn_log(np.sum((x[:, None] - y[None]) ** 2, -1), 0.05, 3,
                          1e-12)
+
+    @pytest.mark.parametrize("reg", [1.0, 2.0])
+    def test_kernel_in_one_buffer_keeps_bits_at_scale(self, reg):
+        gen = stream_generator(11, 7)
+        x = gen.standard_normal((1000, 8))
+        y = gen.standard_normal((1000, 8)) + 0.3
+        cost = transport._squared_distances(x, y)
+        got = sinkhorn_log(cost, reg, 20000, 1e-9)
+        assert got == sinkhorn_log_temporaries(cost, reg, 20000, 1e-9)
+
+    def test_kernel_in_one_buffer_keeps_bits_across_absorbs(self, monkeypatch):
+        gen = stream_generator(5, 6)
+        x = gen.standard_normal((20, 2))
+        y = gen.standard_normal((20, 2)) + 8.0
+        cost = np.sum((x[:, None] - y[None]) ** 2, -1)
+        want = sinkhorn_log_temporaries(cost, 0.1, 20000, 1e-6)
+        real_log, log_calls = np.log, []
+
+        def counting_log(x):
+            log_calls.append(1)
+            return real_log(x)
+
+        monkeypatch.setattr(np, "log", counting_log)
+        got = sinkhorn_log(cost, 0.1, 20000, 1e-6)
+        monkeypatch.undo()
+        # each absorb takes two logs: one at the start, one or more mid-solve
+        # and the final one
+        assert len(log_calls) >= 6
+        assert got == want
+
+    def test_nonconvergence_error_unchanged(self):
+        gen = stream_generator(5, 6)
+        x = gen.standard_normal((100, 2))
+        y = gen.standard_normal((100, 2)) + 4.0
+        cost = np.sum((x[:, None] - y[None]) ** 2, -1)
+        with pytest.raises(ConvergenceError) as got:
+            sinkhorn_log(cost, 0.05, 3, 1e-12)
+        with pytest.raises(ConvergenceError) as want:
+            sinkhorn_log_temporaries(cost, 0.05, 3, 1e-12)
+        assert str(got.value) == str(want.value)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
