@@ -2,9 +2,13 @@
 
 Every command is a pure function of its resolved configuration and master
 seed: outputs are byte-identical across reruns and across worker counts.
-Configuration files are flat ``key=value`` lines with ``#`` comments;
-explicit command-line flags override file values, which override defaults.
-Floats are written with 17 significant digits so CSVs round-trip exactly.
+Each command declares its parameters once, in ``COMMANDS``: a converter and
+a default string per key.  Configuration files are flat ``key=value`` lines
+with ``#`` comments; command-line flags override file values, which override
+defaults.  Each winning string is converted once (a value that does not
+convert or leaves its declared domain is a usage error naming its key) and
+also feeds each CSV header's ``config_sha256``.  Floats are written with 17
+significant digits so CSVs round-trip exactly.
 
 Exit codes: 0 success, 2 usage or domain error, 3 numerical non-convergence.
 """
@@ -18,9 +22,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import __version__
 from .marginals import TimeGrid, marginal_density_q_batch, sample_mu_n
@@ -29,19 +34,19 @@ from .quadrature import ConvergenceError, SimplexQuadrature, \
 from .sobolev import SobolevSpec, capacity_lower_bound
 from .specfun import (
     SimplexIntegralSpec,
+    _normalized_hermite_rows,
     calibrate_szego_constant,
-    hermite_eval,
     simplex_moment_asymptotic,
     simplex_moment_integral,
     szego_bound,
 )
 from .siltcore import (
-    centering_constant_2d,
     chaos_term,
     chaos_term_bound,
     dynkin_renormalized_sum,
     dynkin_T,
     sample_path,
+    silt_adjustment,
     silt_epsilon,
 )
 from .transport import (
@@ -59,6 +64,74 @@ NONCONVERGENCE_EXIT = 3
 
 class UsageError(ValueError):
     """Bad flags, malformed ranges, or out-of-domain parameters."""
+
+
+# ---------------------------------------------------------------------------
+# Parameter converters: string -> typed value, raising UsageError outside the
+# declared domain
+# ---------------------------------------------------------------------------
+
+def number(kind, lo=-math.inf, hi=math.inf):
+    """Converter to a finite ``kind`` (int or float) in [lo, hi]."""
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and lo <= value <= hi):
+            raise UsageError(f"must be a finite {kind.__name__} in "
+                             f"[{lo}, {hi}], got {text!r}")
+        return value
+    return convert
+
+
+_int, _float = number(int), number(float)
+
+
+def comma_list(convert):
+    """Converter of a comma list, each entry by ``convert``."""
+    return lambda text: [convert(v) for v in text.split(",")]
+
+
+def parse_norm_list(text: str) -> list:
+    """Offset-norm sweeps: '2^-2..2^-7' (dyadic range) or '0.5,0.25' or ''."""
+    if ".." not in text:
+        return [_float(v) for v in text.split(",") if v.strip()]
+    try:
+        a, b = (int(e.strip()[2:]) for e in text.split("..", 1)
+                if e.strip().startswith("2^"))
+    except ValueError as exc:
+        raise UsageError(f"must be a dyadic range like 2^-2..2^-7, got {text!r}") \
+            from exc
+    step = 1 if b >= a else -1
+    return [2.0 ** e for e in range(a, b + step, step)]
+
+
+def parse_multi_indices(text: str) -> list:
+    """Semicolon-separated comma-tuples: '0,0;1,0' -> [(0,0), (1,0)]."""
+    entry = comma_list(number(int, lo=0))
+    return [tuple(entry(chunk)) for chunk in text.split(";") if chunk.strip()]
+
+
+def parse_direction(text: str) -> np.ndarray:
+    """Unit vector along comma-separated coordinates."""
+    vec = np.array(comma_list(_float)(text))
+    if not np.linalg.norm(vec) > 0:
+        raise UsageError(f"must have nonzero length, got {text!r}")
+    return vec / np.linalg.norm(vec)
+
+
+def parse_eps_ladder(text: str) -> tuple:
+    """Mollification scales, largest first; positive and distinct."""
+    ladder = sorted(comma_list(_float)(text), reverse=True)
+    if not (ladder[-1] > 0 and len(set(ladder)) == len(ladder)):
+        raise UsageError(f"must be positive and distinct, got {text!r}")
+    return tuple(ladder)
+
+
+def _check_dim(key: str, d: int, *values) -> None:
+    if any(len(value) != d for value in values):
+        raise UsageError(f"{key} must have {d} coordinates")
 
 
 # ---------------------------------------------------------------------------
@@ -80,66 +153,18 @@ def load_config(path: str) -> dict:
     return values
 
 
-def parse_norm_list(text: str) -> list:
-    """Offset-norm sweeps: '2^-2..2^-7' (dyadic range) or '0.5,0.25' or ''."""
-    text = text.strip()
-    if not text:
-        return []
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-
-        def dyadic_exp(part):
-            part = part.strip()
-            if not part.startswith("2^"):
-                raise UsageError(f"range endpoints must look like 2^-3, got {part!r}")
-            try:
-                return int(part[2:])
-            except ValueError as exc:
-                raise UsageError(f"bad dyadic exponent in {part!r}") from exc
-
-        a, b = dyadic_exp(lo), dyadic_exp(hi)
-        step = 1 if b >= a else -1
-        return [2.0 ** e for e in range(a, b + step, step)]
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad norm list {text!r}") from exc
-
-
-def parse_multi_indices(text: str, d: int) -> list:
-    """Semicolon-separated comma-tuples: '0,0;1,0' -> [(0,0), (1,0)]."""
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            idx = tuple(int(v) for v in chunk.split(","))
-        except ValueError as exc:
-            raise UsageError(f"bad multi-index {chunk!r}") from exc
-        if len(idx) != d or any(v < 0 for v in idx):
-            raise UsageError(f"multi-index {chunk!r} must have {d} entries >= 0")
-        out.append(idx)
-    return out
-
-
-def parse_direction(text: str, d: int) -> np.ndarray:
-    vec = np.array([float(v) for v in text.split(",")])
-    if vec.shape != (d,) or not np.linalg.norm(vec) > 0:
-        raise UsageError(f"direction needs {d} coordinates and nonzero length")
-    return vec / np.linalg.norm(vec)
-
-
 @dataclass
 class RunConfig:
-    """Resolved per-run configuration: command, output dir, seed, workers, and
-    the command-specific parameter map (all values as strings)."""
+    """Resolved per-run configuration: command, output dir, seed, workers,
+    the command's parameter strings (``params``, which the digest reads) and
+    their converted values (``values``, which the command reads)."""
 
     command: str
     out_dir: str
     seed: int
     workers: int
     params: dict = field(default_factory=dict)
+    values: argparse.Namespace = field(default_factory=argparse.Namespace)
 
     def digest(self) -> str:
         payload = "\n".join(
@@ -182,13 +207,11 @@ def parallel_map(fn, items, workers: int) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_kernel(config: RunConfig) -> str:
-    alphas = [float(v) for v in config.params["alpha"].split(",")]
-    dims = [int(v) for v in config.params["dim"].split(",")]
-    norms = parse_norm_list(config.params["u_norms"])
+    p = config.values
     rows = []
-    for alpha in alphas:
-        for d in dims:
-            for r in norms:
+    for alpha in p.alpha:
+        for d in p.dim:
+            for r in p.u_norms:
                 spec = SimplexIntegralSpec(alpha=alpha, d=d, u_norm=r)
                 exact = simplex_moment_integral(spec)
                 asym = simplex_moment_asymptotic(spec)
@@ -198,25 +221,24 @@ def cmd_kernel(config: RunConfig) -> str:
 
 
 def cmd_hermite(config: RunConfig) -> str:
-    n_max = int(config.params["n_max"])
-    x_lo = float(config.params["x_min"])
-    x_hi = float(config.params["x_max"])
-    count = int(config.params["x_count"])
-    alpha = float(config.params["alpha"])
-    c = config.params["c"]
-    c = 1.05 * calibrate_szego_constant(alpha, max(n_max, 50)) if c == "auto" \
-        else float(c)
-    xs = np.linspace(x_lo, x_hi, count)
+    p = config.values
+    c = 1.05 * calibrate_szego_constant(p.alpha, max(p.n_max, 50)) \
+        if p.c is None else p.c
+    xs = np.linspace(p.x_min, p.x_max, p.x_count)
     rows = []
-    for n in range(n_max + 1):
-        values = hermite_eval(n, xs)
-        for x, h in zip(xs, np.atleast_1d(values)):
-            bound = szego_bound(n, float(x), alpha, c)
-            log_abs = math.log(abs(h)) if h != 0 else -math.inf
-            rows.append((n, float(x), float(h), log_abs, bound,
-                         int(log_abs <= bound)))
+    # |H_n| = |G_n| exp(shift) sqrt(n!) from one rescaled pass over all
+    # orders; an exact zero has no logarithm and meets the envelope trivially
+    for n, (g, shift) in enumerate(_normalized_hermite_rows(p.n_max, xs,
+                                                            rescale=True)):
+        half_log_fact = 0.5 * float(gammaln(n + 1))
+        for x, gx, sx in zip(xs.tolist(), g.tolist(), shift.tolist()):
+            if gx != 0.0:
+                log_abs = math.log(abs(gx)) + sx + half_log_fact
+                bound = szego_bound(n, x, p.alpha, c)
+                rows.append((n, x, 1 if gx > 0 else -1, log_abs, bound,
+                             int(log_abs <= bound)))
     return write_csv(config, "hermite.csv",
-                     ["n", "x", "hermite", "log_abs", "szego_log_bound", "within"],
+                     ["n", "x", "sign", "log_abs", "szego_log_bound", "within"],
                      rows)
 
 
@@ -247,45 +269,28 @@ def _simplex3_rule(order: int) -> tuple:
     return nodes, weights
 
 
-def _silt_task(args):
-    (seed, stream, d, m, eps_ladder, u, quad_order) = args
-    path = sample_path(m, d, seed, stream=stream)
-    raws = silt_epsilon(path, np.array(eps_ladder), u,
-                        _triangle_rule(quad_order))
-    out = []
+def _silt_task(config: RunConfig, stream: int) -> list:
+    p = config.values
+    u = p.u_norm * p.u_dir if p.u_norm > 0 else np.zeros(p.dim)
+    path = sample_path(p.grid_m, p.dim, config.seed, stream=stream)
+    raws = silt_epsilon(path, np.array(p.eps_ladder), u,
+                        _triangle_rule(p.quad_order))
     u_norm = float(np.linalg.norm(u))
-    for eps, raw in zip(eps_ladder, raws.tolist()):
-        if d == 2 and u_norm == 0:
-            mode, adjusted = "centered2d", raw - centering_constant_2d(eps)
-        elif d == 2:
-            mode, adjusted = "renorm2d", raw - math.log(1.0 / u_norm) / math.pi
-        elif d == 3 and 0 < u_norm < 1:
-            mode = "renorm3d"
-            adjusted = (raw - 1.0 / (2.0 * math.pi * u_norm)) \
-                / math.sqrt(math.log(1.0 / u_norm))
-        else:
-            mode, adjusted = "raw", raw
-        out.append((stream, eps, u_norm, raw, adjusted, mode))
-    return out
+    return [(stream, eps, u_norm, raw, *silt_adjustment(raw, eps, p.dim, u_norm))
+            for eps, raw in zip(p.eps_ladder, raws.tolist())]
 
 
 def cmd_silt(config: RunConfig) -> str:
-    d = int(config.params["dim"])
-    m = int(config.params["grid_m"])
-    replicas = int(config.params["replicas"])
-    quad_order = int(config.params["quad_order"])
-    eps_ladder = sorted((float(v) for v in config.params["eps_ladder"].split(",")),
-                        reverse=True)
-    u_norm = float(config.params["u_norm"])
-    u = u_norm * parse_direction(config.params["u_dir"], d) if u_norm > 0 \
-        else np.zeros(d)
-    tasks = [(config.seed, i, d, m, tuple(eps_ladder), u, quad_order)
-             for i in range(replicas)]
-    results = parallel_map(_silt_task, tasks, config.workers)
+    p = config.values
+    if p.u_norm > 0:
+        _check_dim("u_dir", p.dim, p.u_dir)
+    eps_ladder, u_norm, replicas = p.eps_ladder, p.u_norm, p.replicas
+    results = parallel_map(partial(_silt_task, config), range(replicas),
+                           config.workers)
     rows = [("point",) + row for chunk in results for row in chunk]
     # Streit-type rate experiment: variance of D_eps = L(eps) - L(next eps)
     # across replicas, regressed against eps on the log scale
-    if d == 2 and u_norm == 0 and len(eps_ladder) >= 3 and replicas >= 8:
+    if p.dim == 2 and u_norm == 0 and len(eps_ladder) >= 3 and replicas >= 8:
         table = {}
         for chunk in results:
             for stream, eps, _, _, adjusted, _ in chunk:
@@ -305,51 +310,42 @@ def cmd_silt(config: RunConfig) -> str:
                       "mode"], rows)
 
 
-def _chaos_task(args):
-    (seed, stream, d, m, indices, norms, direction, levels, order_gap,
-     order_pos) = args
-    quad = _chaos_rule(levels, order_gap, order_pos)
-    path = sample_path(m, d, seed, stream=stream)
-    offsets = np.array(norms)[:, None] * direction
+def _chaos_task(config: RunConfig, stream: int) -> list:
+    p = config.values
+    quad = _chaos_rule(p.quad_levels, p.quad_order_gap, p.quad_order_pos)
+    path = sample_path(p.grid_m, p.dim, config.seed, stream=stream)
+    offsets = np.array(p.u_norms)[:, None] * p.u_dir
     out = []
-    for idx in indices:
+    for idx in p.multi_index:
         terms = chaos_term(path, idx, offsets, quad)
         bounds = chaos_term_bound(path, idx, offsets)
-        for r, term, bound in zip(norms, terms.tolist(), bounds.tolist()):
+        for r, term, bound in zip(p.u_norms, terms.tolist(), bounds.tolist()):
             log_abs = math.log(abs(term)) if term != 0 else -math.inf
             out.append((stream, idx, r, log_abs, bound, bound - log_abs))
     return out
 
 
 def cmd_chaos(config: RunConfig) -> str:
-    d = int(config.params["dim"])
-    m = int(config.params["grid_m"])
-    n_paths = int(config.params["paths"])
-    indices = parse_multi_indices(config.params["multi_index"], d)
-    norms = parse_norm_list(config.params["u_norms"])
-    direction = parse_direction(config.params["u_dir"], d)
-    levels = int(config.params["quad_levels"])
-    order_gap = int(config.params["quad_order_gap"])
-    order_pos = int(config.params["quad_order_pos"])
-    tasks = [(config.seed, i, d, m, tuple(indices), tuple(norms), direction,
-              levels, order_gap, order_pos) for i in range(n_paths)]
-    results = parallel_map(_chaos_task, tasks, config.workers)
+    p = config.values
+    _check_dim("multi_index", p.dim, *p.multi_index)
+    _check_dim("u_dir", p.dim, p.u_dir)
+    results = parallel_map(partial(_chaos_task, config), range(p.paths),
+                           config.workers)
     rows = []
     for chunk in results:
         for stream, idx, r, log_abs, bound, slack in chunk:
             rows.append(("point", stream, " ".join(map(str, idx)), r,
                          log_abs, bound, slack))
     # per-index slope fit of log|term| against log|u| (first path stream)
-    if len(norms) >= 3:
+    if len(p.u_norms) >= 3:
         first = results[0]
-        for idx in indices:
+        for idx in p.multi_index:
             pts = [(math.log(r), log_abs) for (_, i2, r, log_abs, _, _) in first
                    if i2 == idx and math.isfinite(log_abs)]
             if len(pts) < 3:
                 continue
-            slope = float(np.polyfit([p[0] for p in pts],
-                                     [p[1] for p in pts], 1)[0])
-            threshold = -(sum(idx) + d - 2) - 0.1
+            slope = float(np.polyfit(*zip(*pts), 1)[0])
+            threshold = -(sum(idx) + p.dim - 2) - 0.1
             rows.append(("slope", 0, " ".join(map(str, idx)), 0.0, slope,
                          threshold, slope - threshold))
     return write_csv(config, "chaos.csv",
@@ -357,32 +353,24 @@ def cmd_chaos(config: RunConfig) -> str:
                       "log_abs_term", "bound", "slack"], rows)
 
 
-def _dynkin_task(args):
-    (seed, stream, k, m, eps_ladder, quad_order, quad3_order) = args
-    quad = _triangle_rule(quad_order)
-    quad3 = _simplex3_rule(quad3_order) if k == 3 else None
-    path = sample_path(m, 2, seed, stream=stream)
+def _dynkin_task(config: RunConfig, stream: int) -> list:
+    p = config.values
+    quad = _triangle_rule(p.quad_order)
+    quad3 = _simplex3_rule(p.quad3_order) if p.k == 3 else None
+    path = sample_path(p.grid_m, 2, config.seed, stream=stream)
     one = (lambda *ts: np.ones_like(ts[0], dtype=float))
-    scales = np.array(eps_ladder)
-    t_vals = dynkin_T(path, k, scales, one, quad=quad, quad3=quad3)
-    renorm = dynkin_renormalized_sum(path, k, scales, one, quad=quad,
+    scales = np.array(p.eps_ladder)
+    t_vals = dynkin_T(path, p.k, scales, one, quad=quad, quad3=quad3)
+    renorm = dynkin_renormalized_sum(path, p.k, scales, one, quad=quad,
                                      quad3=quad3, t_top=t_vals)
     return [(stream, eps, t_val, value) for eps, t_val, value
-            in zip(eps_ladder, t_vals.tolist(), renorm.tolist())]
+            in zip(p.eps_ladder, t_vals.tolist(), renorm.tolist())]
 
 
 def cmd_dynkin(config: RunConfig) -> str:
-    k = int(config.params["k"])
-    if k not in (2, 3):
-        raise UsageError(f"order k must be 2 or 3, got {k}")
-    m = int(config.params["grid_m"])
-    replicas = int(config.params["replicas"])
-    quad_order = int(config.params["quad_order"])
-    eps_ladder = sorted((float(v) for v in config.params["eps_ladder"].split(",")),
-                        reverse=True)
-    tasks = [(config.seed, i, k, m, tuple(eps_ladder), quad_order,
-              int(config.params["quad3_order"])) for i in range(replicas)]
-    results = parallel_map(_dynkin_task, tasks, config.workers)
+    eps_ladder = config.values.eps_ladder
+    results = parallel_map(partial(_dynkin_task, config),
+                           range(config.values.replicas), config.workers)
     rows = [("point",) + row for chunk in results for row in chunk]
     if len(eps_ladder) >= 2:
         for eps_hi, eps_lo in zip(eps_ladder[:-1], eps_ladder[1:]):
@@ -397,18 +385,14 @@ def cmd_dynkin(config: RunConfig) -> str:
 
 
 def cmd_marginal(config: RunConfig) -> str:
-    d = int(config.params["dim"])
-    n = int(config.params["n"])
-    count = int(config.params["count"])
-    if count < 2:  # the standard error needs two samples
-        raise UsageError(f"count must be >= 2, got {count}")
-    quad = SimplexQuadrature.gauss_legendre(int(config.params["quad_order"]))
-    norms = parse_norm_list(config.params["u_norms"])
-    direction = parse_direction(config.params["u_dir"], d)
+    p = config.values
+    d, n, count = p.dim, p.n, p.count
+    _check_dim("u_dir", d, p.u_dir)
+    quad = SimplexQuadrature.gauss_legendre(p.quad_order)
     grid = TimeGrid.make_uniform(n)
     rows = []
-    for stream, r in enumerate(norms):
-        u = r * direction
+    for stream, r in enumerate(p.u_norms):
+        u = r * p.u_dir
         points = sample_mu_n(n, d, config.seed, count, stream=stream)
         q = marginal_density_q_batch(u, grid, points, quad)
         m_exact = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=d, u=u))
@@ -423,27 +407,20 @@ def cmd_marginal(config: RunConfig) -> str:
 
 
 def cmd_transport(config: RunConfig) -> str:
-    d = int(config.params["dim"])
-    n = int(config.params["n"])
-    count = int(config.params["count"])
-    if not 2 <= count <= 5000:
-        raise UsageError(f"count must be in 2..5000, got {count}")
+    p = config.values
+    d, n = p.dim, p.n
+    _check_dim("u_dir", d, p.u_dir)
     if d * n > 16:
         raise UsageError(f"flattened dimension d*n capped at 16, got {d * n}")
-    quad = SimplexQuadrature.gauss_legendre(int(config.params["quad_order"]))
-    plan = TransportPlanSpec(
-        regularization=float(config.params["reg"]),
-        max_iterations=int(config.params["max_iter"]),
-        tolerance=float(config.params["tol"]),
-    )
-    norms = parse_norm_list(config.params["u_norms"])
-    direction = parse_direction(config.params["u_dir"], d)
+    quad = SimplexQuadrature.gauss_legendre(p.quad_order)
+    plan = TransportPlanSpec(regularization=p.reg, max_iterations=p.max_iter,
+                             tolerance=p.tol)
     rows = []
-    for r in norms:
-        u = r * direction
+    for r in p.u_norms:
+        u = r * p.u_dir
         m_exact = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=d, u=u))
         bound = talagrand_bound(u, d, n)
-        batch = weighted_theta_samples(u, d, n, config.seed, count, quad)
+        batch = weighted_theta_samples(u, d, n, config.seed, p.count, quad)
         entropy = empirical_relative_entropy(batch)
         w2 = empirical_w2(batch, config.seed, plan)
         rows.append((d, n, r, m_exact, bound.kappa_n, bound.entropy, bound.value,
@@ -456,34 +433,27 @@ def cmd_transport(config: RunConfig) -> str:
 
 
 def cmd_capacity(config: RunConfig) -> str:
-    d = int(config.params["dim"])
-    gamma = float(config.params["gamma"])
-    if d < 4:
-        raise UsageError(f"capacity machinery needs d >= 4, got {d}")
-    if not gamma < 0.5 * (4 - d):
-        raise UsageError(f"need gamma < (4-d)/2 = {0.5 * (4 - d)}, got {gamma}")
-    k_max = int(config.params["k_max"])
-    tau_levels = int(config.params["tau_levels"])
-    tau_order = int(config.params["tau_order"])
-    norms = parse_norm_list(config.params["u_norms"])
-    direction = parse_direction(config.params["u_dir"], d)
-    specs = [SobolevSpec(gamma=gamma, K=k_max, u=r * direction, d=d,
-                         tau_levels=tau_levels, tau_order=tau_order)
-             for r in norms]
+    p = config.values
+    _check_dim("u_dir", p.dim, p.u_dir)
+    if not p.gamma < 0.5 * (4 - p.dim):
+        raise UsageError(f"need gamma < (4-d)/2 = {0.5 * (4 - p.dim)}, "
+                         f"got {p.gamma}")
+    specs = [SobolevSpec(gamma=p.gamma, K=p.k_max, u=r * p.u_dir, d=p.dim,
+                         tau_levels=p.tau_levels, tau_order=p.tau_order)
+             for r in p.u_norms]
     rows = []
     points = []
-    for r, res in zip(norms, parallel_map(capacity_lower_bound, specs,
-                                          config.workers)):
-        rows.append(("point", d, gamma, r, res.K_used, res.mass, res.norm_sq,
-                     res.value, res.tail_ratio))
+    for r, res in zip(p.u_norms, parallel_map(capacity_lower_bound, specs,
+                                              config.workers)):
+        rows.append(("point", p.dim, p.gamma, r, res.K_used, res.mass,
+                     res.norm_sq, res.value, res.tail_ratio))
         # the bound tends to 1 like 1 - c|u|^2, so the informative slope is
         # that of log(1/bound - 1)
         if res.value < 1.0:
             points.append((math.log(r), math.log(1.0 / res.value - 1.0)))
     if len(points) >= 3:
-        slope = float(np.polyfit([p[0] for p in points],
-                                 [p[1] for p in points], 1)[0])
-        rows.append(("slope_fit", d, gamma, 0.0, 0, 0.0, 0.0, slope, 0.0))
+        slope = float(np.polyfit(*zip(*points), 1)[0])
+        rows.append(("slope_fit", p.dim, p.gamma, 0.0, 0, 0.0, 0.0, slope, 0.0))
     return write_csv(config, "capacity.csv",
                      ["row_type", "d", "gamma", "u_norm", "K_used", "m",
                       "norm_sq", "capacity_lb", "tail_ratio"], rows)
@@ -493,36 +463,45 @@ def cmd_capacity(config: RunConfig) -> str:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+# command -> (runner, {key: (converter, default string)})
 COMMANDS = {
     "kernel": (cmd_kernel, {
-        "alpha": "0", "dim": "4", "u_norms": "2^-1..2^-10"}),
+        "alpha": (comma_list(_float), "0"), "dim": (comma_list(_int), "4"),
+        "u_norms": (parse_norm_list, "2^-1..2^-10")}),
     "hermite": (cmd_hermite, {
-        "n_max": "30", "x_min": "-8", "x_max": "8", "x_count": "81",
-        "alpha": "0.25", "c": "auto"}),
+        "n_max": (number(int, lo=0), "30"), "x_min": (_float, "-8"),
+        "x_max": (_float, "8"), "x_count": (_int, "81"), "alpha": (_float, "0.25"),
+        "c": (lambda text: None if text == "auto" else _float(text), "auto")}),
     "silt": (cmd_silt, {
-        "dim": "2", "grid_m": "2048", "replicas": "100",
-        "eps_ladder": "0.2,0.1,0.05,0.025", "u_norm": "0",
-        "u_dir": "1,0", "quad_order": "128"}),
+        "dim": (_int, "2"), "grid_m": (_int, "2048"), "replicas": (_int, "100"),
+        "eps_ladder": (parse_eps_ladder, "0.2,0.1,0.05,0.025"),
+        "u_norm": (number(float, lo=0), "0"), "u_dir": (parse_direction, "1,0"),
+        "quad_order": (_int, "128")}),
     "chaos": (cmd_chaos, {
-        "dim": "4", "grid_m": "1024", "paths": "20",
-        "multi_index": "0,0,0,0;1,0,0,0;1,1,0,0;2,1,0,0",
-        "u_norms": "2^-3..2^-10", "u_dir": "1,1,1,1",
-        "quad_levels": "36", "quad_order_gap": "4", "quad_order_pos": "12"}),
+        "dim": (_int, "4"), "grid_m": (_int, "1024"), "paths": (_int, "20"),
+        "multi_index": (parse_multi_indices, "0,0,0,0;1,0,0,0;1,1,0,0;2,1,0,0"),
+        "u_norms": (parse_norm_list, "2^-3..2^-10"),
+        "u_dir": (parse_direction, "1,1,1,1"), "quad_levels": (_int, "36"),
+        "quad_order_gap": (_int, "4"), "quad_order_pos": (_int, "12")}),
     "dynkin": (cmd_dynkin, {
-        "k": "3", "grid_m": "2048", "replicas": "8",
-        "eps_ladder": "0.4,0.2,0.1", "quad_order": "64",
-        "quad3_order": "32"}),
-    "marginal": (cmd_marginal, {
-        "dim": "4", "n": "2", "count": "10000", "u_norms": "0.2,0.5",
-        "u_dir": "1,0,0,0", "quad_order": "64"}),
+        "k": (number(int, lo=2, hi=3), "3"), "grid_m": (_int, "2048"),
+        "replicas": (_int, "8"), "eps_ladder": (parse_eps_ladder, "0.4,0.2,0.1"),
+        "quad_order": (_int, "64"), "quad3_order": (_int, "32")}),
+    "marginal": (cmd_marginal, {  # the standard error needs two samples
+        "dim": (_int, "4"), "n": (_int, "2"), "count": (number(int, lo=2), "10000"),
+        "u_norms": (parse_norm_list, "0.2,0.5"),
+        "u_dir": (parse_direction, "1,0,0,0"), "quad_order": (_int, "64")}),
     "transport": (cmd_transport, {
-        "dim": "4", "n": "2", "count": "2000", "u_norms": "0.3",
-        "u_dir": "1,0,0,0", "reg": "0.25", "max_iter": "20000",
-        "tol": "1e-9", "quad_order": "64"}),
-    "capacity": (cmd_capacity, {
-        "dim": "4", "gamma": "-0.5", "u_norms": "2^-2..2^-7",
-        "u_dir": "1,0,0,0", "k_max": "64", "tau_levels": "34",
-        "tau_order": "6"}),
+        "dim": (_int, "4"), "n": (_int, "2"),
+        "count": (number(int, lo=2, hi=5000), "2000"),
+        "u_norms": (parse_norm_list, "0.3"), "u_dir": (parse_direction, "1,0,0,0"),
+        "reg": (_float, "0.25"), "max_iter": (_int, "20000"),
+        "tol": (_float, "1e-9"), "quad_order": (_int, "64")}),
+    "capacity": (cmd_capacity, {  # the capacity machinery needs d >= 4
+        "dim": (number(int, lo=4), "4"), "gamma": (_float, "-0.5"),
+        "u_norms": (parse_norm_list, "2^-2..2^-7"),
+        "u_dir": (parse_direction, "1,0,0,0"), "k_max": (_int, "64"),
+        "tau_levels": (_int, "34"), "tau_order": (_int, "6")}),
 }
 
 
@@ -532,29 +511,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerics for Brownian self-intersection local times.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, defaults) in COMMANDS.items():
+    for name, (_, declared) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: SILT_WORKERS or CPUs)")
-        for key in defaults:
+        for key in declared:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     return parser
 
 
 def resolve_config(args) -> RunConfig:
-    runner, defaults = COMMANDS[args.command]
+    _, declared = COMMANDS[args.command]
     file_values = load_config(args.config) if args.config else {}
-    unknown = set(file_values) - set(defaults)
+    unknown = set(file_values) - set(declared)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    params = {}
-    for key, default in defaults.items():
+    params, values = {}, argparse.Namespace()
+    for key, (convert, default) in declared.items():
         cli_value = getattr(args, key)
         params[key] = cli_value if cli_value is not None \
             else file_values.get(key, default)
+        try:
+            setattr(values, key, convert(params[key]))
+        except ValueError as exc:
+            raise UsageError(f"{key} {exc}") from exc
     if args.workers is not None:
         workers = args.workers
     elif os.environ.get("SILT_WORKERS"):
@@ -562,7 +545,7 @@ def resolve_config(args) -> RunConfig:
     else:
         workers = os.cpu_count() or 1
     return RunConfig(command=args.command, out_dir=args.out, seed=args.seed,
-                     workers=workers, params=params)
+                     workers=workers, params=params, values=values)
 
 
 def main(argv=None) -> int:

@@ -190,8 +190,11 @@ def marginal_density_q_batch(u, grid: TimeGrid, points: np.ndarray,
     sample_side = np.hstack([gram, increments @ u,
                              np.full((len(points), 1), u @ u)])
     out = np.empty(len(points))
+    block = np.empty(len(w) * min(_CHUNK, len(points)))  # reused by each chunk
     for lo in range(0, len(points), _CHUNK):
-        sq = node_side @ sample_side[lo:lo + _CHUNK].T
+        side = sample_side[lo:lo + _CHUNK]
+        sq = block[:len(w) * len(side)].reshape(len(w), len(side))
+        np.matmul(node_side, side.T, out=sq)
         np.maximum(sq, 0.0, out=sq)
         sq *= inv_two_var[:, None]
         np.subtract(log_norm[:, None], sq, out=sq)

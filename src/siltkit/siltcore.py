@@ -40,6 +40,7 @@ __all__ = [
     "sample_path",
     "silt_epsilon",
     "centering_constant_2d",
+    "silt_adjustment",
     "silt_centered_2d",
     "renormalized_2d",
     "renormalized_3d",
@@ -209,36 +210,48 @@ def centering_constant_2d(eps: float) -> float:
     return ((1.0 + eps) * math.log((1.0 + eps) / eps) - 1.0) / (2.0 * math.pi)
 
 
+def silt_adjustment(raw: float, eps: float, d: int, r: float) -> tuple:
+    """(adjusted value, mode) of a raw functional value at scale eps and
+    offset norm r in dimension d: the one formula of each function below,
+    "centered2d", "renorm2d" or "renorm3d" where it applies, else "raw"."""
+    if d == 2 and r == 0:
+        return raw - centering_constant_2d(eps), "centered2d"
+    if d == 2:
+        return raw - math.log(1.0 / r) / math.pi, "renorm2d"
+    if d == 3 and 0 < r < 1:
+        return (raw - 1.0 / (2.0 * math.pi * r)) \
+            / math.sqrt(math.log(1.0 / r)), "renorm3d"
+    return raw, "raw"
+
+
 def silt_centered_2d(path: Path, eps: float, quad: SimplexQuadrature) -> float:
     """Planar functional at the origin minus its deterministic mean."""
     if path.d != 2:
         raise ValueError(f"centered functional is planar only, got d={path.d}")
-    return silt_epsilon(path, eps, 0, quad) - centering_constant_2d(eps)
+    return silt_adjustment(silt_epsilon(path, eps, 0, quad), eps, 2, 0.0)[0]
+
+
+def _renormalized(path: Path, eps: float, u, quad: SimplexQuadrature,
+                  d: int) -> float:
+    if path.d != d:
+        raise ValueError(f"expected a {d}-d path, got d={path.d}")
+    u = _as_offset(u, d)
+    r = float(np.linalg.norm(u))
+    if r == 0:
+        raise ValueError("offset must be nonzero")
+    if d == 3 and r >= 1:
+        raise ValueError("offset norm must be < 1 for the log scaling")
+    return silt_adjustment(silt_epsilon(path, eps, u, quad), eps, d, r)[0]
 
 
 def renormalized_2d(path: Path, eps: float, u, quad: SimplexQuadrature) -> float:
     """Planar functional at offset u minus the (1/pi) log(1/|u|) divergence."""
-    if path.d != 2:
-        raise ValueError(f"expected a planar path, got d={path.d}")
-    u = _as_offset(u, 2)
-    r = float(np.linalg.norm(u))
-    if r == 0:
-        raise ValueError("offset must be nonzero")
-    return silt_epsilon(path, eps, u, quad) - math.log(1.0 / r) / math.pi
+    return _renormalized(path, eps, u, quad, 2)
 
 
 def renormalized_3d(path: Path, eps: float, u, quad: SimplexQuadrature) -> float:
     """3-d functional minus 1/(2 pi |u|), scaled by log(1/|u|)^(-1/2)."""
-    if path.d != 3:
-        raise ValueError(f"expected a 3-d path, got d={path.d}")
-    u = _as_offset(u, 3)
-    r = float(np.linalg.norm(u))
-    if r == 0:
-        raise ValueError("offset must be nonzero")
-    if r >= 1:
-        raise ValueError("offset norm must be < 1 for the log scaling")
-    compensated = silt_epsilon(path, eps, u, quad) - 1.0 / (2.0 * math.pi * r)
-    return compensated / math.sqrt(math.log(1.0 / r))
+    return _renormalized(path, eps, u, quad, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -251,47 +251,46 @@ def hermite_eval(n: int, x):
     return h if h.ndim else float(h)
 
 
-def _normalized_hermite_rows(n_max: int, x, first):
-    """Yield first * H_n(x)/sqrt(n!) for n = 0, ..., n_max, one row at a time.
+def _normalized_hermite_rows(n_max: int, x, first=1.0, rescale: bool = False):
+    """Yield (G_n, shift) for n = 0, ..., n_max, where G_n * exp(shift) =
+    first * H_n(x)/sqrt(n!), one row at a time.
 
     G_{n+1} = x G_n / sqrt(n+1) - sqrt(n/(n+1)) G_{n-1} keeps magnitudes near
     exp(x^2/4) instead of n!-sized; the recurrence is linear, so seeding it
-    with a weight row ``first`` carries that weight through every order.
+    with a weight ``first`` (1, or one per element) carries it through every
+    order.
+    Without ``rescale`` the shift stays 0; with it, an element above 1e150 is
+    scaled by 1e-150 together with its predecessor and its shift grows by
+    150 log 10, so no order overflows.
     """
-    g_prev = first
-    yield g_prev
+    g_prev = np.full(x.shape, first)
+    shift = np.zeros_like(g_prev)
+    yield g_prev, shift
     if n_max >= 1:
         g = x * first
-        yield g
+        yield g, shift
         for m in range(1, n_max):
             g, g_prev = x * g / math.sqrt(m + 1) - math.sqrt(m / (m + 1)) * g_prev, g
-            yield g
+            if rescale and (big := np.abs(g) > 1e150).any():
+                scale = np.where(big, 1e-150, 1.0)
+                g = g * scale
+                g_prev = g_prev * scale
+                shift = shift + np.where(big, 150.0 * math.log(10.0), 0.0)
+            yield g, shift
 
 
 def normalized_hermite_all(n_max: int, x) -> np.ndarray:
     """Stack of H_n(x)/sqrt(n!) for n <= n_max, by the stable scaled recurrence
     (orders in the hundreds stay finite for moderate arguments)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.array(list(_normalized_hermite_rows(n_max, x, np.ones_like(x))))
+    return np.array([g for g, _ in _normalized_hermite_rows(n_max, x)])
 
 
 def normalized_hermite_log_sign(n: int, x):
     """(sign, log|H_n(x)/sqrt(n!)|) with per-element rescaling against overflow."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    g_prev = np.ones_like(x)
-    shift = np.zeros_like(x)
-    if n == 0:
-        g = g_prev
-    else:
-        g = x.copy()
-        for m in range(1, n):
-            g, g_prev = x * g / math.sqrt(m + 1) - math.sqrt(m / (m + 1)) * g_prev, g
-            big = np.abs(g) > 1e150
-            if big.any():
-                scale = np.where(big, 1e-150, 1.0)
-                g = g * scale
-                g_prev = g_prev * scale
-                shift = shift + np.where(big, 150.0 * math.log(10.0), 0.0)
+    for g, shift in _normalized_hermite_rows(n, x, rescale=True):
+        pass
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(g)) + shift
     return np.sign(g), log_abs
@@ -349,7 +348,7 @@ def calibrate_szego_constant(alpha: float = 0.25, n_max: int = 200) -> float:
     power = (8.0 * alpha - 1.0) / 12.0
     best = 0.0
     rows = _normalized_hermite_rows(n_max, x, np.exp(-alpha * x * x))
-    for n, w in enumerate(rows):
+    for n, (w, _) in enumerate(rows):
         best = max(best, float(np.max(np.abs(w))) * max(n, 1) ** power)
     return best
 

@@ -518,3 +518,27 @@ def sinkhorn_log_temporaries(cost: np.ndarray, reg: float, max_iterations: int,
     absorb()  # fold the final scalings into the potentials; kernel is now the plan
     plan_cost = float(u @ ((kernel * cost) @ v))
     return plan_cost, err, it
+
+
+def normalized_hermite_log_sign_own_loop(n: int, x):
+    """The overflow-rescaled normalized Hermite recurrence as
+    ``specfun.normalized_hermite_log_sign`` ran it in a loop of its own:
+    (sign, log|H_n(x)/sqrt(n!)|)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    g_prev = np.ones_like(x)
+    shift = np.zeros_like(x)
+    if n == 0:
+        g = g_prev
+    else:
+        g = x.copy()
+        for m in range(1, n):
+            g, g_prev = x * g / math.sqrt(m + 1) - math.sqrt(m / (m + 1)) * g_prev, g
+            big = np.abs(g) > 1e150
+            if big.any():
+                scale = np.where(big, 1e-150, 1.0)
+                g = g * scale
+                g_prev = g_prev * scale
+                shift = shift + np.where(big, 150.0 * math.log(10.0), 0.0)
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(g)) + shift
+    return np.sign(g), log_abs

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import sympy
 
 from siltkit.cli import (
     COMMANDS,
@@ -48,12 +49,13 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_norm_list("0.5,zebra")
 
-    def test_multi_indices(self):
-        assert parse_multi_indices("0,0;2,1", 2) == [(0, 0), (2, 1)]
+    def test_multi_indices(self, tmp_path):
+        assert parse_multi_indices("0,0;2,1") == [(0, 0), (2, 1)]
         with pytest.raises(UsageError):
-            parse_multi_indices("1,2,3", 2)
-        with pytest.raises(UsageError):
-            parse_multi_indices("-1,0", 2)
+            parse_multi_indices("-1,0")
+        # the entry count depends on dim, so the command checks it
+        assert main(["chaos", "--out", str(tmp_path), "--dim", "2",
+                     "--u-dir", "1,0", "--multi-index", "1,2,3"]) == 2
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.conf"
@@ -72,9 +74,35 @@ class TestParsing:
         args = parser.parse_args(["kernel", "--config", str(cfg),
                                   "--alpha", "2"])
         config = resolve_config(args)
-        assert config.params["alpha"] == "2"
-        assert config.params["u_norms"] == "0.5"
-        assert config.params["dim"] == COMMANDS["kernel"][1]["dim"]
+        assert config.values.alpha == [2.0]
+        assert config.values.u_norms == [0.5]
+        assert config.values.dim == [4]
+        # the digest reads the strings as resolved
+        assert config.params == {"alpha": "2", "dim": "4", "u_norms": "0.5"}
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_defaults_convert(self, command):
+        config = resolve_config(build_parser().parse_args([command]))
+        declared = COMMANDS[command][1]
+        assert config.params == {key: default
+                                 for key, (_, default) in declared.items()}
+        assert set(vars(config.values)) == set(declared)
+        assert not any(isinstance(v, str) for v in vars(config.values).values())
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("kernel", "dim", "four"), ("hermite", "n_max", "-1"),
+        ("silt", "u_norm", "-0.3"), ("silt", "eps_ladder", "0.2,0.1,0.1"),
+        ("silt", "u_dir", "0,0"), ("chaos", "multi_index", "1,x"),
+        ("dynkin", "k", "4"), ("marginal", "count", "1"),
+        ("transport", "tol", "nan"), ("capacity", "dim", "3")])
+    def test_malformed_config_value_names_its_key(self, tmp_path, capsys,
+                                                  command, key, value):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"{key}={value}\n")
+        assert main([command, "--out", str(tmp_path),
+                     "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
+        assert not os.path.exists(tmp_path / f"{command}.csv")
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.conf"
@@ -126,8 +154,30 @@ class TestCommands:
         assert run_cli(["hermite", "--out", out, "--n-max", "12",
                         "--x-count", "21"]) == 0
         _, header, rows = read_rows(os.path.join(out, "hermite.csv"))
-        assert header[-1] == "within"
+        assert header == ["n", "x", "sign", "log_abs", "szego_log_bound",
+                          "within"]
         assert all(r[-1] == "1" for r in rows)
+        # H_n(0) = 0 at odd n has no logarithm: those rows are left out
+        written = {(int(r[0]), float(r[1])) for r in rows}
+        assert len(rows) == 13 * 21 - 6
+        assert not any((n, 0.0) in written for n in range(1, 13, 2))
+        assert (12, 0.0) in written
+
+    def test_hermite_high_order_in_log_domain(self, tmp_path):
+        out = str(tmp_path)
+        assert run_cli(["hermite", "--out", out, "--n-max", "400"]) == 0
+        _, header, rows = read_rows(os.path.join(out, "hermite.csv"))
+        assert all(math.isfinite(float(v)) for r in rows for v in r)
+        assert all(r[-1] == "1" for r in rows)
+        top = {float(r[1]): r for r in rows if r[0] == "400"}
+        x = sympy.symbols("x")
+        poly = sympy.Poly(sympy.polys.orthopolys.hermite_prob_poly(400, x), x)
+        for xv in (-8.0, -3.0, 0.0, 1.0, 5.0):
+            exact = poly.eval(sympy.Rational(xv))
+            row = dict(zip(header, top[xv]))
+            assert int(row["sign"]) == int(sympy.sign(exact))
+            log_exact = float(sympy.log(abs(exact)).evalf(30))
+            assert float(row["log_abs"]) == pytest.approx(log_exact, rel=1e-12)
 
     def test_silt_centered_with_rate_rows(self, tmp_path):
         out = str(tmp_path)
@@ -146,6 +196,14 @@ class TestCommands:
                         "--eps-ladder", "0.1,0.05"]) == 0
         _, _, rows = read_rows(os.path.join(out, "silt.csv"))
         assert all(r[-1] == "renorm3d" for r in rows)
+
+    @pytest.mark.parametrize("flag,value", [("--u-norm", "-0.3"),
+                                            ("--eps-ladder", "0.2,0.1,0.1")])
+    def test_silt_domain_errors_write_nothing(self, tmp_path, capsys, flag,
+                                              value):
+        assert run_cli(["silt", "--out", str(tmp_path), flag, value]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "silt.csv")
 
     def test_silt_rule_built_once_and_read_only(self):
         rule = _triangle_rule(24)

@@ -326,6 +326,17 @@ class TestMarginalDensity:
         for r in (1e-3, 0.2, 2.0):
             assert_matches_einsum(oblique_offset(r, 4), grid, points, quad)
 
+    def test_reused_chunk_buffer(self):
+        # a short last chunk reads only its own columns of the shared block
+        grid = TimeGrid.make_uniform(2)
+        quad = SimplexQuadrature.gauss_legendre(16)
+        points = sample_mu_n(2, 4, 9, 1100)
+        u = oblique_offset(0.3, 4)
+        whole = marginal_density_q_batch(u, grid, points, quad)
+        for lo in (0, 512, 1024):
+            part = marginal_density_q_batch(u, grid, points[lo:lo + 512], quad)
+            assert np.array_equal(whole[lo:lo + 512], part)
+
     @pytest.mark.parametrize("order,count", [(24, 300), (64, 300), (128, 40)])
     def test_rules(self, order, count):
         # the 128^2 rule reaches sigma^2 ~ 8e-9, where a rounding error in

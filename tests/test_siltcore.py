@@ -11,7 +11,8 @@ from scipy.integrate import dblquad, quad as scipy_quad
 from scipy.stats import kstest
 
 from siltkit import siltcore
-from siltkit.cli import _chaos_task, _dynkin_task, _silt_task
+from siltkit.cli import _chaos_task, _dynkin_task, _silt_task, build_parser, \
+    resolve_config
 from siltkit.quadrature import SimplexQuadrature, simplex3_gauss_legendre
 from siltkit.siltcore import (
     MultiIndex,
@@ -36,6 +37,11 @@ from siltkit.specfun import SimplexIntegralSpec, gaussian_kernel_batch, \
 from conftest import axis_offset
 from exact_oracles import mollified_covariance, mollified_variance, \
     path_interpolation_gather, single_index_second_moment
+
+
+def task_config(*argv):
+    """The resolved configuration a CLI command hands its worker tasks."""
+    return resolve_config(build_parser().parse_args(list(argv)))
 
 
 def zero_path(d, nodes=9):
@@ -155,8 +161,10 @@ class TestInterpolationStencil:
             return build(times, t)
 
         monkeypatch.setattr(siltcore, "_stencil", lru_cache(maxsize=16)(counting))
+        config = task_config("silt", "--seed", "4", "--grid-m", "128",
+                             "--eps-ladder", "0.2,0.1", "--quad-order", "16")
         for stream in range(8):
-            rows = _silt_task((4, stream, 2, 128, (0.2, 0.1), np.zeros(2), 16))
+            rows = _silt_task(config, stream)
             assert len(rows) == 2
         # one stencil for the s column and one for the t column
         assert len(builds) == len(set(builds)) == 2
@@ -320,6 +328,30 @@ class TestCenteredAndRenormalized:
                     - 1 / (2 * math.pi * 0.3)) / math.sqrt(math.log(1 / 0.3))
         assert renormalized_3d(zero_path(3), eps, u, quad64) == pytest.approx(
             expected, rel=1e-12)
+
+    @pytest.mark.parametrize("d, u_norm, u_dir, mode", [
+        (2, "0", "1,0", "centered2d"), (2, "0.3", "0.6,0.8", "renorm2d"),
+        (3, "0.3", "1,2,2", "renorm3d"), (3, "1.5", "1,0,0", "raw"),
+        (4, "0.3", "1,0,0,0", "raw")])
+    def test_cli_task_reads_the_library_adjustment(self, d, u_norm, u_dir,
+                                                   mode):
+        # each silt.csv row's adjusted value is the library function's, bit
+        # for bit, on the path and rule of its replica
+        config = task_config("silt", "--seed", "6", "--dim", str(d),
+                             "--grid-m", "64", "--eps-ladder", "0.2,0.05",
+                             "--u-norm", u_norm, "--u-dir", u_dir,
+                             "--quad-order", "12")
+        quad = SimplexQuadrature.gauss_legendre(12)
+        path = sample_path(64, d, 6, stream=2)
+        u = config.values.u_norm * config.values.u_dir
+        library = {"centered2d": lambda eps: silt_centered_2d(path, eps, quad),
+                   "renorm2d": lambda eps: renormalized_2d(path, eps, u, quad),
+                   "renorm3d": lambda eps: renormalized_3d(path, eps, u, quad),
+                   "raw": lambda eps: silt_epsilon(path, eps, u, quad)}[mode]
+        rows = _silt_task(config, 2)
+        assert [row[-1] for row in rows] == [mode, mode]
+        for _, eps, _, _, adjusted, _ in rows:
+            assert adjusted == library(eps)
 
     def test_3d_compensation_constant(self):
         # 1/(2 pi |u|) is the alpha=0, d=3 asymptotic constant
@@ -674,11 +706,15 @@ class TestInterpolationsPerTask:
     def test_chaos_task(self, monkeypatch):
         calls = self.count_path_at(monkeypatch)
         indices = ((0, 0, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0))
-        for norms in [(0.25,), tuple(2.0 ** -j for j in range(2, 9))]:
+        for norms, n_norms in [("0.25", 1), ("2^-2..2^-8", 7)]:
             calls.clear()
-            rows = _chaos_task((3, 0, 4, 128, indices, norms,
-                                np.full(4, 0.5), 8, 2, 4))
-            assert len(rows) == len(indices) * len(norms)
+            config = task_config(
+                "chaos", "--seed", "3", "--grid-m", "128", "--multi-index",
+                ";".join(",".join(map(str, idx)) for idx in indices),
+                "--u-norms", norms, "--quad-levels", "8",
+                "--quad-order-gap", "2", "--quad-order-pos", "4")
+            rows = _chaos_task(config, 0)
+            assert len(rows) == len(indices) * n_norms
             assert len(calls) == 2 * len(indices)  # w(t) and w(s) per index
 
     @pytest.mark.parametrize("k, per_replica", [(2, 2), (3, 5)])
@@ -688,7 +724,11 @@ class TestInterpolationsPerTask:
         calls = self.count_path_at(monkeypatch)
         for ladder in [(0.4,), (0.4, 0.2, 0.1, 0.05)]:
             calls.clear()
-            rows = _dynkin_task((3, 0, k, 128, ladder, 8, 6))
+            config = task_config(
+                "dynkin", "--seed", "3", "--k", str(k), "--grid-m", "128",
+                "--eps-ladder", ",".join(map(str, ladder)),
+                "--quad-order", "8", "--quad3-order", "6")
+            rows = _dynkin_task(config, 0)
             assert len(rows) == len(ladder)
             assert len(calls) == per_replica
 

@@ -17,12 +17,15 @@ from siltkit.specfun import (
     heat_kernel,
     hermite_eval,
     log_heat_kernel,
+    normalized_hermite_all,
     normalized_hermite_log_sign,
     simplex_moment_asymptotic,
     simplex_moment_integral,
     szego_bound,
     upper_incomplete_gamma,
 )
+
+from exact_oracles import normalized_hermite_log_sign_own_loop
 
 mp.mp.dps = 40
 
@@ -257,6 +260,26 @@ class TestHermite:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             hermite_eval(-1, 0.0)
+
+    def test_log_sign_reads_the_shared_recurrence(self):
+        # bit for bit the loop it replaced, also where rows are rescaled
+        # (|x| = 1e4 passes 1e150 by order 30, 1e-3 never does)
+        x = np.array([-1e4, -37.5, -2.0, 0.0, 1e-3, 1.0, 3.3, 250.0, 1e4])
+        for n in (0, 1, 2, 3, 7, 30, 61, 200):
+            for got, want in zip(normalized_hermite_log_sign(n, x),
+                                 normalized_hermite_log_sign_own_loop(n, x)):
+                assert np.array_equal(got, want)
+
+    def test_unrescaled_table_unchanged_by_the_rescale(self):
+        # normalized_hermite_all keeps rows above 1e150 as they are
+        x = np.array([-40.0, 0.5, 3000.0])
+        table = normalized_hermite_all(80, x)
+        assert np.max(np.abs(table)) > 1e150
+        for n in (0, 1, 2, 40, 80):
+            sign, log_abs = normalized_hermite_log_sign(n, x)
+            np.testing.assert_allclose(np.log(np.abs(table[n])), log_abs,
+                                       rtol=1e-13)
+            assert np.array_equal(np.sign(table[n]), sign)
 
 
 class TestCauchyHermiteBound:
