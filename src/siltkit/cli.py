@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import __version__
 from .marginals import TimeGrid, marginal_density_q_batch, sample_mu_n
@@ -213,9 +212,16 @@ def cmd_kernel(config: RunConfig) -> str:
         for d in p.dim:
             for r in p.u_norms:
                 spec = SimplexIntegralSpec(alpha=alpha, d=d, u_norm=r)
-                exact = simplex_moment_integral(spec)
-                asym = simplex_moment_asymptotic(spec)
-                rows.append((alpha, d, r, exact, asym, exact / asym))
+                try:
+                    exact = simplex_moment_integral(spec)
+                    asym = simplex_moment_asymptotic(spec)
+                    values = (exact, asym, exact / asym)
+                except (OverflowError, ZeroDivisionError):
+                    values = (math.nan,)
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"alpha={alpha}, d={d}: exact, asymptotic "
+                                     f"or ratio is not finite at u_norm={r}")
+                rows.append((alpha, d, r, *values))
     return write_csv(config, "kernel.csv",
                      ["alpha", "d", "u_norm", "exact", "asymptotic", "ratio"], rows)
 
@@ -230,7 +236,7 @@ def cmd_hermite(config: RunConfig) -> str:
     # orders; an exact zero has no logarithm and meets the envelope trivially
     for n, (g, shift) in enumerate(_normalized_hermite_rows(p.n_max, xs,
                                                             rescale=True)):
-        half_log_fact = 0.5 * float(gammaln(n + 1))
+        half_log_fact = 0.5 * math.lgamma(n + 1)
         for x, gx, sx in zip(xs.tolist(), g.tolist(), shift.tolist()):
             if gx != 0.0:
                 log_abs = math.log(abs(gx)) + sx + half_log_fact
@@ -478,7 +484,8 @@ COMMANDS = {
         "u_norm": (number(float, lo=0), "0"), "u_dir": (parse_direction, "1,0"),
         "quad_order": (_int, "128")}),
     "chaos": (cmd_chaos, {
-        "dim": (_int, "4"), "grid_m": (_int, "1024"), "paths": (_int, "20"),
+        "dim": (_int, "4"), "grid_m": (_int, "1024"),
+        "paths": (number(int, lo=1), "20"),
         "multi_index": (parse_multi_indices, "0,0,0,0;1,0,0,0;1,1,0,0;2,1,0,0"),
         "u_norms": (parse_norm_list, "2^-3..2^-10"),
         "u_dir": (parse_direction, "1,1,1,1"), "quad_levels": (_int, "36"),

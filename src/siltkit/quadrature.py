@@ -27,6 +27,7 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss  # at import: forked workers inherit it
 
 __all__ = [
     "ConvergenceError",
@@ -44,7 +45,7 @@ class ConvergenceError(RuntimeError):
 
 
 def _unit_gauss_legendre(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 

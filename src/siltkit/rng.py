@@ -10,11 +10,12 @@ consumed, which is what makes every experiment bit-reproducible.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import Generator, Philox  # at import: forked workers inherit it
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def stream_generator(master_seed: int, stream: int = 0) -> np.random.Generator:
+def stream_generator(master_seed: int, stream: int = 0) -> Generator:
     """Generator for one independent stream of a master seed.
 
     The Philox key is the pair ``(master_seed mod 2^64, stream mod 2^64)``
@@ -22,4 +23,4 @@ def stream_generator(master_seed: int, stream: int = 0) -> np.random.Generator:
     (seed, stream) to random output is stable across sessions.
     """
     key = np.array([master_seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))

@@ -21,7 +21,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.special import gammaln
 
 from .quadrature import SimplexQuadrature, _unit_gauss_legendre, \
     simplex3_gauss_legendre
@@ -307,7 +306,7 @@ def chaos_term(path: Path, idx, u, quad: SimplexQuadrature,
         sign *= sg_w * sg_u
         log_mag += lg_w + lg_u
         if normalization == "single":
-            log_mag += 0.5 * float(gammaln(n + 1))
+            log_mag += 0.5 * math.lgamma(n + 1)
     values = np.array([peak_exp_sum(sg, lm, peak) if np.isfinite(peak) else 0.0
                        for sg, lm, peak in zip(sign, log_mag,
                                                np.max(log_mag, axis=1))])
@@ -327,7 +326,7 @@ def chaos_term_bound(path: Path, idx, u, szego_c: float = None,
     """Deterministic log-envelope for |chaos_term| at this path, index, offset:
     a float, or an array for a 2-d array of offsets (one row each).
 
-    Power branch (every (d, k) except d = 2 with k = 0): chains the Szego
+    Power branch (k + d > 2, where the Gamma below is positive): chains the Szego
     envelope at exponent 1/4 over the offset factors, the Cauchy-integral
     envelope over the increment factors (which contributes exp(2 Z_j) with
     Z_j the running maximum of |w_j|), and the exact bound
@@ -355,17 +354,19 @@ def chaos_term_bound(path: Path, idx, u, szego_c: float = None,
             raise ValueError("log-branch envelope needs |u| < 1")
         c0 = calibrate_log_branch_constant() if log_branch_c is None else log_branch_c
         values = [math.log(c0) + math.log(math.log(1.0 / r)) for r in norms]
+    elif k + d <= 2:
+        raise ValueError(f"power-branch envelope needs k + d > 2, got k={k}, d={d}")
     else:
         if szego_c is None:
             szego_c = 1.05 * calibrate_szego_constant(0.25, 200)
         z_sum = float(np.sum(path.max_abs()))
         log_c = (k + 0.5 * d - 2.0) * math.log(2.0) \
-            + float(gammaln(0.5 * (k + d) - 1.0)) - 0.5 * d * math.log(math.pi)
+            + math.lgamma(0.5 * (k + d) - 1.0) - 0.5 * d * math.log(math.pi)
         for n in idx:
-            log_c += math.log(szego_c) + 0.5 + 0.5 * float(gammaln(n + 1)) \
+            log_c += math.log(szego_c) + 0.5 + 0.5 * math.lgamma(n + 1) \
                 - math.log(max(n, 1)) / 12.0
             if normalization == "single":
-                log_c += 0.5 * float(gammaln(n + 1))
+                log_c += 0.5 * math.lgamma(n + 1)
         values = [log_c + 2.0 * z_sum - (k + d - 2.0) * math.log(r)
                   for r in norms]
     return values[0] if np.ndim(u) < 2 else np.array(values)

