@@ -258,9 +258,9 @@ def _triangle_rule(quad_order: int) -> SimplexQuadrature:
 
 
 @lru_cache(maxsize=None)
-def _chaos_rule(levels: int, order_gap: int, order_pos: int) -> SimplexQuadrature:
-    """The chaos tasks' diagonal-refined rule, built once per process and
-    shared read-only."""
+def _diagonal_rule(levels: int, order_gap: int, order_pos: int) -> SimplexQuadrature:
+    """The diagonal-refined rule of chaos, marginal and transport, built once
+    per process and shared read-only."""
     quad = SimplexQuadrature.geometric_diagonal(levels, order_gap, order_pos)
     quad.nodes.flags.writeable = quad.weights.flags.writeable = False
     return quad
@@ -318,7 +318,7 @@ def cmd_silt(config: RunConfig) -> str:
 
 def _chaos_task(config: RunConfig, stream: int) -> list:
     p = config.values
-    quad = _chaos_rule(p.quad_levels, p.quad_order_gap, p.quad_order_pos)
+    quad = _diagonal_rule(p.quad_levels, p.quad_order_gap, p.quad_order_pos)
     path = sample_path(p.grid_m, p.dim, config.seed, stream=stream)
     offsets = np.array(p.u_norms)[:, None] * p.u_dir
     out = []
@@ -394,7 +394,7 @@ def cmd_marginal(config: RunConfig) -> str:
     p = config.values
     d, n, count = p.dim, p.n, p.count
     _check_dim("u_dir", d, p.u_dir)
-    quad = SimplexQuadrature.gauss_legendre(p.quad_order)
+    quad = _diagonal_rule(p.quad_levels, p.quad_order_gap, p.quad_order_pos)
     grid = TimeGrid.make_uniform(n)
     rows = []
     for stream, r in enumerate(p.u_norms):
@@ -418,7 +418,7 @@ def cmd_transport(config: RunConfig) -> str:
     _check_dim("u_dir", d, p.u_dir)
     if d * n > 16:
         raise UsageError(f"flattened dimension d*n capped at 16, got {d * n}")
-    quad = SimplexQuadrature.gauss_legendre(p.quad_order)
+    quad = _diagonal_rule(p.quad_levels, p.quad_order_gap, p.quad_order_pos)
     plan = TransportPlanSpec(regularization=p.reg, max_iterations=p.max_iter,
                              tolerance=p.tol)
     rows = []
@@ -469,6 +469,10 @@ def cmd_capacity(config: RunConfig) -> str:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+# the keys of _diagonal_rule, shared by chaos, marginal and transport
+DIAGONAL_RULE = {"quad_levels": (_int, "36"), "quad_order_gap": (_int, "4"),
+                 "quad_order_pos": (_int, "12")}
+
 # command -> (runner, {key: (converter, default string)})
 COMMANDS = {
     "kernel": (cmd_kernel, {
@@ -488,8 +492,7 @@ COMMANDS = {
         "paths": (number(int, lo=1), "20"),
         "multi_index": (parse_multi_indices, "0,0,0,0;1,0,0,0;1,1,0,0;2,1,0,0"),
         "u_norms": (parse_norm_list, "2^-3..2^-10"),
-        "u_dir": (parse_direction, "1,1,1,1"), "quad_levels": (_int, "36"),
-        "quad_order_gap": (_int, "4"), "quad_order_pos": (_int, "12")}),
+        "u_dir": (parse_direction, "1,1,1,1"), **DIAGONAL_RULE}),
     "dynkin": (cmd_dynkin, {
         "k": (number(int, lo=2, hi=3), "3"), "grid_m": (_int, "2048"),
         "replicas": (_int, "8"), "eps_ladder": (parse_eps_ladder, "0.4,0.2,0.1"),
@@ -497,13 +500,13 @@ COMMANDS = {
     "marginal": (cmd_marginal, {  # the standard error needs two samples
         "dim": (_int, "4"), "n": (_int, "2"), "count": (number(int, lo=2), "10000"),
         "u_norms": (parse_norm_list, "0.2,0.5"),
-        "u_dir": (parse_direction, "1,0,0,0"), "quad_order": (_int, "64")}),
+        "u_dir": (parse_direction, "1,0,0,0"), **DIAGONAL_RULE}),
     "transport": (cmd_transport, {
         "dim": (_int, "4"), "n": (_int, "2"),
         "count": (number(int, lo=2, hi=5000), "2000"),
         "u_norms": (parse_norm_list, "0.3"), "u_dir": (parse_direction, "1,0,0,0"),
         "reg": (_float, "0.25"), "max_iter": (_int, "20000"),
-        "tol": (_float, "1e-9"), "quad_order": (_int, "64")}),
+        "tol": (_float, "1e-9"), **DIAGONAL_RULE}),
     "capacity": (cmd_capacity, {  # the capacity machinery needs d >= 4
         "dim": (number(int, lo=4), "4"), "gamma": (_float, "-0.5"),
         "u_norms": (parse_norm_list, "2^-2..2^-7"),

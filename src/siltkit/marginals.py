@@ -131,25 +131,26 @@ def conditional_kernel(s: float, t: float, grid: TimeGrid, eps: float, u,
 def _effective_nodes(grid: TimeGrid, quad: SimplexQuadrature):
     """Quadrature nodes with projection data, singular nodes subdivided.
 
-    A node where sigma^2 vanishes (both endpoints on the grid) is replaced by
-    four jittered copies at quarter weight; the variance there is positive
-    again, so the near-Dirac kernel is integrated over a resolved
+    A node where sigma^2 vanishes against its gap t - s (both endpoints on
+    the grid; off the grid times sigma^2 ~ t - s however small the gap) is
+    replaced by four jittered copies at quarter weight; the variance there is
+    positive again, so the near-Dirac kernel is integrated over a resolved
     neighborhood instead of being sampled on a measure-zero set.
     """
     s, t, w = quad.nodes[:, 0], quad.nodes[:, 1], quad.weights
     alpha, sigma2 = grid_overlaps(s, t, grid)
-    bad = sigma2 < SINGULAR_VARIANCE
+    bad = sigma2 < SINGULAR_VARIANCE * (t - s)
     if bad.any():  # children in the order of their parents, jitters in turn
         cs = s[bad, None] + _JITTER * np.array([-1.0, -1.0, 1.0, 1.0])
         ct = t[bad, None] + _JITTER * np.array([-1.0, 1.0, -1.0, 1.0])
         inside = (0.0 < cs) & (cs < ct) & (ct < 1.0)
         share = w[bad, None] / np.maximum(inside.sum(axis=1, keepdims=True), 1)
         w = np.concatenate([w[~bad], np.broadcast_to(share, cs.shape)[inside]])
-        alpha, sigma2 = grid_overlaps(np.concatenate([s[~bad], cs[inside]]),
-                                      np.concatenate([t[~bad], ct[inside]]), grid)
-        still = sigma2 < SINGULAR_VARIANCE
-        if still.any():  # depth-one policy: drop, the set has measure zero
-            w, alpha, sigma2 = w[~still], alpha[~still], sigma2[~still]
+        s = np.concatenate([s[~bad], cs[inside]])
+        t = np.concatenate([t[~bad], ct[inside]])
+        alpha, sigma2 = grid_overlaps(s, t, grid)
+        keep = sigma2 >= SINGULAR_VARIANCE * (t - s)
+        w, alpha, sigma2 = w[keep], alpha[keep], sigma2[keep]  # depth one: drop
     return w, alpha, sigma2
 
 
@@ -165,9 +166,10 @@ def marginal_density_q_batch(u, grid: TimeGrid, points: np.ndarray,
     each chunk's (nodes x samples) block is one GEMM whose cost is free of d.
     The expansion's rounding error (a few ulps of (|c X_s| + |u|)^2; negative
     results are clipped at 0) is amplified by 1/(2 sigma^2) in the exponent,
-    most at nodes near two grid times (sigma^2 ~ 8e-9 on the 128^2 rule).
-    Such a node contributes only when c X_s lies within a few sigma of u;
-    elsewhere its Gaussian factor is negligible against q.
+    most at small-sigma^2 nodes (tiny gaps, or near two grid times).  Such a
+    node contributes only when c X_s lies within a few sigma of u; the nodes
+    where no sample of the batch can (exact exponent below -800) are dropped
+    before the GEMM, as their factor is exactly 0 in floating point.
     """
     if not grid.uniform:
         raise ValueError("the marginal density is defined on the uniform grid only")
@@ -178,11 +180,17 @@ def marginal_density_q_batch(u, grid: TimeGrid, points: np.ndarray,
     if float(np.linalg.norm(u)) == 0.0:
         raise ValueError("offset must be nonzero")
     d = points.shape[2]
+    increments = np.diff(points, axis=1, prepend=np.zeros((len(points), 1, d)))
     w, alpha, sigma2 = _effective_nodes(grid, quad)
     coeff = alpha * grid.n  # alpha_j / cell length on the uniform grid
     log_norm = -0.5 * d * np.log(2.0 * np.pi * sigma2)  # per-node, hoisted
+    # |c X_s - u| >= |u| - |c|_1 max_{s,j} |X_s[j]| at every sample: drop the
+    # nodes whose exponent is then below -800 (exp is exactly 0 below -745.13)
+    reach = coeff.sum(axis=1) * np.linalg.norm(increments, axis=2).max(initial=0.0)
+    least = np.maximum(np.linalg.norm(u) - reach, 0.0)
+    keep = log_norm - least * least / (2.0 * sigma2) >= -800.0
+    w, coeff, sigma2, log_norm = w[keep], coeff[keep], sigma2[keep], log_norm[keep]
     inv_two_var = 0.5 / sigma2
-    increments = np.diff(points, axis=1, prepend=np.zeros((len(points), 1, d)))
     j, k = np.triu_indices(grid.n)
     gram = np.matmul(increments, increments.transpose(0, 2, 1))[:, j, k]
     node_side = np.hstack([np.where(j == k, 1.0, 2.0) * coeff[:, j] * coeff[:, k],

@@ -256,10 +256,10 @@ def _normalized_hermite_rows(n_max: int, x, first=1.0, rescale: bool = False):
     """Yield (G_n, shift) for n = 0, ..., n_max, where G_n * exp(shift) =
     first * H_n(x)/sqrt(n!), one row at a time.
 
-    G_{n+1} = x G_n / sqrt(n+1) - sqrt(n/(n+1)) G_{n-1} keeps magnitudes near
-    exp(x^2/4) instead of n!-sized; the recurrence is linear, so seeding it
-    with a weight ``first`` (1, or one per element) carries it through every
-    order.
+    G_{n+1} = (x G_n - sqrt(n) G_{n-1}) / sqrt(n+1) keeps magnitudes near
+    exp(x^2/4) instead of n!-sized, and leaves G_2(+-1) = 0 exactly; the
+    recurrence is linear, so seeding it with a weight ``first`` (1, or one per
+    element) carries it through every order.
     Without ``rescale`` the shift stays 0; with it, an element above 1e150 is
     scaled by 1e-150 together with its predecessor and its shift grows by
     150 log 10, so no order overflows.
@@ -271,7 +271,7 @@ def _normalized_hermite_rows(n_max: int, x, first=1.0, rescale: bool = False):
         g = x * first
         yield g, shift
         for m in range(1, n_max):
-            g, g_prev = x * g / math.sqrt(m + 1) - math.sqrt(m / (m + 1)) * g_prev, g
+            g, g_prev = (x * g - math.sqrt(m) * g_prev) / math.sqrt(m + 1), g
             if rescale and (big := np.abs(g) > 1e150).any():
                 scale = np.where(big, 1e-150, 1.0)
                 g = g * scale

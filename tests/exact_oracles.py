@@ -522,7 +522,8 @@ def sinkhorn_log_temporaries(cost: np.ndarray, reg: float, max_iterations: int,
 
 def normalized_hermite_log_sign_own_loop(n: int, x):
     """The overflow-rescaled normalized Hermite recurrence as
-    ``specfun.normalized_hermite_log_sign`` ran it in a loop of its own:
+    ``specfun.normalized_hermite_log_sign`` ran it in a loop of its own, with
+    the step (x G_m - sqrt(m) G_{m-1}) / sqrt(m+1) the library now takes:
     (sign, log|H_n(x)/sqrt(n!)|)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     g_prev = np.ones_like(x)
@@ -532,7 +533,7 @@ def normalized_hermite_log_sign_own_loop(n: int, x):
     else:
         g = x.copy()
         for m in range(1, n):
-            g, g_prev = x * g / math.sqrt(m + 1) - math.sqrt(m / (m + 1)) * g_prev, g
+            g, g_prev = (x * g - math.sqrt(m) * g_prev) / math.sqrt(m + 1), g
             big = np.abs(g) > 1e150
             if big.any():
                 scale = np.where(big, 1e-150, 1.0)

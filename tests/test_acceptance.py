@@ -364,7 +364,7 @@ def test_14_reproducibility(tmp_path):
                        "--u-norms", "2^-3..2^-7"]),
         ("silt.csv", ["silt", "--replicas", "8", "--grid-m", "256",
                       "--quad-order", "32", "--eps-ladder", "0.2,0.1,0.05"]),
-        ("marginal.csv", ["marginal", "--count", "500", "--quad-order", "32",
+        ("marginal.csv", ["marginal", "--count", "500", "--quad-levels", "12",
                           "--u-norms", "0.3,0.5"]),
         ("capacity.csv", ["capacity", "--u-norms", "2^-2..2^-4",
                           "--k-max", "16"]),

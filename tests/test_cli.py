@@ -19,7 +19,7 @@ from siltkit.cli import (
     parse_multi_indices,
     parse_norm_list,
     resolve_config,
-    _chaos_rule,
+    _diagonal_rule,
     _simplex3_rule,
     _triangle_rule,
 )
@@ -179,6 +179,15 @@ class TestCommands:
         assert not any((n, 0.0) in written for n in range(1, 13, 2))
         assert (12, 0.0) in written
 
+    def test_hermite_exact_zeros_at_defaults(self, tmp_path):
+        # H_2(x) = x^2 - 1 vanishes at x = +-1, two of the default abscissae
+        out = str(tmp_path)
+        assert run_cli(["hermite", "--out", out]) == 0
+        _, _, rows = read_rows(os.path.join(out, "hermite.csv"))
+        written = {(int(r[0]), float(r[1])) for r in rows}
+        assert (2, 1.0) not in written and (2, -1.0) not in written
+        assert len(rows) == 31 * 81 - 15 - 2
+
     def test_hermite_high_order_in_log_domain(self, tmp_path):
         out = str(tmp_path)
         assert run_cli(["hermite", "--out", out, "--n-max", "400"]) == 0
@@ -230,11 +239,11 @@ class TestCommands:
             rule.nodes[0, 0] = 0.5
 
     def test_chaos_and_dynkin_rules_built_once_and_read_only(self):
-        chaos = _chaos_rule(6, 2, 4)
+        diagonal = _diagonal_rule(6, 2, 4)
         simplex3 = _simplex3_rule(6)
-        assert _chaos_rule(6, 2, 4) is chaos
+        assert _diagonal_rule(6, 2, 4) is diagonal
         assert _simplex3_rule(6) is simplex3
-        for array in (chaos.nodes, chaos.weights) + simplex3:
+        for array in (diagonal.nodes, diagonal.weights) + simplex3:
             with pytest.raises(ValueError):
                 array[0] = 0.5
 
@@ -297,10 +306,21 @@ class TestCommands:
     def test_marginal(self, tmp_path):
         out = str(tmp_path)
         assert run_cli(["marginal", "--out", out, "--count", "800",
-                        "--quad-order", "32", "--u-norms", "0.3"]) == 0
+                        "--quad-levels", "12", "--u-norms", "0.3"]) == 0
         _, header, rows = read_rows(os.path.join(out, "marginal.csv"))
         assert header[:3] == ["d", "n", "u_norm"]
         assert abs(float(rows[0][header.index("z")])) < 5.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_marginal_small_offsets_unbiased(self, tmp_path, seed):
+        # the default rule holds the mass E[q] = m to ~1e-6 down to
+        # |u| = 0.02, so z measures Monte Carlo error alone
+        out = str(tmp_path)
+        assert run_cli(["marginal", "--out", out, "--seed", str(seed),
+                        "--count", "20000", "--u-norms", "0.05,0.02"]) == 0
+        _, header, rows = read_rows(os.path.join(out, "marginal.csv"))
+        assert len(rows) == 2
+        assert all(abs(float(r[header.index("z")])) < 4.0 for r in rows)
 
     def test_transport_caps(self, tmp_path):
         assert run_cli(["transport", "--out", str(tmp_path),
@@ -314,13 +334,13 @@ class TestCommands:
         # one sample has no standard error and no half-batch split
         for count in ("1", "0"):
             assert run_cli([command, "--out", str(tmp_path), "--count", count,
-                            "--quad-order", "24"] + extra) == 2
+                            "--quad-levels", "12"] + extra) == 2
             assert "count must be" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(tmp_path, f"{command}.csv"))
 
     def test_transport_nonconvergence_exits_3(self, tmp_path):
         assert run_cli(["transport", "--out", str(tmp_path), "--count", "200",
-                        "--quad-order", "24", "--max-iter", "3",
+                        "--quad-levels", "12", "--max-iter", "3",
                         "--tol", "1e-13"]) == 3
 
     def test_capacity_guards(self, tmp_path):
@@ -368,7 +388,7 @@ class TestReproducibility:
          "--u-norms", "2^-3..2^-5"],
         ["silt", "--replicas", "6", "--grid-m", "128", "--quad-order", "24",
          "--eps-ladder", "0.2,0.1"],
-        ["marginal", "--count", "400", "--quad-order", "24",
+        ["marginal", "--count", "400", "--quad-levels", "12",
          "--u-norms", "0.4"],
         ["dynkin", "--replicas", "4", "--grid-m", "128", "--quad-order", "16",
          "--quad3-order", "8"],
@@ -399,9 +419,9 @@ class TestRuntimeImports:
              "--u-norms", "2^-3..2^-4"],
             ["dynkin", "--replicas", "1", "--grid-m", "64", "--quad-order", "8",
              "--quad3-order", "6"],
-            ["marginal", "--count", "50", "--quad-order", "8",
+            ["marginal", "--count", "50", "--quad-levels", "6",
              "--u-norms", "0.3"],
-            ["transport", "--count", "50", "--quad-order", "8",
+            ["transport", "--count", "50", "--quad-levels", "6",
              "--reg", "1.0"],
             ["capacity", "--u-norms", "0.5", "--k-max", "4",
              "--tau-levels", "6", "--tau-order", "3"],

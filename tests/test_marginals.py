@@ -8,7 +8,9 @@ from scipy.integrate import dblquad
 
 from siltkit.marginals import (
     TimeGrid,
+    _effective_nodes,
     conditional_kernel,
+    grid_overlaps,
     marginal_density_q,
     marginal_density_q_batch,
     overlap_decomposition,
@@ -361,6 +363,34 @@ class TestMarginalDensity:
         for u in (np.array([0.25, 0.1]), oblique_offset(1e-3, 2),
                   oblique_offset(2.0, 2)):
             assert_matches_einsum(u, grid, points, dirty)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_diagonal_rule_against_per_node_kernels(self, n):
+        # the CLI's rule, on which most near-diagonal nodes are cut before
+        # the GEMM: q against a plain sum of conditional kernels over every
+        # node of the rule
+        quad = SimplexQuadrature.geometric_diagonal(36, 4, 12)
+        grid = TimeGrid.make_uniform(n)
+        points = sample_mu_n(n, 4, 40 + n, 3)
+        for r in (0.02, 0.3, 5.0):
+            u = oblique_offset(r, 4)
+            got = marginal_density_q_batch(u, grid, points, quad)
+            ref = [math.fsum(w * conditional_kernel(s, t, grid, 0.0, u, x)
+                             for (s, t), w in zip(quad.nodes, quad.weights))
+                   for x in points]
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("levels", [36, 40])
+    def test_diagonal_rules_keep_every_node(self, levels):
+        # sigma^2 falls to 1e-12 (36 levels) and 6e-14 (40 levels) at the
+        # smallest gaps, but stays above 0.005 of the gap: no node is singular
+        quad = SimplexQuadrature.geometric_diagonal(levels, 4, 12)
+        for n in range(1, 9):
+            grid = TimeGrid.make_uniform(n)
+            w, alpha, sigma2 = _effective_nodes(grid, quad)
+            assert np.array_equal(w, quad.weights)
+            assert np.array_equal(
+                sigma2, grid_overlaps(quad.nodes[:, 0], quad.nodes[:, 1], grid)[1])
 
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_stress_batch_with_large_increments(self, n, quad64):
