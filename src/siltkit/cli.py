@@ -394,7 +394,7 @@ def cmd_marginal(config: RunConfig) -> str:
     p = config.values
     d, n, count = p.dim, p.n, p.count
     _check_dim("u_dir", d, p.u_dir)
-    quad = _diagonal_rule(p.quad_levels, p.quad_order_gap, p.quad_order_pos)
+    quad = _diagonal_rule(p.quad_levels, 4, 12)
     grid = TimeGrid.make_uniform(n)
     rows = []
     for stream, r in enumerate(p.u_norms):
@@ -418,7 +418,7 @@ def cmd_transport(config: RunConfig) -> str:
     _check_dim("u_dir", d, p.u_dir)
     if d * n > 16:
         raise UsageError(f"flattened dimension d*n capped at 16, got {d * n}")
-    quad = _diagonal_rule(p.quad_levels, p.quad_order_gap, p.quad_order_pos)
+    quad = _diagonal_rule(p.quad_levels, 4, 12)
     plan = TransportPlanSpec(regularization=p.reg, max_iterations=p.max_iter,
                              tolerance=p.tol)
     rows = []
@@ -469,10 +469,6 @@ def cmd_capacity(config: RunConfig) -> str:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-# the keys of _diagonal_rule, shared by chaos, marginal and transport
-DIAGONAL_RULE = {"quad_levels": (_int, "36"), "quad_order_gap": (_int, "4"),
-                 "quad_order_pos": (_int, "12")}
-
 # command -> (runner, {key: (converter, default string)})
 COMMANDS = {
     "kernel": (cmd_kernel, {
@@ -492,7 +488,8 @@ COMMANDS = {
         "paths": (number(int, lo=1), "20"),
         "multi_index": (parse_multi_indices, "0,0,0,0;1,0,0,0;1,1,0,0;2,1,0,0"),
         "u_norms": (parse_norm_list, "2^-3..2^-10"),
-        "u_dir": (parse_direction, "1,1,1,1"), **DIAGONAL_RULE}),
+        "u_dir": (parse_direction, "1,1,1,1"), "quad_levels": (_int, "36"),
+        "quad_order_gap": (_int, "4"), "quad_order_pos": (_int, "12")}),
     "dynkin": (cmd_dynkin, {
         "k": (number(int, lo=2, hi=3), "3"), "grid_m": (_int, "2048"),
         "replicas": (_int, "8"), "eps_ladder": (parse_eps_ladder, "0.4,0.2,0.1"),
@@ -500,13 +497,13 @@ COMMANDS = {
     "marginal": (cmd_marginal, {  # the standard error needs two samples
         "dim": (_int, "4"), "n": (_int, "2"), "count": (number(int, lo=2), "10000"),
         "u_norms": (parse_norm_list, "0.2,0.5"),
-        "u_dir": (parse_direction, "1,0,0,0"), **DIAGONAL_RULE}),
+        "u_dir": (parse_direction, "1,0,0,0"), "quad_levels": (_int, "36")}),
     "transport": (cmd_transport, {
         "dim": (_int, "4"), "n": (_int, "2"),
         "count": (number(int, lo=2, hi=5000), "2000"),
         "u_norms": (parse_norm_list, "0.3"), "u_dir": (parse_direction, "1,0,0,0"),
         "reg": (_float, "0.25"), "max_iter": (_int, "20000"),
-        "tol": (_float, "1e-9"), **DIAGONAL_RULE}),
+        "tol": (_float, "1e-9"), "quad_levels": (_int, "36")}),
     "capacity": (cmd_capacity, {  # the capacity machinery needs d >= 4
         "dim": (number(int, lo=4), "4"), "gamma": (_float, "-0.5"),
         "u_norms": (parse_norm_list, "2^-2..2^-7"),

@@ -329,15 +329,21 @@ class TestMarginalDensity:
             assert_matches_einsum(oblique_offset(r, 4), grid, points, quad)
 
     def test_reused_chunk_buffer(self):
-        # a short last chunk reads only its own columns of the shared block
+        # a short last chunk reads only its own columns of the shared block.
+        # On the diagonal rule the underflow cut acts, and one sample scaled
+        # by 1e4 widens the whole batch's reach: the whole call keeps 984
+        # nodes, its later parts 936, and the extra zero terms move no bit
         grid = TimeGrid.make_uniform(2)
-        quad = SimplexQuadrature.gauss_legendre(16)
-        points = sample_mu_n(2, 4, 9, 1100)
-        u = oblique_offset(0.3, 4)
-        whole = marginal_density_q_batch(u, grid, points, quad)
-        for lo in (0, 512, 1024):
-            part = marginal_density_q_batch(u, grid, points[lo:lo + 512], quad)
-            assert np.array_equal(whole[lo:lo + 512], part)
+        far = sample_mu_n(2, 4, 9, 1100)
+        far[0] *= 1e4
+        for quad, points, r in [
+                (SimplexQuadrature.gauss_legendre(16), sample_mu_n(2, 4, 9, 1100), 0.3),
+                (SimplexQuadrature.geometric_diagonal(36, 4, 12), far, 0.05)]:
+            u = oblique_offset(r, 4)
+            whole = marginal_density_q_batch(u, grid, points, quad)
+            for lo in (0, 512, 1024):
+                part = marginal_density_q_batch(u, grid, points[lo:lo + 512], quad)
+                assert np.array_equal(whole[lo:lo + 512], part)
 
     @pytest.mark.parametrize("order,count", [(24, 300), (64, 300), (128, 40)])
     def test_rules(self, order, count):
