@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from siltkit.quadrature import ConvergenceError, _unit_gauss_legendre
-from siltkit.transport import _SINKHORN_CHECK_EVERY
 
 
 def gap_rule(levels=50, order=5):
@@ -459,8 +458,12 @@ def adaptive_partition_integral_per_box(f, cells, rel_tol: float = 1e-6,
     return total
 
 
-# Sinkhorn as it was before the Gibbs kernel was built in one buffer: each
-# build allocates the intermediate arrays of the expression.
+# Plain Sinkhorn, checked every 20 sweeps, as it was before the Gibbs kernel
+# was built in one buffer: each build allocates the intermediate arrays of
+# the expression.
+
+_SINKHORN_CHECK_EVERY = 20
+
 
 def sinkhorn_log_temporaries(cost: np.ndarray, reg: float, max_iterations: int,
                  tolerance: float):

@@ -394,6 +394,7 @@ class TestReproducibility:
          "--quad3-order", "8"],
         ["capacity", "--u-norms", "2^-2..2^-5", "--k-max", "8",
          "--tau-levels", "12", "--tau-order", "4"],
+        ["transport", "--count", "200", "--reg", "1.0", "--quad-levels", "12"],
     ])
     def test_byte_identical_across_worker_counts(self, tmp_path, args):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -280,20 +280,25 @@ class TestEntropicTransport:
                          1e-12)
 
     @pytest.mark.parametrize("reg", [1.0, 2.0])
-    def test_kernel_in_one_buffer_keeps_bits_at_scale(self, reg):
+    def test_relaxed_solve_agrees_with_plain_oracle_at_scale(self, reg):
         gen = stream_generator(11, 7)
         x = gen.standard_normal((1000, 8))
         y = gen.standard_normal((1000, 8)) + 0.3
         cost = transport._squared_distances(x, y)
-        got = sinkhorn_log(cost, reg, 20000, 1e-9)
-        assert got == sinkhorn_log_temporaries(cost, reg, 20000, 1e-9)
+        got, _, sweeps = sinkhorn_log(cost, reg, 20000, 1e-9)
+        want, _, plain_sweeps = sinkhorn_log_temporaries(cost, reg, 20000,
+                                                         1e-9)
+        assert got == pytest.approx(want, rel=1e-7, abs=0)
+        assert sweeps <= plain_sweeps
 
-    def test_kernel_in_one_buffer_keeps_bits_across_absorbs(self, monkeypatch):
+    def test_relaxed_solve_agrees_with_plain_oracle_across_absorbs(
+            self, monkeypatch):
         gen = stream_generator(5, 6)
         x = gen.standard_normal((20, 2))
         y = gen.standard_normal((20, 2)) + 8.0
         cost = np.sum((x[:, None] - y[None]) ** 2, -1)
-        want = sinkhorn_log_temporaries(cost, 0.1, 20000, 1e-6)
+        want, _, plain_sweeps = sinkhorn_log_temporaries(cost, 0.1, 20000,
+                                                         1e-6)
         real_log, log_calls = np.log, []
 
         def counting_log(x):
@@ -301,12 +306,55 @@ class TestEntropicTransport:
             return real_log(x)
 
         monkeypatch.setattr(np, "log", counting_log)
-        got = sinkhorn_log(cost, 0.1, 20000, 1e-6)
+        got, _, sweeps = sinkhorn_log(cost, 0.1, 20000, 1e-6)
         monkeypatch.undo()
         # each absorb takes two logs: one at the start, one or more mid-solve
         # and the final one
         assert len(log_calls) >= 6
-        assert got == want
+        assert got == pytest.approx(want, rel=1e-7, abs=0)
+        assert sweeps <= plain_sweeps
+
+    @pytest.mark.parametrize("reg,relaxed_at_stop", [(0.1, False),
+                                                     (1.0, True)])
+    def test_violation_bounds_rebuilt_plan_marginals(self, monkeypatch, reg,
+                                                     relaxed_at_stop):
+        # Every absorb folds reg * log(scaling) into the potentials f and g;
+        # recording the scalings it takes logs of gives the potentials, and
+        # exp((f + g - C) / reg), built here, is the plan whose row and
+        # column L1 violations the returned error claims to bound.
+        gen = stream_generator(21, 3)
+        x = gen.standard_normal((30, 2))
+        y = gen.standard_normal((40, 2)) + 0.5
+        cost = transport._squared_distances(x, y)
+        real_log, folded = np.log, []
+
+        def recording_log(z):
+            folded.append(np.array(z, copy=True))
+            return real_log(z)
+
+        monkeypatch.setattr(np, "log", recording_log)
+        _, err, _ = sinkhorn_log(cost, reg, 20000, 1e-9)
+        monkeypatch.undo()
+        f, g = np.zeros(30), np.zeros(40)
+        for scale_u, scale_v in zip(folded[0::2], folded[1::2]):
+            f = f + reg * np.log(scale_u)
+            g = g + reg * np.log(scale_v)
+        plan = np.exp((f[:, None] + g[None, :] - cost) / reg)
+        rows = np.sum(np.abs(plan.sum(axis=1) - 1 / 30))
+        cols = np.sum(np.abs(plan.sum(axis=0) - 1 / 40))
+        assert 0 < err < 1e-9
+        assert rows <= err + 1e-14
+        assert cols <= err + 1e-14
+        # a plain last sweep leaves the columns exact to rounding; a relaxed
+        # one leaves them off by a share of the tolerance
+        assert (cols > 1e-12) == relaxed_at_stop
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_cost_refused(self, entry):
+        cost = np.ones((5, 5))
+        cost[2, 3] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            sinkhorn_log(cost, 1.0, 200, 1e-9)
 
     def test_nonconvergence_error_unchanged(self):
         gen = stream_generator(5, 6)
