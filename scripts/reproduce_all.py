@@ -6,10 +6,11 @@ Usage: python scripts/reproduce_all.py [--out DIR] [--seed N] [--fast]
 --fast shrinks sample counts so the whole sweep finishes in well under a
 minute; without it expect a few minutes (the transport row dominates).
 
-Each command prints one stdout line with its exit code and the SHA-256 of the
-CSV it wrote; the CLI's own output and the timings go to stderr.  Two runs
-(say, before and after a refactor) can then be compared with one diff of
-their stdout.
+Every command runs, whatever an earlier one returned; the script exits with
+the first non-zero exit code, or 0.  Each command prints one stdout line with
+its exit code and the SHA-256 of the CSV it wrote; the CLI's own output and
+the timings go to stderr.  Two runs (say, before and after a refactor) can
+then be compared with one diff of their stdout.
 """
 
 import argparse
@@ -48,6 +49,7 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--fast", action="store_true")
     args = parser.parse_args()
+    first_failure = 0
     for command, extra in FULL.items():
         argv = [command, "--out", args.out, "--seed", str(args.seed)] + extra
         if args.fast:
@@ -61,9 +63,9 @@ def main():
             with open(os.path.join(args.out, f"{command}.csv"), "rb") as fp:
                 line += f" sha256={hashlib.sha256(fp.read()).hexdigest()}"
         print(line)
-        if code != 0:
-            return code
-    return 0
+        if code != 0 and first_failure == 0:
+            first_failure = code
+    return first_failure
 
 
 if __name__ == "__main__":

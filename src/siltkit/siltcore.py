@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -28,7 +28,6 @@ from .rng import stream_generator
 from .specfun import (
     calibrate_log_branch_constant,
     calibrate_szego_constant,
-    gaussian_kernel_batch,
     log_gaussian_kernel_batch,
     normalized_hermite_log_sign,
 )
@@ -40,15 +39,11 @@ __all__ = [
     "silt_epsilon",
     "centering_constant_2d",
     "silt_adjustment",
-    "silt_centered_2d",
-    "renormalized_2d",
-    "renormalized_3d",
     "chaos_term",
     "chaos_term_bound",
     "dynkin_B",
     "dynkin_T",
     "dynkin_renormalized_sum",
-    "gaussian_mollifier",
 ]
 
 _LINE_ORDER = 48
@@ -87,22 +82,11 @@ class Path:
         return len(self.times) - 1
 
     def at(self, t) -> np.ndarray:
-        """Linear interpolation of the path at times t, shape (len(t), d).
-
-        The stencil (cell index and weight per query time) depends only on
-        the grid and the query times, so it is built once per process for
-        each (grid, query) pair and shared by every path on that grid; the
-        values are then interpolated one coordinate at a time.  Times past
-        the last node extrapolate from the last cell.
-        """
+        """Linear interpolation at times t, shape (len(t), d), on a stencil
+        shared per (grid, t); past the last node it extrapolates."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        idx, lam = _stencil(self.times.tobytes(), t.tobytes())
-        upper = idx + 1
-        out = np.empty((len(t), self.d))
-        for j, col in enumerate(self.values.T):
-            a = col.take(idx)
-            out[:, j] = a + lam * (col.take(upper) - a)
-        return out
+        return np.column_stack(_interpolate(
+            self.values, _stencil(self.times.tobytes(), t.tobytes())))
 
     def max_abs(self) -> np.ndarray:
         """Per-coordinate sup of |w_i| over the grid (interpolation cannot exceed it)."""
@@ -119,6 +103,57 @@ def _stencil(times: bytes, t: bytes) -> tuple:
     lam = (t - left) / (times[idx + 1] - left)
     idx.flags.writeable = lam.flags.writeable = False
     return idx, lam
+
+
+def _interpolate(values, stencil) -> list:
+    """Per coordinate, the grid values interpolated on a stencil."""
+    idx, lam = stencil
+    upper = idx + 1
+    rows = []
+    for col in values.T:
+        a = col.take(idx)
+        rows.append(a + lam * (col.take(upper) - a))
+    return rows
+
+
+# Per-rule plans: what the path functionals need of a rule alone, built on
+# first use in each process, keyed on the rule's bytes and read-only.
+
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=16)
+def _rule_plan(nodes: bytes, k: int) -> tuple:
+    """Of a rule's (N, k) node bytes: each column's distinct times, as
+    stencil keys, and per step from column i to i + 1 the map of the nodes
+    onto the step's distinct time pairs and of those onto each end's times."""
+    columns = [np.unique(c, return_inverse=True)
+               for c in np.frombuffer(nodes).reshape(-1, k).T]
+    steps = []
+    for (_, ia), (tb, ib) in zip(columns[:-1], columns[1:]):
+        codes, pairs = np.unique(ia * len(tb) + ib, return_inverse=True)
+        steps.append(_read_only(pairs, *np.divmod(codes, len(tb))))
+    return tuple(t.tobytes() for t, _ in columns), tuple(steps)
+
+
+def _increments(path, plan) -> list:
+    """Per plan step and coordinate, w(t_{i+1}) - w(t_i) on distinct pairs."""
+    times = path.times.tobytes()
+    at = [_interpolate(path.values, _stencil(times, t)) for t in plan[0]]
+    return [[b.take(ib) - a.take(ia) for a, b in zip(at[i], at[i + 1])]
+            for i, (_, ia, ib) in enumerate(plan[1])]
+
+
+def _squared_norms(rows) -> np.ndarray:
+    """np.sum(inc * inc, axis=-1) of the stacked rows, bit for bit (numpy
+    sums fewer than 8 coordinates in order)."""
+    if len(rows) < 8:
+        return reduce(lambda sq, x: sq + x * x, rows[1:], rows[0] * rows[0])
+    inc = np.column_stack(rows)
+    return np.sum(inc * inc, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -190,9 +225,9 @@ def silt_epsilon(path: Path, eps, u, quad: SimplexQuadrature):
     eps: a float, or an array for a 1-d array of scales (one interpolation)."""
     scales = _as_scales(eps)
     u = _as_offset(u, path.d)
-    s, t = quad.nodes[:, 0], quad.nodes[:, 1]
-    inc = path.at(t) - path.at(s) - u
-    sq = np.sum(inc * inc, axis=-1)
+    plan = _rule_plan(quad.nodes.tobytes(), 2)
+    rows = [row - c for row, c in zip(_increments(path, plan)[0], u)]
+    sq = _squared_norms(rows).take(plan[1][0][0])
     values = np.array([np.dot(quad.weights, np.exp(log_gaussian_kernel_batch(
         sq, path.d, e))) for e in scales])
     return float(values[0]) if np.ndim(eps) == 0 else values
@@ -211,8 +246,8 @@ def centering_constant_2d(eps: float) -> float:
 
 def silt_adjustment(raw: float, eps: float, d: int, r: float) -> tuple:
     """(adjusted value, mode) of a raw functional value at scale eps and
-    offset norm r in dimension d: the one formula of each function below,
-    "centered2d", "renorm2d" or "renorm3d" where it applies, else "raw"."""
+    offset norm r in dimension d: "centered2d", "renorm2d" or "renorm3d"
+    (see the README) where it applies, else "raw"."""
     if d == 2 and r == 0:
         return raw - centering_constant_2d(eps), "centered2d"
     if d == 2:
@@ -221,36 +256,6 @@ def silt_adjustment(raw: float, eps: float, d: int, r: float) -> tuple:
         return (raw - 1.0 / (2.0 * math.pi * r)) \
             / math.sqrt(math.log(1.0 / r)), "renorm3d"
     return raw, "raw"
-
-
-def silt_centered_2d(path: Path, eps: float, quad: SimplexQuadrature) -> float:
-    """Planar functional at the origin minus its deterministic mean."""
-    if path.d != 2:
-        raise ValueError(f"centered functional is planar only, got d={path.d}")
-    return silt_adjustment(silt_epsilon(path, eps, 0, quad), eps, 2, 0.0)[0]
-
-
-def _renormalized(path: Path, eps: float, u, quad: SimplexQuadrature,
-                  d: int) -> float:
-    if path.d != d:
-        raise ValueError(f"expected a {d}-d path, got d={path.d}")
-    u = _as_offset(u, d)
-    r = float(np.linalg.norm(u))
-    if r == 0:
-        raise ValueError("offset must be nonzero")
-    if d == 3 and r >= 1:
-        raise ValueError("offset norm must be < 1 for the log scaling")
-    return silt_adjustment(silt_epsilon(path, eps, u, quad), eps, d, r)[0]
-
-
-def renormalized_2d(path: Path, eps: float, u, quad: SimplexQuadrature) -> float:
-    """Planar functional at offset u minus the (1/pi) log(1/|u|) divergence."""
-    return _renormalized(path, eps, u, quad, 2)
-
-
-def renormalized_3d(path: Path, eps: float, u, quad: SimplexQuadrature) -> float:
-    """3-d functional minus 1/(2 pi |u|), scaled by log(1/|u|)^(-1/2)."""
-    return _renormalized(path, eps, u, quad, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -281,36 +286,55 @@ def chaos_term(path: Path, idx, u, quad: SimplexQuadrature,
     1/sqrt(n_j!)) or by 1/sqrt(n_j!) ("single"), times the Gaussian kernel of
     u at variance t-s.  Factors are combined as sign/log-magnitude pairs and
     the node sum is compensated, since the products alternate in sign across
-    hundreds of orders of magnitude.  The increment factors do not depend on
-    the offset, so an offset array shares them.
+    hundreds of orders of magnitude.
     """
     idx = _coerce_index(idx, path.d)
     offsets = _as_offset_rows(u, path.d)
-    # a dot per row, as for one offset: an array call keeps the scalar bits
-    r2 = np.array([float(np.dot(v, v)) for v in offsets])[:, None]
-    if np.any(r2 == 0):
-        raise ValueError("offset must be nonzero")
     if normalization not in ("per-factor", "single"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    s, t = quad.nodes[:, 0], quad.nodes[:, 1]
-    tau = t - s
-    sqrt_tau = np.sqrt(tau)
-    inc = path.at(t) - path.at(s)
-    log_mag = log_gaussian_kernel_batch(r2, path.d, tau) + np.log(quad.weights)
+    nodes = quad.nodes.tobytes()
+    log_mag, offset_factors = _chaos_plan(nodes, quad.weights.tobytes(),
+                                          offsets.tobytes(), path.d, idx)
+    increment_factor = _increment_factors(path.times.tobytes(),
+                                          path.values.tobytes(), nodes)
     sign = np.ones_like(log_mag)
-    for j, n in enumerate(idx):
-        if n == 0:
-            continue  # both Hermite factors are identically 1
-        sg_w, lg_w = normalized_hermite_log_sign(n, inc[:, j] / sqrt_tau)
-        sg_u, lg_u = normalized_hermite_log_sign(n, offsets[:, j, None] / sqrt_tau)
-        sign *= sg_w * sg_u
-        log_mag += lg_w + lg_u
+    for j, n, sg_u, lg_u in offset_factors:
+        sg_w, lg_w = increment_factor(j, n)
+        sign = sign * (sg_w * sg_u)
+        log_mag = log_mag + (lg_w + lg_u)
         if normalization == "single":
-            log_mag += 0.5 * math.lgamma(n + 1)
+            log_mag = log_mag + 0.5 * math.lgamma(n + 1)
     values = np.array([peak_exp_sum(sg, lm, peak) if np.isfinite(peak) else 0.0
                        for sg, lm, peak in zip(sign, log_mag,
                                                np.max(log_mag, axis=1))])
     return float(values[0]) if np.ndim(u) < 2 else values
+
+
+@lru_cache(maxsize=16)
+def _chaos_plan(nodes: bytes, weights: bytes, offsets: bytes, d: int,
+                idx: tuple) -> tuple:
+    """chaos_term's rule- and offset-only arrays: log(kernel * weight) per
+    (offset, node), and (j, n_j, sign, log|H_n_j/sqrt(n_j!)|) of u_j/sqrt(t-s)."""
+    s, t = np.frombuffer(nodes).reshape(-1, 2).T
+    offsets = np.frombuffer(offsets).reshape(-1, d)
+    # a dot per row, as for one offset: an array call keeps the scalar bits
+    r2 = np.array([float(np.dot(v, v)) for v in offsets])[:, None]
+    if np.any(r2 == 0):
+        raise ValueError("offset must be nonzero")
+    base = log_gaussian_kernel_batch(r2, d, t - s) + np.log(np.frombuffer(weights))
+    return _read_only(base)[0], tuple((j, n, *_read_only(*normalized_hermite_log_sign(
+        n, offsets[:, j, None] / np.sqrt(t - s)))) for j, n in enumerate(idx) if n)
+
+
+@lru_cache(maxsize=4)
+def _increment_factors(times: bytes, values: bytes, nodes: bytes):
+    """(j, n) -> (sign, log|H_n/sqrt(n!)|) of (w_j(t) - w_j(s)) / sqrt(t - s),
+    once each, for the path of these grid times and values on a rule."""
+    path = Path(np.frombuffer(times), np.frombuffer(values).reshape(len(times) // 8, -1))
+    (s, t), plan = np.frombuffer(nodes).reshape(-1, 2).T, _rule_plan(nodes, 2)
+    x = [row.take(plan[1][0][0]) / np.sqrt(t - s) for row in _increments(path, plan)[0]]
+    return lru_cache(maxsize=None)(
+        lambda j, n: _read_only(*normalized_hermite_log_sign(n, x[j])))
 
 
 def peak_exp_sum(sign, log_mag, peak) -> float:
@@ -376,9 +400,10 @@ def chaos_term_bound(path: Path, idx, u, szego_c: float = None,
 # Order-k functionals and their renormalization operators
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
 def dynkin_B(k: int, l: int, phi):
     """Sum of phi over monotone surjections {1..k} -> {1..l}, as a function on
-    l arguments.
+    l arguments (one object per (k, l, phi), so its rule values are cached).
 
     Monotone surjections biject with compositions of k into l positive parts
     (the block sizes), so the sum has C(k-1, l-1) terms.
@@ -404,13 +429,6 @@ def dynkin_B(k: int, l: int, phi):
     return summed
 
 
-def gaussian_mollifier(x, eps: float):
-    """Planar Gaussian mollifier in variance parameterization: the density of
-    N(0, eps I_2).  Within the scale family delta^-2 q(./delta) this is the
-    member at delta = sqrt(eps)."""
-    return gaussian_kernel_batch(np.asarray(x, dtype=float), eps, d=2)
-
-
 def dynkin_T(path: Path, k: int, eps, phi, q_kernel=None,
              quad: SimplexQuadrature = None, quad3=None):
     """Order-k mollified multiple-intersection functional of a planar path:
@@ -418,38 +436,42 @@ def dynkin_T(path: Path, k: int, eps, phi, q_kernel=None,
 
     Integrates the product of q_eps over consecutive increments against phi
     over the ordered k-simplex; supported for k = 2 (using a triangle rule)
-    and k = 3 (using a tensor rule on the 3-simplex).
+    and k = 3 (using a tensor rule on the 3-simplex).  q_eps defaults to the
+    density of N(0, eps I_2); a q_kernel(points, eps) must act row by row.
     """
     if path.d != 2:
         raise ValueError(f"order-k functionals are planar only, got d={path.d}")
     if k not in (2, 3):
         raise ValueError(f"only k in {{2, 3}} supported at desk scale, got {k}")
     scales = _as_scales(eps)
-    if q_kernel is None:
-        q_kernel = gaussian_mollifier
     if k == 2:
         quad = SimplexQuadrature.gauss_legendre(48) if quad is None else quad
-        columns, weights = tuple(quad.nodes.T), quad.weights
+        nodes, weights = quad.nodes, quad.weights
     else:
         nodes, weights = simplex3_gauss_legendre(12) if quad3 is None else quad3
-        columns = tuple(nodes.T)
-    points = [path.at(c) for c in columns]
-    increments = [b - a for a, b in zip(points[:-1], points[1:])]
-    phi_vals = _eval_symbol(phi, columns)
+    key = np.asarray(nodes, dtype=float).tobytes()
+    plan = _rule_plan(key, k)
+    args = [np.column_stack(rows) if q_kernel else _squared_norms(rows)
+            for rows in _increments(path, plan)]
+    kernel = q_kernel or (lambda sq, e: np.exp(log_gaussian_kernel_batch(
+        sq, 2, e)))  # the Gaussian mollifier, from each squared norm
+    phi_vals = _symbol_values(phi, key, k)
     values = np.array([np.dot(weights, phi_vals * math.prod(
-        q_kernel(inc, e) for inc in increments)) for e in scales.tolist()])
+        kernel(x, e).take(step[0]) for x, step in zip(args, plan[1])))
+        for e in scales.tolist()])
     return float(values[0]) if np.ndim(eps) == 0 else values
 
 
-def _eval_symbol(phi, columns):
-    """Evaluate a simplex symbol on node columns, vectorized when it can be."""
+@lru_cache(maxsize=16)
+def _symbol_values(phi, nodes: bytes, k: int) -> np.ndarray:
+    """A simplex symbol on a rule's (N, k) node bytes, vectorized if it can."""
+    columns = tuple(np.frombuffer(nodes).reshape(-1, k).T)
     try:
-        values = phi(*columns)
-        values = np.broadcast_to(np.asarray(values, dtype=float),
+        values = np.broadcast_to(np.asarray(phi(*columns), dtype=float),
                                  columns[0].shape).copy()
-        return values
     except Exception:
-        return np.array([float(phi(*point)) for point in zip(*columns)])
+        values = np.array([float(phi(*point)) for point in zip(*columns)])
+    return _read_only(values)[0]
 
 
 def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
@@ -479,7 +501,7 @@ def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
         collapsed = phi if l == k else dynkin_B(k, l, phi)
         if l == 1:
             x, w = _unit_gauss_legendre(_LINE_ORDER)
-            term = float(np.dot(w, _eval_symbol(collapsed, (x,))))
+            term = float(np.dot(w, _symbol_values(collapsed, x.tobytes(), 1)))
         elif l == k and t_top is not None:
             term = np.asarray(t_top, dtype=float)
         else:

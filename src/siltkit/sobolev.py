@@ -136,7 +136,8 @@ def _shift_integrals(t1: np.ndarray, t2: np.ndarray, K: int) -> np.ndarray:
     h = np.where(excess > 0.0, 1.0 - hi, lo)
     a, b = np.maximum(excess, 0.0) / root, lo / root
     e0, e1 = np.maximum(-excess, 0.0), 1.0 - hi
-    out = np.empty((len(t1), K + 1))
+    two_h, middle = 2.0 * h, (hi - lo) * e1
+    out = np.empty((K + 1, len(t1)))  # order-major: each order one row
     a_k, b_k, h_k, b_sum = np.ones_like(a), np.ones_like(a), np.ones_like(a), 0.0
     with np.errstate(under="ignore"):
         for k in range(K + 1):
@@ -144,9 +145,9 @@ def _shift_integrals(t1: np.ndarray, t2: np.ndarray, K: int) -> np.ndarray:
                 a_k, b_k = a_k * a, b_k * b
                 h_k = b * h_k + a_k
                 b_sum = a * b_sum + k * b_k
-            out[:, k] = (2.0 * h / ((k + 1) * (k + 2))
-                         * (e0 * h_k + e1 * (b_sum + h_k)) + (hi - lo) * e1 * b_k)
-    return out
+            out[k] = (two_h / ((k + 1) * (k + 2))
+                      * (e0 * h_k + e1 * (b_sum + h_k)) + middle * b_k)
+    return out.T
 
 
 def _norm_orders_collapsed(spec: SobolevSpec) -> np.ndarray:

@@ -330,7 +330,8 @@ def sinkhorn_log(cost: np.ndarray, reg: float, max_iterations: int,
                 return relaxed
         return target / np.maximum(product, tiny)
 
-    absorb()  # unit scalings leave f = g = 0: the kernel at zero potentials
+    with np.errstate(under="ignore"):  # the kernel at zero potentials
+        np.exp(np.divide(cost, -reg, out=kernel), out=kernel)
     omega, relax = 1.0, True
     col_err, last_err, last_ratio = np.inf, np.nan, np.nan
     while True:

@@ -5,8 +5,12 @@ All of these rest on one reduction: for a pair of increments over intervals
 with covariance matrix [[tau1+eps1, overlap], [overlap, tau2+eps2]], so
 second moments of mollified kernels are classical Gaussian densities; the
 shift variables (a, eta) then integrate out against the piecewise-linear
-admissible-length factor.  Everything here is quadrature in the two gap
+admissible-length factor.  Those oracles are quadrature in the two gap
 variables only, independent of the package's path-functional code paths.
+
+The rest of the file keeps reference versions of package routines as they
+ran before an optimization (checked against the package with ==), and the
+silt variants and mollifier that only tests use.
 """
 
 import heapq
@@ -15,6 +19,8 @@ import math
 import numpy as np
 
 from siltkit.quadrature import ConvergenceError, _unit_gauss_legendre
+from siltkit.siltcore import _as_offset, silt_adjustment, silt_epsilon
+from siltkit.specfun import gaussian_kernel_batch, log_gaussian_kernel_batch
 
 
 def gap_rule(levels=50, order=5):
@@ -546,3 +552,132 @@ def normalized_hermite_log_sign_own_loop(n: int, x):
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(g)) + shift
     return np.sign(g), log_abs
+
+
+# The centered and renormalized silt variants and the planar Gaussian
+# mollifier, as siltkit.siltcore exported them while only tests called them:
+# each variant is silt_adjustment applied to silt_epsilon, behind its own
+# argument checks.
+
+def silt_centered_2d(path, eps: float, quad) -> float:
+    """Planar functional at the origin minus its deterministic mean."""
+    if path.d != 2:
+        raise ValueError(f"centered functional is planar only, got d={path.d}")
+    return silt_adjustment(silt_epsilon(path, eps, 0, quad), eps, 2, 0.0)[0]
+
+
+def _renormalized(path, eps: float, u, quad, d: int) -> float:
+    if path.d != d:
+        raise ValueError(f"expected a {d}-d path, got d={path.d}")
+    u = _as_offset(u, d)
+    r = float(np.linalg.norm(u))
+    if r == 0:
+        raise ValueError("offset must be nonzero")
+    if d == 3 and r >= 1:
+        raise ValueError("offset norm must be < 1 for the log scaling")
+    return silt_adjustment(silt_epsilon(path, eps, u, quad), eps, d, r)[0]
+
+
+def renormalized_2d(path, eps: float, u, quad) -> float:
+    """Planar functional at offset u minus the (1/pi) log(1/|u|) divergence."""
+    return _renormalized(path, eps, u, quad, 2)
+
+
+def renormalized_3d(path, eps: float, u, quad) -> float:
+    """3-d functional minus 1/(2 pi |u|), scaled by log(1/|u|)^(-1/2)."""
+    return _renormalized(path, eps, u, quad, 3)
+
+
+def gaussian_mollifier(x, eps: float):
+    """Planar Gaussian mollifier in variance parameterization: the density of
+    N(0, eps I_2), dynkin_T's default kernel.  Within the scale family
+    delta^-2 q(./delta) this is the member at delta = sqrt(eps)."""
+    return gaussian_kernel_batch(np.asarray(x, dtype=float), eps, d=2)
+
+
+# Per-node references for the pathwise functionals, as siltcore computed them
+# before its per-rule plans: every node's times are searched and interpolated
+# on their own (path_interpolation_gather), and every kernel and Hermite
+# factor is evaluated at every node, for every scale, offset and index.  No
+# distinct-time map, no shared factor and no Path.at.
+
+def silt_epsilon_per_node(path, scales, u, quad) -> list:
+    """silt_epsilon at each scale, as a list of floats."""
+    s, t = quad.nodes[:, 0], quad.nodes[:, 1]
+    inc = path_interpolation_gather(path, t) - path_interpolation_gather(
+        path, s) - np.asarray(u, dtype=float)
+    sq = np.sum(inc * inc, axis=-1)
+    return [float(np.dot(quad.weights, np.exp(log_gaussian_kernel_batch(
+        sq, path.d, e)))) for e in scales]
+
+
+def dynkin_T_per_node(path, scales, phi, nodes, weights,
+                      q_kernel=None) -> list:
+    """dynkin_T of order len(nodes[0]) at each scale, as a list of floats;
+    the default kernel is the planar Gaussian mollifier."""
+    columns = tuple(nodes.T)
+    points = [path_interpolation_gather(path, c) for c in columns]
+    phi_vals = np.broadcast_to(np.asarray(phi(*columns), dtype=float),
+                               columns[0].shape)
+    out = []
+    for e in scales:
+        product = 1
+        for a, b in zip(points[:-1], points[1:]):
+            product = product * (gaussian_kernel_batch(b - a, e, d=2)
+                                 if q_kernel is None else q_kernel(b - a, e))
+        out.append(float(np.dot(weights, phi_vals * product)))
+    return out
+
+
+def chaos_term_per_node(path, idx, offsets, quad,
+                        normalization="per-factor") -> list:
+    """chaos_term at each row of offsets, as a list of floats."""
+    s, t = quad.nodes[:, 0], quad.nodes[:, 1]
+    tau = t - s
+    sqrt_tau = np.sqrt(tau)
+    inc = path_interpolation_gather(path, t) - path_interpolation_gather(path, s)
+    offsets = np.array(offsets, dtype=float, ndmin=2)
+    r2 = np.array([float(np.dot(v, v)) for v in offsets])[:, None]
+    log_mag = log_gaussian_kernel_batch(r2, path.d, tau) + np.log(quad.weights)
+    sign = np.ones_like(log_mag)
+    for j, n in enumerate(idx):
+        if n == 0:
+            continue
+        sg_w, lg_w = normalized_hermite_log_sign_own_loop(n, inc[:, j] / sqrt_tau)
+        sg_u, lg_u = normalized_hermite_log_sign_own_loop(
+            n, offsets[:, j, None] / sqrt_tau)
+        sign *= sg_w * sg_u
+        log_mag += lg_w + lg_u
+        if normalization == "single":
+            log_mag += 0.5 * math.lgamma(n + 1)
+    out = []
+    for sg, lm in zip(sign, log_mag):
+        peak = np.max(lm)
+        if not np.isfinite(peak):
+            out.append(0.0)
+            continue
+        terms = sg * np.exp(lm - peak)
+        out.append(math.exp(peak) * math.fsum(terms[terms != 0.0].tolist()))
+    return out
+
+
+# The shift integrals column by column, as sobolev._shift_integrals wrote them
+# before it filled an order-major buffer.
+
+def shift_integrals_by_column(t1, t2, K):
+    lo, hi = np.minimum(t1, t2), np.maximum(t1, t2)
+    excess, root = t1 + t2 - 1.0, np.sqrt(t1 * t2)
+    h = np.where(excess > 0.0, 1.0 - hi, lo)
+    a, b = np.maximum(excess, 0.0) / root, lo / root
+    e0, e1 = np.maximum(-excess, 0.0), 1.0 - hi
+    out = np.empty((len(t1), K + 1))
+    a_k, b_k, h_k, b_sum = np.ones_like(a), np.ones_like(a), np.ones_like(a), 0.0
+    with np.errstate(under="ignore"):
+        for k in range(K + 1):
+            if k:
+                a_k, b_k = a_k * a, b_k * b
+                h_k = b * h_k + a_k
+                b_sum = a * b_sum + k * b_k
+            out[:, k] = (2.0 * h / ((k + 1) * (k + 2))
+                         * (e0 * h_k + e1 * (b_sum + h_k)) + (hi - lo) * e1 * b_k)
+    return out

@@ -395,6 +395,11 @@ class TestReproducibility:
         ["capacity", "--u-norms", "2^-2..2^-5", "--k-max", "8",
          "--tau-levels", "12", "--tau-order", "4"],
         ["transport", "--count", "200", "--reg", "1.0", "--quad-levels", "12"],
+        ["silt", "--dim", "3", "--u-norm", "0.3", "--u-dir", "1,0,0",
+         "--replicas", "6", "--grid-m", "128", "--quad-order", "24",
+         "--eps-ladder", "0.2,0.1"],
+        ["dynkin", "--k", "2", "--replicas", "4", "--grid-m", "128",
+         "--quad-order", "16"],
     ])
     def test_byte_identical_across_worker_counts(self, tmp_path, args):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

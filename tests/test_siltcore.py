@@ -1,6 +1,10 @@
 import io
 import math
+import os
 import struct
+import subprocess
+import sys
+from dataclasses import astuple
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -10,12 +14,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad, quad as scipy_quad
 from scipy.stats import kstest
 
+import siltkit
 from siltkit import siltcore
 from siltkit.cli import _chaos_task, _dynkin_task, _silt_task, build_parser, \
     resolve_config
 from siltkit.quadrature import SimplexQuadrature, simplex3_gauss_legendre
 from siltkit.siltcore import (
     MultiIndex,
+    _as_offset,
     Path,
     centering_constant_2d,
     chaos_term,
@@ -23,20 +29,18 @@ from siltkit.siltcore import (
     dynkin_B,
     dynkin_renormalized_sum,
     dynkin_T,
-    gaussian_mollifier,
     peak_exp_sum,
-    renormalized_2d,
-    renormalized_3d,
     sample_path,
-    silt_centered_2d,
     silt_epsilon,
 )
 from siltkit.specfun import SimplexIntegralSpec, gaussian_kernel_batch, \
     log_gaussian_kernel_batch, simplex_moment_integral
 
 from conftest import axis_offset
-from exact_oracles import mollified_covariance, mollified_variance, \
-    path_interpolation_gather, single_index_second_moment
+from exact_oracles import chaos_term_per_node, dynkin_T_per_node, \
+    gaussian_mollifier, mollified_covariance, mollified_variance, \
+    path_interpolation_gather, renormalized_2d, renormalized_3d, \
+    silt_centered_2d, silt_epsilon_per_node, single_index_second_moment
 
 
 def task_config(*argv):
@@ -689,25 +693,27 @@ class TestDynkin:
 
 class TestInterpolationsPerTask:
     """The chaos and dynkin tasks interpolate each path a fixed number of
-    times, however many offsets or scales they evaluate."""
+    times, however many indices, offsets or scales they evaluate, and only at
+    distinct rule times."""
 
     @staticmethod
-    def count_path_at(monkeypatch):
-        calls = []
-        original = Path.at
+    def count_interpolations(monkeypatch):
+        stencils = []
+        original = siltcore._interpolate
 
-        def counting(self, t):
-            calls.append(len(np.atleast_1d(t)))
-            return original(self, t)
+        def counting(values, stencil):
+            stencils.append(stencil[0])
+            return original(values, stencil)
 
-        monkeypatch.setattr(Path, "at", counting)
-        return calls
+        monkeypatch.setattr(siltcore, "_interpolate", counting)
+        return stencils
 
     def test_chaos_task(self, monkeypatch):
-        calls = self.count_path_at(monkeypatch)
+        stencils = self.count_interpolations(monkeypatch)
         indices = ((0, 0, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0))
         for norms, n_norms in [("0.25", 1), ("2^-2..2^-8", 7)]:
-            calls.clear()
+            stencils.clear()
+            siltcore._increment_factors.cache_clear()
             config = task_config(
                 "chaos", "--seed", "3", "--grid-m", "128", "--multi-index",
                 ";".join(",".join(map(str, idx)) for idx in indices),
@@ -715,22 +721,138 @@ class TestInterpolationsPerTask:
                 "--quad-order-gap", "2", "--quad-order-pos", "4")
             rows = _chaos_task(config, 0)
             assert len(rows) == len(indices) * n_norms
-            assert len(calls) == 2 * len(indices)  # w(t) and w(s) per index
+            # w(s) and w(t) once for every index; no node time repeats here
+            assert [len(idx) for idx in stencils] == [72, 72]
 
     @pytest.mark.parametrize("k, per_replica", [(2, 2), (3, 5)])
     def test_dynkin_task(self, monkeypatch, k, per_replica):
-        # T_2 reads w at 2 node columns and T_3 at 3; T_k is evaluated once
-        # for both the t_value and the renormalized sum
-        calls = self.count_path_at(monkeypatch)
+        # T_2 reads w at 2 node columns and T_3 at 3, each at its distinct
+        # times through one stencil per column; T_k is evaluated once for
+        # both the t_value and the renormalized sum
+        stencils = self.count_interpolations(monkeypatch)
+        quad, (nodes3, _) = SimplexQuadrature.gauss_legendre(8), \
+            simplex3_gauss_legendre(6)
+        columns = list(quad.nodes.T) + (list(nodes3.T) if k == 3 else [])
         for ladder in [(0.4,), (0.4, 0.2, 0.1, 0.05)]:
-            calls.clear()
+            stencils.clear()
             config = task_config(
                 "dynkin", "--seed", "3", "--k", str(k), "--grid-m", "128",
                 "--eps-ladder", ",".join(map(str, ladder)),
                 "--quad-order", "8", "--quad3-order", "6")
             rows = _dynkin_task(config, 0)
             assert len(rows) == len(ladder)
-            assert len(calls) == per_replica
+            distinct = {id(idx): len(idx) for idx in stencils}
+            assert len(distinct) == per_replica
+            assert sorted(distinct.values()) == sorted(
+                len(np.unique(c)) for c in columns)
+
+
+def doubled_rule(nodes, weights):
+    """Every node twice, in two orders, with half its weight: whole node
+    pairs repeat."""
+    return np.concatenate([nodes, nodes[::-1]]), \
+        0.5 * np.concatenate([weights, weights[::-1]])
+
+
+class TestPlansAgainstPerNodeOracles:
+    """Each distinct rule time interpolated once, each factor formed once per
+    distinct node pair and broadcast, against per-node references, bit for
+    bit, on rules with and without repeated times; two paths per rule, so
+    the second reads a cached plan."""
+
+    @pytest.fixture(scope="class")
+    def rules(self, quad64, quad_geo):
+        doubled = SimplexQuadrature(*doubled_rule(*astuple(
+            SimplexQuadrature.gauss_legendre(12))))
+        return {"repeated times": quad64, "distinct times": quad_geo,
+                "repeated nodes": doubled}
+
+    @pytest.fixture(scope="class")
+    def rules3(self):
+        rng = np.random.default_rng(5)
+        nodes = np.sort(rng.random((600, 3)), axis=1)
+        return {"repeated times": simplex3_gauss_legendre(10),
+                "distinct times": (nodes, np.full(600, 1.0 / 3600)),
+                "repeated nodes": doubled_rule(*simplex3_gauss_legendre(6))}
+
+    @pytest.mark.parametrize("kind", ["repeated times", "distinct times",
+                                      "repeated nodes"])
+    @pytest.mark.parametrize("d, u", [(2, 0), (2, [0.3, -0.1]),
+                                      (3, [0.2, 0.0, 0.1]),
+                                      (9, np.linspace(-0.2, 0.2, 9))])
+    def test_silt_epsilon(self, rules, kind, d, u):
+        ladder = [0.2, 0.05, 0.01]
+        for stream in range(2):
+            path = sample_path(256, d, 13, stream=stream)
+            got = silt_epsilon(path, np.array(ladder), u, rules[kind])
+            want = silt_epsilon_per_node(path, ladder, _as_offset(u, d),
+                                         rules[kind])
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("kind", ["repeated times", "distinct times",
+                                      "repeated nodes"])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("q_kernel", [None, lambda x, e: np.exp(
+        -np.abs(x).sum(axis=1) / e)], ids=["gaussian", "laplace"])
+    def test_dynkin_T(self, rules, rules3, kind, k, q_kernel):
+        ladder = [0.4, 0.1]
+        phi = lambda *ts: 1.0 + ts[0] * ts[-1]
+        if k == 2:
+            rule = dict(quad=rules[kind])
+            nodes, weights = rules[kind].nodes, rules[kind].weights
+        else:
+            rule = dict(quad3=rules3[kind])
+            nodes, weights = rules3[kind]
+        for stream in range(2):
+            path = sample_path(256, 2, 17, stream=stream)
+            got = dynkin_T(path, k, np.array(ladder), phi, q_kernel=q_kernel,
+                           **rule)
+            assert got.tolist() == dynkin_T_per_node(
+                path, ladder, phi, nodes, weights, q_kernel)
+
+    @pytest.mark.parametrize("kind", ["repeated times", "distinct times",
+                                      "repeated nodes"])
+    @pytest.mark.parametrize("normalization", ["per-factor", "single"])
+    def test_chaos_term(self, rules, kind, normalization):
+        offsets = np.array([[0.3, 0.1, 0.0], [0.05, -0.2, 0.1],
+                            [0.4, 0.0, 0.3]])
+        for stream in range(2):
+            path = sample_path(256, 3, 19, stream=stream)
+            for idx in [(0, 0, 0), (2, 1, 0), (1, 0, 3), (2, 1, 1)]:
+                got = chaos_term(path, idx, offsets, rules[kind], normalization)
+                assert got.tolist() == chaos_term_per_node(
+                    path, idx, offsets, rules[kind], normalization)
+
+    def test_cached_arrays_read_only(self, quad64, quad_geo):
+        _, steps = siltcore._rule_plan(quad64.nodes.tobytes(), 2)
+        nodes, weights = quad_geo.nodes.tobytes(), quad_geo.weights.tobytes()
+        base, factors = siltcore._chaos_plan(
+            nodes, weights, np.array([[0.3, 0.1]]).tobytes(), 2, (2, 1))
+        path = sample_path(64, 2, 1)
+        increment_factor = siltcore._increment_factors(
+            path.times.tobytes(), path.values.tobytes(), nodes)
+        arrays = [*steps[0], base] + [
+            arr for factor in factors for arr in factor[2:]] + [
+            *increment_factor(1, 3), siltcore._symbol_values(
+                lambda s, t: s * t, quad64.nodes.tobytes(), 2)]
+        assert len(arrays) == 11
+        for arr in arrays:
+            assert not arr.flags.writeable
+
+    def test_no_plan_built_at_import(self):
+        # every cache the pathwise tasks fill, empty in a fresh interpreter
+        caches = ("siltcore._rule_plan", "siltcore._chaos_plan",
+                  "siltcore._increment_factors", "siltcore._symbol_values",
+                  "siltcore.dynkin_B", "quadrature._unit_gauss_legendre")
+        code = ("import siltkit.cli\nfrom siltkit import quadrature, siltcore\n"
+                "print(sum(c.cache_info().currsize for c in ["
+                + ", ".join(caches) + "]))")
+        src = os.path.dirname(os.path.dirname(siltkit.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 _BINARY_MAGIC = b"SILTPATH1"

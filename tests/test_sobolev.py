@@ -21,7 +21,8 @@ from siltkit.specfun import SimplexIntegralSpec, simplex_moment_integral
 
 from conftest import axis_offset
 from exact_oracles import collapsed_orders_convolution_loop, \
-    collapsed_orders_gauss_eta, collapsed_orders_ordered_pairs, tensor_norm_sq
+    collapsed_orders_gauss_eta, collapsed_orders_ordered_pairs, \
+    shift_integrals_by_column, tensor_norm_sq
 
 # frozen after the collapsed and tensor 4-d schemes agreed to 1e-3 at K=24
 # (d=4, gamma=-0.5, |u|=0.5); the recorded value is the default collapsed
@@ -214,6 +215,17 @@ class TestClosedFormShiftIntegral:
             exact = mp.quad(integrand, knots, method="gauss-legendre") \
                 * (top / mp.sqrt(t1 * t2)) ** k
             assert abs(value - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("K", [0, 1, 64])
+    def test_order_major_buffer_matches_column_loop(self, K):
+        # the same arithmetic into an order-major buffer, returned transposed
+        rng = np.random.default_rng(K)
+        taus = 2.0 ** (-12 * rng.random((500, 2)))
+        taus[:100] = 0.5 + 0.5 * rng.random((100, 2))  # t1 + t2 > 1
+        got = _shift_integrals(taus[:, 0], taus[:, 1], K)
+        assert got.shape == (500, K + 1)
+        assert np.array_equal(got, shift_integrals_by_column(
+            taus[:, 0], taus[:, 1], K))
 
 
 class TestToeplitzConvolution:
