@@ -359,19 +359,16 @@ def cmd_chaos(config: RunConfig) -> str:
                       "log_abs_term", "bound", "slack"], rows)
 
 
-def _unit_symbol(*ts):  # one object per process: its rule values are cached
-    return np.ones_like(ts[0], dtype=float)
-
-
 def _dynkin_task(config: RunConfig, stream: int) -> list:
     p = config.values
     quad = _triangle_rule(p.quad_order)
     quad3 = _simplex3_rule(p.quad3_order) if p.k == 3 else None
     path = sample_path(p.grid_m, 2, config.seed, stream=stream)
+    one = (lambda *ts: np.ones_like(ts[0], dtype=float))
     scales = np.array(p.eps_ladder)
-    t_vals = dynkin_T(path, p.k, scales, _unit_symbol, quad=quad, quad3=quad3)
-    renorm = dynkin_renormalized_sum(path, p.k, scales, _unit_symbol,
-                                     quad=quad, quad3=quad3, t_top=t_vals)
+    t_vals = dynkin_T(path, p.k, scales, one, quad=quad, quad3=quad3)
+    renorm = dynkin_renormalized_sum(path, p.k, scales, one, quad=quad,
+                                     quad3=quad3, t_top=t_vals)
     return [(stream, eps, t_val, value) for eps, t_val, value
             in zip(p.eps_ladder, t_vals.tolist(), renorm.tolist())]
 

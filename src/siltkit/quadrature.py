@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss  # at import: forked workers inherit it
@@ -45,13 +44,9 @@ class ConvergenceError(RuntimeError):
     """An iterative numerical procedure failed to reach its tolerance."""
 
 
-@lru_cache(maxsize=None)
 def _unit_gauss_legendre(n: int):
-    """n-node Gauss-Legendre rule on [0, 1], once per process, read-only."""
     x, w = leggauss(n)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def geometric_panels(levels: int, order: int):

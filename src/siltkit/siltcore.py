@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -93,32 +93,6 @@ class Path:
         return np.max(np.abs(self.values), axis=0)
 
 
-@lru_cache(maxsize=16)
-def _stencil(times: bytes, t: bytes) -> tuple:
-    """Read-only (cell index, weight) of linear interpolation at the query
-    times t on the grid times, both given as float64 bytes."""
-    times, t = np.frombuffer(times), np.frombuffer(t)
-    idx = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
-    left = times[idx]
-    lam = (t - left) / (times[idx + 1] - left)
-    idx.flags.writeable = lam.flags.writeable = False
-    return idx, lam
-
-
-def _interpolate(values, stencil) -> list:
-    """Per coordinate, the grid values interpolated on a stencil."""
-    idx, lam = stencil
-    upper = idx + 1
-    rows = []
-    for col in values.T:
-        a = col.take(idx)
-        rows.append(a + lam * (col.take(upper) - a))
-    return rows
-
-
-# Per-rule plans: what the path functionals need of a rule alone, built on
-# first use in each process, keyed on the rule's bytes and read-only.
-
 def _read_only(*arrays) -> tuple:
     for arr in arrays:
         arr.flags.writeable = False
@@ -126,10 +100,28 @@ def _read_only(*arrays) -> tuple:
 
 
 @lru_cache(maxsize=16)
+def _stencil(times: bytes, t: bytes) -> tuple:
+    """Read-only (cell index, weight) of linear interpolation at the query
+    times t on the grid times, both given as float64 bytes."""
+    times, t = np.frombuffer(times), np.frombuffer(t)
+    idx = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+    left = times[idx]
+    return _read_only(idx, (t - left) / (times[idx + 1] - left))
+
+
+def _interpolate(values, stencil) -> list:
+    """Per coordinate, the grid values interpolated on a stencil."""
+    idx, lam = stencil
+    upper = idx + 1
+    return [(a := col.take(idx)) + lam * (col.take(upper) - a) for col in values.T]
+
+
+@lru_cache(maxsize=16)
 def _rule_plan(nodes: bytes, k: int) -> tuple:
-    """Of a rule's (N, k) node bytes: each column's distinct times, as
-    stencil keys, and per step from column i to i + 1 the map of the nodes
-    onto the step's distinct time pairs and of those onto each end's times."""
+    """Of a rule's (N, k) node bytes, built on first use and read-only: each
+    column's distinct times, as stencil keys, and per step from column i to
+    i + 1 the map of the nodes onto the step's distinct time pairs and of
+    those onto each end's times."""
     columns = [np.unique(c, return_inverse=True)
                for c in np.frombuffer(nodes).reshape(-1, k).T]
     steps = []
@@ -141,19 +133,17 @@ def _rule_plan(nodes: bytes, k: int) -> tuple:
 
 def _increments(path, plan) -> list:
     """Per plan step and coordinate, w(t_{i+1}) - w(t_i) on distinct pairs."""
-    times = path.times.tobytes()
-    at = [_interpolate(path.values, _stencil(times, t)) for t in plan[0]]
+    at = [_interpolate(path.values, _stencil(path.times.tobytes(), t)) for t in plan[0]]
     return [[b.take(ib) - a.take(ia) for a, b in zip(at[i], at[i + 1])]
             for i, (_, ia, ib) in enumerate(plan[1])]
 
 
 def _squared_norms(rows) -> np.ndarray:
-    """np.sum(inc * inc, axis=-1) of the stacked rows, bit for bit (numpy
-    sums fewer than 8 coordinates in order)."""
-    if len(rows) < 8:
-        return reduce(lambda sq, x: sq + x * x, rows[1:], rows[0] * rows[0])
-    inc = np.column_stack(rows)
-    return np.sum(inc * inc, axis=-1)
+    """np.sum(inc * inc, axis=-1) of the stacked rows; up to two rows it is at
+    most one add, the same bits in any order, without np.sum's slow loop."""
+    if len(rows) <= 2:
+        return sum(r * r for r in rows)
+    return np.sum(np.square(np.column_stack(rows)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -400,10 +390,9 @@ def chaos_term_bound(path: Path, idx, u, szego_c: float = None,
 # Order-k functionals and their renormalization operators
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
 def dynkin_B(k: int, l: int, phi):
     """Sum of phi over monotone surjections {1..k} -> {1..l}, as a function on
-    l arguments (one object per (k, l, phi), so its rule values are cached).
+    l arguments.
 
     Monotone surjections biject with compositions of k into l positive parts
     (the block sizes), so the sum has C(k-1, l-1) terms.
@@ -449,29 +438,25 @@ def dynkin_T(path: Path, k: int, eps, phi, q_kernel=None,
         nodes, weights = quad.nodes, quad.weights
     else:
         nodes, weights = simplex3_gauss_legendre(12) if quad3 is None else quad3
-    key = np.asarray(nodes, dtype=float).tobytes()
-    plan = _rule_plan(key, k)
+    nodes = np.asarray(nodes, dtype=float)
+    plan = _rule_plan(nodes.tobytes(), k)
     args = [np.column_stack(rows) if q_kernel else _squared_norms(rows)
             for rows in _increments(path, plan)]
-    kernel = q_kernel or (lambda sq, e: np.exp(log_gaussian_kernel_batch(
-        sq, 2, e)))  # the Gaussian mollifier, from each squared norm
-    phi_vals = _symbol_values(phi, key, k)
+    kernel = q_kernel or (lambda sq, e: np.exp(log_gaussian_kernel_batch(sq, 2, e)))
+    phi_vals = _eval_symbol(phi, tuple(nodes.T))
     values = np.array([np.dot(weights, phi_vals * math.prod(
         kernel(x, e).take(step[0]) for x, step in zip(args, plan[1])))
         for e in scales.tolist()])
     return float(values[0]) if np.ndim(eps) == 0 else values
 
 
-@lru_cache(maxsize=16)
-def _symbol_values(phi, nodes: bytes, k: int) -> np.ndarray:
-    """A simplex symbol on a rule's (N, k) node bytes, vectorized if it can."""
-    columns = tuple(np.frombuffer(nodes).reshape(-1, k).T)
+def _eval_symbol(phi, columns):
+    """Evaluate a simplex symbol on node columns, vectorized when it can be."""
     try:
-        values = np.broadcast_to(np.asarray(phi(*columns), dtype=float),
-                                 columns[0].shape).copy()
+        return np.broadcast_to(np.asarray(phi(*columns), dtype=float),
+                               columns[0].shape).copy()
     except Exception:
-        values = np.array([float(phi(*point)) for point in zip(*columns)])
-    return _read_only(values)[0]
+        return np.array([float(phi(*point)) for point in zip(*columns)])
 
 
 def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
@@ -501,7 +486,7 @@ def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
         collapsed = phi if l == k else dynkin_B(k, l, phi)
         if l == 1:
             x, w = _unit_gauss_legendre(_LINE_ORDER)
-            term = float(np.dot(w, _symbol_values(collapsed, x.tobytes(), 1)))
+            term = float(np.dot(w, _eval_symbol(collapsed, (x,))))
         elif l == k and t_top is not None:
             term = np.asarray(t_top, dtype=float)
         else:

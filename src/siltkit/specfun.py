@@ -24,7 +24,6 @@ __all__ = [
     "SimplexIntegralSpec",
     "heat_kernel",
     "log_heat_kernel",
-    "gaussian_kernel_batch",
     "log_gaussian_kernel_batch",
     "upper_incomplete_gamma",
     "simplex_moment_integral",
@@ -76,15 +75,6 @@ def log_gaussian_kernel_batch(sq_norms, d, t):
     sq_norms = np.asarray(sq_norms, dtype=float)
     t = np.asarray(t, dtype=float)
     return -0.5 * d * np.log(2.0 * np.pi * t) - sq_norms / (2.0 * t)
-
-
-def gaussian_kernel_batch(offsets, t, d=None):
-    """Heat kernel for an array of offsets with last axis of length ``d``."""
-    offsets = np.asarray(offsets, dtype=float)
-    if d is None:
-        d = offsets.shape[-1]
-    sq = np.sum(offsets * offsets, axis=-1)
-    return np.exp(log_gaussian_kernel_batch(sq, d, t))
 
 
 # ---------------------------------------------------------------------------

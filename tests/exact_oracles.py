@@ -10,7 +10,7 @@ variables only, independent of the package's path-functional code paths.
 
 The rest of the file keeps reference versions of package routines as they
 ran before an optimization (checked against the package with ==), and the
-silt variants and mollifier that only tests use.
+silt variants, heat kernel and mollifier that only tests use.
 """
 
 import heapq
@@ -20,7 +20,7 @@ import numpy as np
 
 from siltkit.quadrature import ConvergenceError, _unit_gauss_legendre
 from siltkit.siltcore import _as_offset, silt_adjustment, silt_epsilon
-from siltkit.specfun import gaussian_kernel_batch, log_gaussian_kernel_batch
+from siltkit.specfun import log_gaussian_kernel_batch
 
 
 def gap_rule(levels=50, order=5):
@@ -586,6 +586,15 @@ def renormalized_2d(path, eps: float, u, quad) -> float:
 def renormalized_3d(path, eps: float, u, quad) -> float:
     """3-d functional minus 1/(2 pi |u|), scaled by log(1/|u|)^(-1/2)."""
     return _renormalized(path, eps, u, quad, 3)
+
+
+def gaussian_kernel_batch(offsets, t, d=None):
+    """Heat kernel for an array of offsets with last axis of length ``d``."""
+    offsets = np.asarray(offsets, dtype=float)
+    if d is None:
+        d = offsets.shape[-1]
+    sq = np.sum(offsets * offsets, axis=-1)
+    return np.exp(log_gaussian_kernel_batch(sq, d, t))
 
 
 def gaussian_mollifier(x, eps: float):

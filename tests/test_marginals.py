@@ -18,11 +18,10 @@ from siltkit.marginals import (
 )
 from siltkit.quadrature import SimplexQuadrature
 from siltkit.rng import stream_generator
-from siltkit.specfun import SimplexIntegralSpec, gaussian_kernel_batch, \
-    simplex_moment_integral
+from siltkit.specfun import SimplexIntegralSpec, simplex_moment_integral
 
 from conftest import axis_offset
-from exact_oracles import marginal_density_q_einsum
+from exact_oracles import gaussian_kernel_batch, marginal_density_q_einsum
 
 
 def exact_projection_residual(s, t, grid):

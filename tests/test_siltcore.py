@@ -33,12 +33,12 @@ from siltkit.siltcore import (
     sample_path,
     silt_epsilon,
 )
-from siltkit.specfun import SimplexIntegralSpec, gaussian_kernel_batch, \
-    log_gaussian_kernel_batch, simplex_moment_integral
+from siltkit.specfun import SimplexIntegralSpec, log_gaussian_kernel_batch, \
+    simplex_moment_integral
 
 from conftest import axis_offset
 from exact_oracles import chaos_term_per_node, dynkin_T_per_node, \
-    gaussian_mollifier, mollified_covariance, mollified_variance, \
+    gaussian_kernel_batch, gaussian_mollifier, mollified_covariance, mollified_variance, \
     path_interpolation_gather, renormalized_2d, renormalized_3d, \
     silt_centered_2d, silt_epsilon_per_node, single_index_second_moment
 
@@ -611,6 +611,28 @@ class TestDynkin:
             0.5 * float(gaussian_mollifier(np.zeros((1, 2)), 0.2)[0]),
             rel=1e-14)
 
+    def test_unhashable_and_stateful_symbols(self, quad64):
+        # the symbol is evaluated on each call: an unhashable callable works,
+        # and one whose output changes between calls is read afresh
+        class Scaled:
+            __hash__ = None
+
+            def __init__(self):
+                self.c = 1.0
+
+            def __call__(self, *ts):
+                return self.c * (1.0 + ts[0] * ts[-1])
+
+        p, phi = sample_path(256, 2, 3), Scaled()
+        first = dynkin_T(p, 2, 0.1, phi, quad=quad64)
+        assert first == dynkin_T(p, 2, 0.1, lambda *ts: 1.0 + ts[0] * ts[-1],
+                                 quad=quad64)
+        assert math.isfinite(dynkin_renormalized_sum(p, 2, 0.1, phi,
+                                                     quad=quad64))
+        phi.c = 2.0
+        assert dynkin_T(p, 2, 0.1, phi, quad=quad64) == pytest.approx(
+            2.0 * first, rel=1e-14)
+
     def test_domain_errors(self, quad64):
         one = lambda *ts: 1.0
         with pytest.raises(ValueError):
@@ -833,18 +855,16 @@ class TestPlansAgainstPerNodeOracles:
             path.times.tobytes(), path.values.tobytes(), nodes)
         arrays = [*steps[0], base] + [
             arr for factor in factors for arr in factor[2:]] + [
-            *increment_factor(1, 3), siltcore._symbol_values(
-                lambda s, t: s * t, quad64.nodes.tobytes(), 2)]
-        assert len(arrays) == 11
+            *increment_factor(1, 3)]
+        assert len(arrays) == 10
         for arr in arrays:
             assert not arr.flags.writeable
 
     def test_no_plan_built_at_import(self):
         # every cache the pathwise tasks fill, empty in a fresh interpreter
         caches = ("siltcore._rule_plan", "siltcore._chaos_plan",
-                  "siltcore._increment_factors", "siltcore._symbol_values",
-                  "siltcore.dynkin_B", "quadrature._unit_gauss_legendre")
-        code = ("import siltkit.cli\nfrom siltkit import quadrature, siltcore\n"
+                  "siltcore._increment_factors")
+        code = ("import siltkit.cli\nfrom siltkit import siltcore\n"
                 "print(sum(c.cache_info().currsize for c in ["
                 + ", ".join(caches) + "]))")
         src = os.path.dirname(os.path.dirname(siltkit.__file__))

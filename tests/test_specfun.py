@@ -12,7 +12,6 @@ from siltkit.specfun import (
     SimplexIntegralSpec,
     calibrate_log_branch_constant,
     calibrate_szego_constant,
-    gaussian_kernel_batch,
     heat_kernel,
     hermite_eval,
     log_heat_kernel,
@@ -24,7 +23,8 @@ from siltkit.specfun import (
     upper_incomplete_gamma,
 )
 
-from exact_oracles import normalized_hermite_log_sign_own_loop
+from exact_oracles import gaussian_kernel_batch, \
+    normalized_hermite_log_sign_own_loop
 
 mp.mp.dps = 40
 
