@@ -49,11 +49,10 @@ from .siltcore import (
     silt_epsilon,
 )
 from .transport import (
-    DegenerateProposalError,
     TransportPlanSpec,
-    empirical_relative_entropy,
     empirical_w2,
     talagrand_bound,
+    theta_relative_entropy,
     weighted_theta_samples,
 )
 
@@ -426,16 +425,16 @@ def cmd_transport(config: RunConfig) -> str:
         u = r * p.u_dir
         m_exact = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=d, u=u))
         bound = talagrand_bound(u, d, n)
-        batch = weighted_theta_samples(u, d, n, config.seed, p.count, quad)
-        entropy = empirical_relative_entropy(batch)
-        w2 = empirical_w2(batch, config.seed, plan)
+        points = weighted_theta_samples(u, d, n, config.seed, p.count, quad)
+        entropy = theta_relative_entropy(u, points, quad)
+        w2 = empirical_w2(points, config.seed, plan)
         rows.append((d, n, r, m_exact, bound.kappa_n, bound.entropy, bound.value,
                      entropy.value, entropy.stderr, w2.value, w2.stderr,
-                     batch.ess, int(bound.vacuous)))
+                     int(bound.vacuous)))
     return write_csv(config, "transport.csv",
                      ["d", "n", "u_norm", "m", "kappa", "entropy_bound",
                       "talagrand_bound", "H_mc", "H_se", "w2_mc", "w2_se",
-                      "ess", "vacuous_flag"], rows)
+                      "vacuous_flag"], rows)
 
 
 def cmd_capacity(config: RunConfig) -> str:
@@ -568,7 +567,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ConvergenceError, DegenerateProposalError) as exc:
+    except ConvergenceError as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         return NONCONVERGENCE_EXIT
     print(path)

@@ -14,10 +14,16 @@ The entropy side has a closed upper bound
 where m is the total mass of the marginal intersection measure and sigma^2
 the projection residual variance; the integrand's logarithmic singularities
 sit on the grid lines, so it is integrated by the adaptive cell refinement.
-This module also carries the empirical side: self-normalized importance
-samples of the normalized intersection marginal, a Monte Carlo relative
-entropy estimate, and an entropic-regularization optimal transport solver
-with two-level Richardson debiasing for the squared Wasserstein distance.
+The empirical side draws the normalized intersection marginal theta
+exactly.  Its density with respect to the Brownian marginal is q/m, and on a
+quadrature rule q is a weighted sum over nodes of Gaussian kernels of
+c . dX - u at variance sigma^2, with c = n alpha and dX the grid increments.
+As sigma^2 + |c|^2 / n = t - s at every node, theta is then a finite Gaussian
+mixture: pick a node with probability proportional to w p_{t-s}(u), and
+condition the increments on c . dX + xi = u, xi ~ N(0, sigma^2), by
+Matheron's update.  The draws feed a Monte Carlo relative entropy (the mean
+of log(q/m)) and an entropic-regularization optimal transport solver with
+two-level Richardson debiasing for the squared Wasserstein distance.
 """
 
 from __future__ import annotations
@@ -37,9 +43,7 @@ from .specfun import SimplexIntegralSpec, log_gaussian_kernel_batch, \
 
 __all__ = [
     "ConvergenceError",
-    "DegenerateProposalError",
     "TransportPlanSpec",
-    "WeightedSampleBatch",
     "TalagrandBound",
     "EntropyEstimate",
     "W2Estimate",
@@ -50,9 +54,7 @@ __all__ = [
     "entropy_bound",
     "talagrand_bound",
     "weighted_theta_samples",
-    "systematic_resample",
-    "relative_entropy_terms",
-    "empirical_relative_entropy",
+    "theta_relative_entropy",
     "sinkhorn_log",
     "entropic_w2",
     "empirical_w2",
@@ -61,14 +63,9 @@ __all__ = [
 # stream ids so that one master seed drives independent sampling stages
 _STREAM_PROPOSAL = 1
 _STREAM_REFERENCE = 2
-_STREAM_RESAMPLE = 3
 
 _SIGMA2_MAX_REFINEMENTS = 60000
 _SINKHORN_ABSORB_EVERY = 20
-
-
-class DegenerateProposalError(RuntimeError):
-    """All importance weights vanished numerically."""
 
 
 @dataclass(frozen=True)
@@ -86,16 +83,6 @@ class TransportPlanSpec:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass(frozen=True)
-class WeightedSampleBatch:
-    """Self-normalized importance sample of the normalized marginal measure."""
-
-    points: np.ndarray       # (count, n, d)
-    weights: np.ndarray      # normalized, sum to 1
-    raw_mean: float          # mean of q/m before normalization (-> 1)
-    ess: float               # 1 / sum of squared normalized weights
 
 
 @dataclass(frozen=True)
@@ -192,6 +179,9 @@ def entropy_bound(u, d: int, n: int) -> float:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     spec = SimplexIntegralSpec(alpha=0.0, d=d, u=u)
     m = simplex_moment_integral(spec)
+    if not m > 0:
+        raise ValueError(f"the intersection mass m underflows to 0 at "
+                         f"|u|={np.linalg.norm(u):.3g}")
     e_log = log_sigma2_integral(u, d, n)
     return -math.log(2.0 * m * (2.0 * math.pi) ** (0.5 * d)) \
         - 0.5 * d / m * e_log
@@ -211,56 +201,54 @@ def talagrand_bound(u, d: int, n: int) -> TalagrandBound:
 
 
 # ---------------------------------------------------------------------------
-# Empirical side: importance sampling and entropy estimate
+# Empirical side: exact draws of theta and the entropy estimate
 # ---------------------------------------------------------------------------
 
 def weighted_theta_samples(u, d: int, n: int, seed: int, count: int,
-                           quad: SimplexQuadrature) -> WeightedSampleBatch:
-    """Draw from the Brownian marginal and weight by density ratio q/m."""
+                           quad: SimplexQuadrature) -> np.ndarray:
+    """Exact draws of the grid values under theta, shape (count, n, d).
+
+    The name predates the exact sampler; perfbench's tracer binds the
+    function by it.  Node k is picked with
+    probability proportional to w_k p_{t-s}(u); with Z ~ N(0, I/n) and
+    xi ~ N(0, sigma^2 I_d), the increments are Z + (c / (n (t - s)))
+    (u - c . Z - xi), the law of Z given c . Z + xi = u.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    grid = TimeGrid.make_uniform(n)
-    points = sample_mu_n(n, d, seed, count, stream=_STREAM_PROPOSAL)
-    q = marginal_density_q_batch(u, grid, points, quad)
-    m = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=d, u=u))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        raw = q / m  # m can underflow to 0 for far offsets; caught below
-    total = float(np.sum(raw))
-    if not total > 0:
-        raise DegenerateProposalError(
-            f"all {count} importance weights vanished at |u|={np.linalg.norm(u):.3g}"
-        )
-    weights = raw / total
-    ess = 1.0 / float(np.sum(weights * weights))
-    return WeightedSampleBatch(points=points, weights=weights,
-                               raw_mean=total / count, ess=ess)
+    s, t = quad.nodes[:, 0], quad.nodes[:, 1]
+    alpha, sigma2 = grid_overlaps(s, t, TimeGrid.make_uniform(n))
+    log_p = np.log(quad.weights) + log_gaussian_kernel_batch(float(u @ u), d,
+                                                            t - s)
+    p = np.exp(log_p - log_p.max())
+    gen = stream_generator(seed, _STREAM_PROPOSAL)
+    k = gen.choice(len(p), size=count, p=p / p.sum())
+    c = n * alpha[k]
+    z = gen.standard_normal((count, n, d)) / math.sqrt(n)
+    xi = gen.standard_normal((count, d)) * np.sqrt(sigma2[k])[:, None]
+    miss = u - np.einsum("kj,kjd->kd", c, z) - xi
+    gain = c / (n * (t - s)[k, None])
+    return np.cumsum(z + gain[:, :, None] * miss[:, None, :], axis=1)
 
 
-def systematic_resample(weights, count: int, seed: int,
-                        stream: int = _STREAM_RESAMPLE) -> np.ndarray:
-    """Systematic resampling indices: one uniform offset, count strata."""
-    weights = np.asarray(weights, dtype=float)
-    gen = stream_generator(seed, stream)
-    positions = (np.arange(count) + gen.uniform()) / count
-    return np.searchsorted(np.cumsum(weights), positions).clip(0, len(weights) - 1)
-
-
-def relative_entropy_terms(ratios: np.ndarray) -> np.ndarray:
-    """x log x applied to density ratios, with 0 log 0 = 0."""
-    ratios = np.asarray(ratios, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(ratios > 0, ratios * np.log(ratios), 0.0)
-
-
-def empirical_relative_entropy(batch: WeightedSampleBatch) -> EntropyEstimate:
-    """Monte Carlo E[(q/m) log(q/m)] under the Brownian marginal, from a batch."""
-    count = len(batch.points)
+def theta_relative_entropy(u, points: np.ndarray,
+                           quad: SimplexQuadrature) -> EntropyEstimate:
+    """Relative entropy of theta to the Brownian marginal: the mean of
+    log(q/m) over theta draws of shape (count, n, d), with its standard error.
+    """
+    count, n, d = points.shape
     if count < 2:
         raise ValueError(f"count must be >= 2 for a standard error, got {count}")
-    raw = batch.weights * (batch.raw_mean * count)  # back to unnormalized q/m
-    h = relative_entropy_terms(raw)
-    value = float(np.mean(h))
-    stderr = float(np.std(h, ddof=1) / math.sqrt(count))
-    return EntropyEstimate(value=value, stderr=stderr)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    q = marginal_density_q_batch(u, TimeGrid.make_uniform(n), points, quad)
+    m = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=d, u=u))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ratio = np.log(q / m)
+    if not np.isfinite(log_ratio).all():
+        raise ValueError(f"log(q/m) is not finite at "
+                         f"|u|={np.linalg.norm(u):.3g}: q or m underflows")
+    return EntropyEstimate(value=float(np.mean(log_ratio)),
+                           stderr=float(np.std(log_ratio, ddof=1)
+                                        / math.sqrt(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,23 +369,22 @@ def entropic_w2(x: np.ndarray, y: np.ndarray, plan: TransportPlanSpec):
     return 2.0 * c1 - c2, max(err1, err2), it1 + it2
 
 
-def empirical_w2(batch: WeightedSampleBatch, seed: int,
+def empirical_w2(points: np.ndarray, seed: int,
                  plan: TransportPlanSpec) -> W2Estimate:
     """Squared Wasserstein distance between the normalized marginal
     intersection measure and the Brownian marginal, from samples.
 
-    The intersection side is the importance batch resampled to uniform
-    weights; the Brownian side is an independent draw.  ``seed`` is the
-    batch's master seed; resampling and the draw use streams of their own.
-    The error bar is half the gap between two disjoint half-batch estimates.
+    The intersection side is the theta draws ``points``, shape
+    (count, n, d), as they are; the Brownian side is as many independent
+    draws from a stream of the master seed ``seed``.  The error bar is half
+    the gap between two disjoint half-batch estimates.
     """
-    count, n, d = batch.points.shape
+    count, n, d = points.shape
     if not 2 <= count <= 5000:
         raise ValueError(f"count must be in 2..5000 at desk scale, got {count}")
     if d * n > 16:
         raise ValueError(f"flattened dimension d*n capped at 16, got {d * n}")
-    idx = systematic_resample(batch.weights, count, seed)
-    theta_cloud = batch.points[idx].reshape(count, n * d)
+    theta_cloud = points.reshape(count, n * d)
     mu_cloud = sample_mu_n(n, d, seed, count, stream=_STREAM_REFERENCE)
     mu_cloud = mu_cloud.reshape(count, n * d)
     value, err, iters = entropic_w2(theta_cloud, mu_cloud, plan)

@@ -38,7 +38,6 @@ from siltkit.specfun import (
 )
 from siltkit.transport import (
     TransportPlanSpec,
-    empirical_relative_entropy,
     empirical_w2,
     entropic_w2,
     entropy_bound,
@@ -46,6 +45,7 @@ from siltkit.transport import (
     hessian_matrix_diagonals,
     kappa,
     talagrand_bound,
+    theta_relative_entropy,
     weighted_theta_samples,
 )
 
@@ -282,8 +282,8 @@ def test_11_entropy_chain(quad64):
     for r in (0.2, 0.5):
         u = axis_offset(r, 4)
         for n in (1, 2):
-            estimate = empirical_relative_entropy(
-                weighted_theta_samples(u, 4, n, 1111, 4000, quad64))
+            estimate = theta_relative_entropy(
+                u, weighted_theta_samples(u, 4, n, 1111, 4000, quad64), quad64)
             bound = entropy_bound(u, 4, n)
             assert estimate.value >= -3 * estimate.stderr, (r, n, estimate)
             assert bound >= 0, (r, n, bound)

@@ -343,6 +343,25 @@ class TestCommands:
                         "--quad-levels", "12", "--max-iter", "3",
                         "--tol", "1e-13"]) == 3
 
+    def test_transport_entropy_within_bound_off_small_offsets(self, tmp_path):
+        out = str(tmp_path)
+        assert run_cli(["transport", "--out", out, "--u-norms", "5",
+                        "--reg", "1.0", "--count", "500"]) == 0
+        _, header, rows = read_rows(os.path.join(out, "transport.csv"))
+        assert header == ["d", "n", "u_norm", "m", "kappa", "entropy_bound",
+                          "talagrand_bound", "H_mc", "H_se", "w2_mc", "w2_se",
+                          "vacuous_flag"]
+        row = dict(zip(header, rows[0]))
+        assert 0 < float(row["H_mc"]) < float(row["entropy_bound"])
+
+    def test_transport_far_offset_is_domain_error(self, tmp_path, capsys):
+        # m underflows to 0 at |u| = 60
+        assert run_cli(["transport", "--out", str(tmp_path), "--u-norms", "60",
+                        "--count", "50", "--quad-levels", "12"]) == 2
+        err = capsys.readouterr().err
+        assert "|u|=60" in err and "underflows" in err
+        assert not os.path.exists(os.path.join(tmp_path, "transport.csv"))
+
     def test_capacity_guards(self, tmp_path):
         assert run_cli(["capacity", "--out", str(tmp_path),
                         "--gamma", "0"]) == 2

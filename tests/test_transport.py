@@ -5,16 +5,16 @@ import pytest
 from scipy.integrate import dblquad
 from scipy.linalg import eigh_tridiagonal
 
-from siltkit.marginals import TimeGrid
+from siltkit.marginals import TimeGrid, grid_overlaps, \
+    marginal_density_q_batch, sample_mu_n
 from siltkit.quadrature import ConvergenceError, SimplexQuadrature, \
     adaptive_partition_integral
 from siltkit.rng import stream_generator
 from siltkit import transport
-from siltkit.specfun import log_gaussian_kernel_batch
+from siltkit.specfun import SimplexIntegralSpec, log_gaussian_kernel_batch, \
+    simplex_moment_integral
 from siltkit.transport import (
-    DegenerateProposalError,
     TransportPlanSpec,
-    empirical_relative_entropy,
     empirical_w2,
     entropic_w2,
     entropy_bound,
@@ -22,15 +22,14 @@ from siltkit.transport import (
     hessian_matrix_diagonals,
     kappa,
     log_sigma2_integral,
-    relative_entropy_terms,
     sinkhorn_log,
-    systematic_resample,
     talagrand_bound,
+    theta_relative_entropy,
     weighted_theta_samples,
 )
 
 from conftest import axis_offset
-from exact_oracles import adaptive_partition_integral_per_box, \
+from exact_oracles import _overlap, adaptive_partition_integral_per_box, \
     sinkhorn_log_temporaries
 
 # frozen after the two independent quadrature schemes agreed to 1e-4
@@ -180,55 +179,104 @@ class TestTalagrandBound:
         assert all(a < b for a, b in zip(values[:-1], values[1:]))
 
 
+def rule_mixture_probabilities(quad, r, d):
+    """Node probabilities w_k p_{t-s}(u) / sum, in the log domain."""
+    gap = quad.nodes[:, 1] - quad.nodes[:, 0]
+    log_p = np.log(quad.weights) - 0.5 * d * np.log(2 * np.pi * gap) \
+        - r * r / (2 * gap)
+    p = np.exp(log_p - log_p.max())
+    return p / p.sum(), gap
+
+
+@pytest.fixture(scope="module")
+def quad_transport():
+    """The rule `transport` runs on at its default --quad-levels."""
+    return SimplexQuadrature.geometric_diagonal(36, 4, 12)
+
+
+class TestThetaSampler:
+    """Exact theta draws against closed forms taken from the rule's nodes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_residual_plus_projection_is_gap(self, quad64, quad_transport, n):
+        for quad in (quad64, quad_transport):
+            s, t = quad.nodes[:, 0], quad.nodes[:, 1]
+            lo = np.arange(n) / n
+            c = n * _overlap(s[:, None], t[:, None], lo, lo + 1.0 / n)
+            _, sigma2 = grid_overlaps(s, t, TimeGrid.make_uniform(n))
+            np.testing.assert_allclose(sigma2 + np.sum(c * c, axis=1) / n,
+                                       t - s, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("u", [(0.3, 0, 0, 0), (1, -1, 1, 1), (5, 0, 0, 0)],
+                             ids=["0.3", "2", "5"])
+    def test_moments_match_rule_mixture(self, quad64, quad_transport, u):
+        d, count = 4, 200_000
+        u = np.array(u, dtype=float)
+        r = float(np.linalg.norm(u))
+        for seed, quad in ((41, quad_transport), (42, quad64)):
+            p, gap = rule_mixture_probabilities(quad, r, d)
+            points = weighted_theta_samples(u, d, 2, seed, count, quad)
+            assert points.shape == (count, 2, d)
+            for values, want in ((points[:, -1], u), (points[:, 0], u / 2)):
+                se = values.std(axis=0, ddof=1) / math.sqrt(count)
+                assert np.all(np.abs(values.mean(axis=0) - want) <= 4 * se), \
+                    (r, values.mean(axis=0), want, se)
+            sq = np.sum(points[:, -1] ** 2, axis=1)
+            want = float(p @ (r * r + d * (1.0 - gap)))
+            se = sq.std(ddof=1) / math.sqrt(count)
+            assert abs(sq.mean() - want) <= 4 * se, (r, sq.mean(), want, se)
+
+
 class TestImportanceSampling:
+    """theta against the Brownian marginal, through the density ratio q/m."""
+
     def test_raw_mean_near_one(self, quad64):
-        batch = weighted_theta_samples(axis_offset(0.3, 4), 4, 2, 99, 4000,
-                                       quad64)
-        se = float(np.std(batch.weights * batch.raw_mean * 4000, ddof=1)
-                   / math.sqrt(4000))
-        assert abs(batch.raw_mean - 1.0) <= 3 * se
-        assert 0 < batch.ess <= 4000
-
-    def test_equal_weights_full_ess(self):
-        weights = np.full(250, 1.0 / 250)
-        assert 1.0 / np.sum(weights ** 2) == pytest.approx(250.0)
-
-    def test_resampling_preserves_weighted_mean(self, quad64):
-        u = axis_offset(0.35, 4)
-        batch = weighted_theta_samples(u, 4, 2, 11, 3000, quad64)
-        stat = batch.points[:, -1, 0] ** 2  # a fixed test function
-        weighted = float(batch.weights @ stat)
-        idx = systematic_resample(batch.weights, 3000, 11)
-        resampled = stat[idx]
-        se = float(np.std(resampled, ddof=1) / math.sqrt(len(resampled)))
-        assert abs(float(np.mean(resampled)) - weighted) <= 3 * se
-
-    def test_degenerate_proposal_raises(self, quad64):
-        # an offset far outside the proposal's range underflows every weight
-        with pytest.raises(DegenerateProposalError):
-            weighted_theta_samples(axis_offset(60.0, 4), 4, 2, 3, 200, quad64)
-
-    def test_entropy_terms_degenerate_sanity(self):
-        assert np.all(relative_entropy_terms(np.ones(16)) == 0.0)
-        assert relative_entropy_terms(np.zeros(4)).tolist() == [0, 0, 0, 0]
+        # E_mu[q/m] = 1, and theta draws agree with the q/m-weighted Brownian
+        # draws on a fixed test function
+        u, count = axis_offset(0.3, 4), 4000
+        mu = sample_mu_n(2, 4, 99, count)
+        raw = marginal_density_q_batch(u, TimeGrid.make_uniform(2), mu, quad64) \
+            / simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=4, u=u))
+        se = float(np.std(raw, ddof=1) / math.sqrt(count))
+        assert abs(float(np.mean(raw)) - 1.0) <= 3 * se
+        weights = raw / raw.sum()
+        stat = mu[:, -1, 0] ** 2
+        weighted = float(weights @ stat)
+        weighted_se = math.sqrt(float(weights ** 2 @ (stat - weighted) ** 2))
+        drawn = weighted_theta_samples(u, 4, 2, 99, count, quad64)[:, -1, 0] ** 2
+        drawn_se = float(np.std(drawn, ddof=1) / math.sqrt(count))
+        assert abs(float(np.mean(drawn)) - weighted) \
+            <= 3 * math.hypot(weighted_se, drawn_se)
 
     def test_entropy_nonnegative_and_below_bound(self, quad64):
         for r in (0.2, 0.5):
             u = axis_offset(r, 4)
             for n in (1, 2):
-                est = empirical_relative_entropy(
-                    weighted_theta_samples(u, 4, n, 2024, 3000, quad64))
+                est = theta_relative_entropy(
+                    u, weighted_theta_samples(u, 4, n, 2024, 3000, quad64),
+                    quad64)
                 bound = entropy_bound(u, 4, n)
                 assert est.value >= -3 * est.stderr
                 assert est.value <= bound + 3 * est.stderr
 
     def test_entropy_deterministic_given_seed(self, quad64):
         u = axis_offset(0.3, 4)
-        a = empirical_relative_entropy(
-            weighted_theta_samples(u, 4, 2, 5, 500, quad64))
-        b = empirical_relative_entropy(
-            weighted_theta_samples(u, 4, 2, 5, 500, quad64))
+        first = weighted_theta_samples(u, 4, 2, 5, 500, quad64)
+        second = weighted_theta_samples(u, 4, 2, 5, 500, quad64)
+        assert np.array_equal(first, second)
+        a = theta_relative_entropy(u, first, quad64)
+        b = theta_relative_entropy(u, second, quad64)
         assert a.value == b.value and a.stderr == b.stderr
+
+    def test_non_finite_log_ratio_refused(self, quad64):
+        # at |u| = 30, m is about 5e-203 and q(0) underflows to 0
+        with pytest.raises(ValueError, match=r"not finite at \|u\|=30"):
+            theta_relative_entropy(axis_offset(30.0, 4), np.zeros((4, 2, 4)),
+                                   quad64)
+
+    def test_mass_underflow_refused(self):
+        with pytest.raises(ValueError, match=r"underflows to 0 at \|u\|=60"):
+            entropy_bound(axis_offset(60.0, 4), 4, 2)
 
 
 class TestEntropicTransport:
@@ -386,7 +434,7 @@ class TestEntropicTransport:
         with pytest.raises(ValueError):  # a one-sample batch has no halves
             empirical_w2(one, 1, plan)
         with pytest.raises(ValueError):  # ... and no standard error
-            empirical_relative_entropy(one)
+            theta_relative_entropy(u, one, quad64)
 
     def test_end_to_end_below_talagrand(self, quad64):
         u = axis_offset(0.3, 4)
