@@ -4,28 +4,23 @@ __version__ = "0.1.0"
 
 from .quadrature import ConvergenceError, SimplexQuadrature
 from .specfun import (
-    KernelPoint,
     SimplexIntegralSpec,
-    heat_kernel,
     hermite_eval,
     simplex_moment_asymptotic,
     simplex_moment_integral,
     upper_incomplete_gamma,
 )
-from .siltcore import MultiIndex, Path, sample_path, silt_epsilon
+from .siltcore import Path, sample_path, silt_epsilon
 
 __all__ = [
     "__version__",
     "ConvergenceError",
     "SimplexQuadrature",
-    "KernelPoint",
     "SimplexIntegralSpec",
-    "heat_kernel",
     "hermite_eval",
     "simplex_moment_asymptotic",
     "simplex_moment_integral",
     "upper_incomplete_gamma",
-    "MultiIndex",
     "Path",
     "sample_path",
     "silt_epsilon",

@@ -92,9 +92,13 @@ def comma_list(convert):
 
 
 def parse_norm_list(text: str) -> list:
-    """Offset-norm sweeps: '2^-2..2^-7' (dyadic range) or '0.5,0.25' or ''."""
+    """Offset-norm sweeps: '2^-2..2^-7' (dyadic range) or '0.5,0.25' or '';
+    every norm positive."""
     if ".." not in text:
-        return [_float(v) for v in text.split(",") if v.strip()]
+        norms = [_float(v) for v in text.split(",") if v.strip()]
+        if not all(r > 0 for r in norms):
+            raise UsageError(f"must be positive, got {text!r}")
+        return norms
     try:
         a, b = (int(e.strip()[2:]) for e in text.split("..", 1)
                 if e.strip().startswith("2^"))
@@ -293,8 +297,7 @@ def cmd_silt(config: RunConfig) -> str:
     results = parallel_map(partial(_silt_task, config), range(replicas),
                            config.workers)
     rows = [("point",) + row for chunk in results for row in chunk]
-    # Streit-type rate experiment: variance of D_eps = L(eps) - L(next eps)
-    # across replicas, regressed against eps on the log scale
+    # variance of D_eps = L(eps) - L(next eps) across replicas
     if p.dim == 2 and u_norm == 0 and len(eps_ladder) >= 3 and replicas >= 8:
         table = {}
         for chunk in results:
@@ -305,11 +308,8 @@ def cmd_silt(config: RunConfig) -> str:
             diffs = [table[(i, eps_hi)] - table[(i, eps_lo)]
                      for i in range(replicas)]
             variances.append((eps_hi, float(np.var(diffs, ddof=1))))
-        slope = float(np.polyfit([math.log(e) for e, _ in variances],
-                                 [math.log(v) for _, v in variances], 1)[0])
         rows.extend(("rate_var", -1, eps, u_norm, v, v, "centered2d")
                     for eps, v in variances)
-        rows.append(("rate_fit", -1, 0.0, u_norm, slope, slope, "centered2d"))
     return write_csv(config, "silt.csv",
                      ["row_type", "replica", "eps", "u_norm", "raw", "adjusted",
                       "mode"], rows)
@@ -478,7 +478,8 @@ COMMANDS = {
         "x_max": (_float, "8"), "x_count": (_int, "81"), "alpha": (_float, "0.25"),
         "c": (lambda text: None if text == "auto" else _float(text), "auto")}),
     "silt": (cmd_silt, {
-        "dim": (_int, "2"), "grid_m": (_int, "2048"), "replicas": (_int, "100"),
+        "dim": (_int, "2"), "grid_m": (_int, "2048"),
+        "replicas": (number(int, lo=1), "100"),
         "eps_ladder": (parse_eps_ladder, "0.2,0.1,0.05,0.025"),
         "u_norm": (number(float, lo=0), "0"), "u_dir": (parse_direction, "1,0"),
         "quad_order": (_int, "128")}),
@@ -491,7 +492,8 @@ COMMANDS = {
         "quad_order_gap": (_int, "4"), "quad_order_pos": (_int, "12")}),
     "dynkin": (cmd_dynkin, {
         "k": (number(int, lo=2, hi=3), "3"), "grid_m": (_int, "2048"),
-        "replicas": (_int, "8"), "eps_ladder": (parse_eps_ladder, "0.4,0.2,0.1"),
+        "replicas": (number(int, lo=1), "8"),
+        "eps_ladder": (parse_eps_ladder, "0.4,0.2,0.1"),
         "quad_order": (_int, "64"), "quad3_order": (_int, "32")}),
     "marginal": (cmd_marginal, {  # the standard error needs two samples
         "dim": (_int, "4"), "n": (_int, "2"), "count": (number(int, lo=2), "10000"),

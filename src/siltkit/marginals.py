@@ -8,10 +8,11 @@ alpha_j = |[s,t] cap [t_{j-1}, t_j]| and the remainder variance is
     sigma^2 = (t - s) - sum_j alpha_j^2 / (t_j - t_{j-1}),
 
 the squared L^2 distance from the indicator of [s, t] to the span of the cell
-indicators.  Everything else here is built from that decomposition: the
-conditional Gaussian kernel, the density q of the marginal intersection
-measure with respect to the Brownian marginal (a triangle integral of the
-conditional kernel at eps = 0), and samplers for the Brownian marginal.
+indicators.  The density q of the marginal intersection measure with respect
+to the Brownian marginal is built from that decomposition: a triangle
+integral of the Gaussian kernel at variance sigma^2 of the projected
+increment minus u (the conditional kernel at eps = 0).  A sampler for the
+Brownian marginal completes the module.
 """
 
 from __future__ import annotations
@@ -22,21 +23,15 @@ import numpy as np
 
 from .quadrature import SimplexQuadrature, interval_overlap
 from .rng import stream_generator
-from .specfun import log_gaussian_kernel_batch
 
 __all__ = [
     "TimeGrid",
-    "OverlapDecomposition",
     "grid_overlaps",
-    "overlap_decomposition",
-    "conditional_kernel",
-    "marginal_density_q",
     "marginal_density_q_batch",
     "sample_mu_n",
 ]
 
 SINGULAR_VARIANCE = 1e-12
-SINGULAR_ARGUMENT = 1e-6
 _JITTER = 1e-7
 _CHUNK = 512
 
@@ -71,16 +66,6 @@ class TimeGrid:
         return cls(t=np.linspace(0.0, 1.0, n + 1), uniform=True)
 
 
-@dataclass(frozen=True)
-class OverlapDecomposition:
-    """Overlap lengths and residual variance of one increment against a grid."""
-
-    alpha: np.ndarray
-    sigma2: float
-    s: float
-    t: float
-
-
 def grid_overlaps(s, t, grid: TimeGrid):
     """alpha rows for arrays of (s, t); returns (alpha, sigma2) batched."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -90,42 +75,6 @@ def grid_overlaps(s, t, grid: TimeGrid):
     sigma2 = (t - s) - np.sum(alpha * alpha / grid.cell_lengths[None, :], axis=1)
     sigma2 = np.clip(sigma2, 0.0, t - s)  # cancellation can leave tiny negatives
     return alpha, sigma2
-
-
-def overlap_decomposition(s: float, t: float, grid: TimeGrid) -> OverlapDecomposition:
-    """Projection data of the increment over [s, t] onto the grid increments."""
-    if not 0.0 <= s < t <= 1.0:
-        raise ValueError(f"need 0 <= s < t <= 1, got s={s}, t={t}")
-    alpha, sigma2 = grid_overlaps(s, t, grid)
-    return OverlapDecomposition(alpha=alpha[0], sigma2=float(sigma2[0]), s=s, t=t)
-
-
-def _point_values(x, grid_n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != grid_n:
-        raise ValueError(f"expected grid values of shape ({grid_n}, d), got {x.shape}")
-    return x
-
-
-def conditional_kernel(s: float, t: float, grid: TimeGrid, eps: float, u,
-                       x) -> float:
-    """Conditional expectation of the eps-kernel of w(t) - w(s) - u given the
-    grid values: a Gaussian kernel at variance eps + sigma^2 evaluated at the
-    projected increment minus u."""
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    dec = overlap_decomposition(s, t, grid)
-    x = _point_values(x, grid.n)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    increments = np.diff(np.vstack([np.zeros((1, x.shape[1])), x]), axis=0)
-    arg = (dec.alpha / grid.cell_lengths) @ increments - u
-    variance = eps + dec.sigma2
-    if variance == 0.0:
-        if float(np.linalg.norm(arg)) == 0.0:
-            raise ValueError("degenerate kernel: zero variance at zero argument")
-        return 0.0
-    sq = float(np.dot(arg, arg))
-    return float(np.exp(log_gaussian_kernel_batch(sq, x.shape[1], variance)))
 
 
 def _effective_nodes(grid: TimeGrid, quad: SimplexQuadrature):
@@ -209,12 +158,6 @@ def marginal_density_q_batch(u, grid: TimeGrid, points: np.ndarray,
         with np.errstate(under="ignore"):
             out[lo:lo + _CHUNK] = w @ np.exp(sq, out=sq)
     return out
-
-
-def marginal_density_q(u, grid: TimeGrid, x, quad: SimplexQuadrature) -> float:
-    """Density of the marginal intersection measure at one point."""
-    x = _point_values(x, grid.n)
-    return float(marginal_density_q_batch(u, grid, x[None], quad)[0])
 
 
 def sample_mu_n(n: int, d: int, seed: int, count: int, stream: int = 0) -> np.ndarray:

@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 
+_ADAPTIVE_ORDER = 8  # Gauss-Legendre nodes per side of an adaptive box
+_MIN_WIDTH = 1e-14
+
+
 class ConvergenceError(RuntimeError):
     """An iterative numerical procedure failed to reach its tolerance."""
 
@@ -98,15 +102,6 @@ class SimplexQuadrature:
 
     def __len__(self):
         return len(self.weights)
-
-    @property
-    def gaps(self) -> np.ndarray:
-        """t - s per node."""
-        return self.nodes[:, 1] - self.nodes[:, 0]
-
-    def integrate(self, f) -> float:
-        """Apply the rule to a vectorized integrand f(s, t)."""
-        return float(np.dot(self.weights, f(self.nodes[:, 0], self.nodes[:, 1])))
 
     @classmethod
     def gauss_legendre(cls, n_a: int = 64) -> "SimplexQuadrature":
@@ -203,9 +198,7 @@ def _boxes_apply(f, items, gl) -> list:
 
 
 def adaptive_partition_integral(f, cells, rel_tol: float = 1e-6,
-                                base_order: int = 8,
-                                max_refinements: int = 40000,
-                                min_width: float = 1e-14) -> float:
+                                max_refinements: int = 40000) -> float:
     """Greedy adaptive integral of a vectorized f(s, t) over starting cells.
 
     Each parameter box is scored by comparing its one-panel estimate against
@@ -213,15 +206,16 @@ def adaptive_partition_integral(f, cells, rel_tol: float = 1e-6,
     direction, so refinement toward edge singularities grades the boxes
     anisotropically instead of exploding a quadtree along the edge.  Boxes
     are split worst-first until the summed scores fall under rel_tol times
-    the running total (or the width floor is reached).  Ties break on
-    insertion order, so the result is deterministic.
+    the running total; a box narrower than _MIN_WIDTH on a side scores 0, so
+    it is never split.  Ties break on insertion order, so the result is
+    deterministic.
 
     f is called on concatenated batches of boxes: once for every starting
     cell's box and its four halves, then once per split for the four halves
     of each of the two children.  A child's one-panel estimate is the half
     estimate its parent already holds.
     """
-    gl = _unit_gauss_legendre(base_order)
+    gl = _unit_gauss_legendre(_ADAPTIVE_ORDER)
 
     def halves(box):  # the two bisections in a, then the two in b
         lo_a, hi_a, lo_b, hi_b = box
@@ -243,8 +237,7 @@ def adaptive_partition_integral(f, cells, rel_tol: float = 1e-6,
         else:
             pick, err = slice(2, 4), err_b
         children, value = list(zip(halves(box)[pick], fine[pick])), sum(fine[pick])
-        narrow = (box[1] - box[0]) < min_width or (box[3] - box[2]) < min_width
-        if narrow:
+        if min(box[1] - box[0], box[3] - box[2]) < _MIN_WIDTH:
             err = 0.0
         total += value
         err_total += err

@@ -34,7 +34,6 @@ from .specfun import (
 
 __all__ = [
     "Path",
-    "MultiIndex",
     "sample_path",
     "silt_epsilon",
     "centering_constant_2d",
@@ -146,29 +145,6 @@ def _squared_norms(rows) -> np.ndarray:
     return np.sum(np.square(np.column_stack(rows)), axis=-1)
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Non-negative integer exponents, one per coordinate; order is their sum."""
-
-    n: tuple
-
-    def __post_init__(self):
-        n = tuple(int(v) for v in np.atleast_1d(self.n))
-        object.__setattr__(self, "n", n)
-        if any(v < 0 for v in n) or len(n) == 0:
-            raise ValueError("multi-index entries must be non-negative integers")
-
-    @property
-    def order(self) -> int:
-        return sum(self.n)
-
-    def __len__(self):
-        return len(self.n)
-
-    def __iter__(self):
-        return iter(self.n)
-
-
 def sample_path(m: int, d: int, seed: int, stream: int = 0) -> Path:
     """Cumulative sum of i.i.d. N(0, 1/m) increments per coordinate.
 
@@ -253,8 +229,6 @@ def silt_adjustment(raw: float, eps: float, d: int, r: float) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _coerce_index(idx, d) -> tuple:
-    if isinstance(idx, MultiIndex):
-        idx = idx.n
     idx = tuple(int(v) for v in idx)
     if len(idx) != d:
         raise ValueError(f"multi-index has {len(idx)} entries, path has d={d}")
@@ -263,25 +237,21 @@ def _coerce_index(idx, d) -> tuple:
     return idx
 
 
-def chaos_term(path: Path, idx, u, quad: SimplexQuadrature,
-               normalization: str = "per-factor"):
+def chaos_term(path: Path, idx, u, quad: SimplexQuadrature):
     """One multi-index term of the Hermite-product expansion: a float, or an
     array for a 2-d array of offsets (one row each, one interpolation).
 
     Per node the integrand is the product over coordinates j of
 
-        H_{n_j}((w_j(t)-w_j(s))/sqrt(t-s)) * H_{n_j}(u_j/sqrt(t-s))
+        H_{n_j}((w_j(t)-w_j(s))/sqrt(t-s)) * H_{n_j}(u_j/sqrt(t-s)) / n_j!
 
-    normalized by 1/n_j! ("per-factor": each Hermite factor carries
-    1/sqrt(n_j!)) or by 1/sqrt(n_j!) ("single"), times the Gaussian kernel of
+    (each Hermite factor carries 1/sqrt(n_j!)), times the Gaussian kernel of
     u at variance t-s.  Factors are combined as sign/log-magnitude pairs and
     the node sum is compensated, since the products alternate in sign across
     hundreds of orders of magnitude.
     """
     idx = _coerce_index(idx, path.d)
     offsets = _as_offset_rows(u, path.d)
-    if normalization not in ("per-factor", "single"):
-        raise ValueError(f"unknown normalization {normalization!r}")
     nodes = quad.nodes.tobytes()
     log_mag, offset_factors = _chaos_plan(nodes, quad.weights.tobytes(),
                                           offsets.tobytes(), path.d, idx)
@@ -292,8 +262,6 @@ def chaos_term(path: Path, idx, u, quad: SimplexQuadrature,
         sg_w, lg_w = increment_factor(j, n)
         sign = sign * (sg_w * sg_u)
         log_mag = log_mag + (lg_w + lg_u)
-        if normalization == "single":
-            log_mag = log_mag + 0.5 * math.lgamma(n + 1)
     values = np.array([peak_exp_sum(sg, lm, peak) if np.isfinite(peak) else 0.0
                        for sg, lm, peak in zip(sign, log_mag,
                                                np.max(log_mag, axis=1))])
@@ -334,16 +302,15 @@ def peak_exp_sum(sign, log_mag, peak) -> float:
     return math.exp(peak) * math.fsum(terms[terms != 0.0].tolist())
 
 
-def chaos_term_bound(path: Path, idx, u, szego_c: float = None,
-                     log_branch_c: float = None,
-                     normalization: str = "per-factor"):
+def chaos_term_bound(path: Path, idx, u):
     """Deterministic log-envelope for |chaos_term| at this path, index, offset:
     a float, or an array for a 2-d array of offsets (one row each).
 
     Power branch (k + d > 2, where the Gamma below is positive): chains the Szego
-    envelope at exponent 1/4 over the offset factors, the Cauchy-integral
-    envelope over the increment factors (which contributes exp(2 Z_j) with
-    Z_j the running maximum of |w_j|), and the exact bound
+    envelope at exponent 1/4, with 1.05 times calibrate_szego_constant, over
+    the offset factors, the Cauchy-integral envelope over the increment
+    factors (which contributes exp(2 Z_j) with Z_j the running maximum of
+    |w_j|), and the exact bound
 
         I(k/2, d, u/sqrt(2)) <= 2^(k/2-1) Gamma((k+d)/2 - 1)
                                 / (pi^(d/2) (|u|/sqrt(2))^(k+d-2))
@@ -359,28 +326,23 @@ def chaos_term_bound(path: Path, idx, u, szego_c: float = None,
     norms = [float(np.linalg.norm(v)) for v in offsets]
     if 0.0 in norms:
         raise ValueError("offset must be nonzero")
-    if normalization not in ("per-factor", "single"):
-        raise ValueError(f"unknown normalization {normalization!r}")
     d = path.d
     k = sum(idx)
     if d == 2 and k == 0:
         if any(r >= 1 for r in norms):
             raise ValueError("log-branch envelope needs |u| < 1")
-        c0 = calibrate_log_branch_constant() if log_branch_c is None else log_branch_c
+        c0 = calibrate_log_branch_constant()
         values = [math.log(c0) + math.log(math.log(1.0 / r)) for r in norms]
     elif k + d <= 2:
         raise ValueError(f"power-branch envelope needs k + d > 2, got k={k}, d={d}")
     else:
-        if szego_c is None:
-            szego_c = 1.05 * calibrate_szego_constant(0.25, 200)
+        szego_c = 1.05 * calibrate_szego_constant(0.25, 200)
         z_sum = float(np.sum(path.max_abs()))
         log_c = (k + 0.5 * d - 2.0) * math.log(2.0) \
             + math.lgamma(0.5 * (k + d) - 1.0) - 0.5 * d * math.log(math.pi)
         for n in idx:
             log_c += math.log(szego_c) + 0.5 + 0.5 * math.lgamma(n + 1) \
                 - math.log(max(n, 1)) / 12.0
-            if normalization == "single":
-                log_c += 0.5 * math.lgamma(n + 1)
         values = [log_c + 2.0 * z_sum - (k + d - 2.0) * math.log(r)
                   for r in norms]
     return values[0] if np.ndim(u) < 2 else np.array(values)
@@ -418,15 +380,15 @@ def dynkin_B(k: int, l: int, phi):
     return summed
 
 
-def dynkin_T(path: Path, k: int, eps, phi, q_kernel=None,
-             quad: SimplexQuadrature = None, quad3=None):
+def dynkin_T(path: Path, k: int, eps, phi, quad: SimplexQuadrature = None,
+             quad3=None):
     """Order-k mollified multiple-intersection functional of a planar path:
     a float, or an array for a 1-d array of scales (one interpolation).
 
     Integrates the product of q_eps over consecutive increments against phi
     over the ordered k-simplex; supported for k = 2 (using a triangle rule)
-    and k = 3 (using a tensor rule on the 3-simplex).  q_eps defaults to the
-    density of N(0, eps I_2); a q_kernel(points, eps) must act row by row.
+    and k = 3 (using a tensor rule on the 3-simplex).  q_eps is the density
+    of N(0, eps I_2).
     """
     if path.d != 2:
         raise ValueError(f"order-k functionals are planar only, got d={path.d}")
@@ -440,13 +402,11 @@ def dynkin_T(path: Path, k: int, eps, phi, q_kernel=None,
         nodes, weights = simplex3_gauss_legendre(12) if quad3 is None else quad3
     nodes = np.asarray(nodes, dtype=float)
     plan = _rule_plan(nodes.tobytes(), k)
-    args = [np.column_stack(rows) if q_kernel else _squared_norms(rows)
-            for rows in _increments(path, plan)]
-    kernel = q_kernel or (lambda sq, e: np.exp(log_gaussian_kernel_batch(sq, 2, e)))
+    sq_norms = [_squared_norms(rows) for rows in _increments(path, plan)]
     phi_vals = _eval_symbol(phi, tuple(nodes.T))
     values = np.array([np.dot(weights, phi_vals * math.prod(
-        kernel(x, e).take(step[0]) for x, step in zip(args, plan[1])))
-        for e in scales.tolist()])
+        np.exp(log_gaussian_kernel_batch(sq, 2, e)).take(step[0])
+        for sq, step in zip(sq_norms, plan[1]))) for e in scales.tolist()])
     return float(values[0]) if np.ndim(eps) == 0 else values
 
 
@@ -460,8 +420,8 @@ def _eval_symbol(phi, columns):
 
 
 def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
-                            q_kernel=None, quad: SimplexQuadrature = None,
-                            quad3=None, t_top=None):
+                            quad: SimplexQuadrature = None, quad3=None,
+                            t_top=None):
     """Log-weighted combination of the order-l functionals of the collapsed
     symbols: sum over l <= k of (log(eps)/(2 pi))^(k-l) T_l with the order-l
     symbol obtained from phi by summing over monotone surjections.  A float,
@@ -473,8 +433,8 @@ def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
     variance-parameterized Gaussian mollifier that is log(eps) itself.  The
     l = 1 functional has no mollifier factor and reduces to a line integral
     over [0, 1], done by a 48-node Gauss-Legendre rule.  ``t_top``, when
-    given, is dynkin_T(path, k, eps, phi) with the same rules and kernel,
-    already evaluated by the caller; it is used as the l = k term.
+    given, is dynkin_T(path, k, eps, phi) with the same rules, already
+    evaluated by the caller; it is used as the l = k term.
     """
     if k not in (2, 3):
         raise ValueError(f"only k in {{2, 3}} supported at desk scale, got {k}")
@@ -490,7 +450,7 @@ def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
         elif l == k and t_top is not None:
             term = np.asarray(t_top, dtype=float)
         else:
-            term = dynkin_T(path, l, scales, collapsed, q_kernel=q_kernel,
-                            quad=quad, quad3=quad3)
+            term = dynkin_T(path, l, scales, collapsed, quad=quad,
+                            quad3=quad3)
         total += weight * term
     return float(total[0]) if np.ndim(eps) == 0 else total

@@ -1,6 +1,6 @@
 """Scalar special functions and closed-form integrals used across the toolkit.
 
-Everything here is a pure function: Gaussian heat kernels, upper incomplete
+Everything here is a pure function: the log Gaussian kernel, upper incomplete
 gamma for arbitrary real first argument, the exact simplex moment integral
 
     I(alpha, d, u) = integral over {0 <= s < t <= 1} of
@@ -20,10 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "KernelPoint",
     "SimplexIntegralSpec",
-    "heat_kernel",
-    "log_heat_kernel",
     "log_gaussian_kernel_batch",
     "upper_incomplete_gamma",
     "simplex_moment_integral",
@@ -37,41 +34,10 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# Gaussian heat kernel
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """Spatial offset ``u`` in R^d evaluated at variance ``t``."""
-
-    u: np.ndarray
-    d: int
-    t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", np.atleast_1d(np.asarray(self.u, dtype=float)))
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if not self.t > 0:
-            raise ValueError(f"variance parameter must be positive, got {self.t}")
-        if self.u.shape != (self.d,):
-            raise ValueError(f"offset has shape {self.u.shape}, expected ({self.d},)")
-
-
-def log_heat_kernel(p: KernelPoint) -> float:
-    """log of (2*pi*t)^(-d/2) * exp(-|u|^2 / (2t))."""
-    r2 = float(np.dot(p.u, p.u))
-    return -0.5 * p.d * math.log(2.0 * math.pi * p.t) - r2 / (2.0 * p.t)
-
-
-def heat_kernel(p: KernelPoint) -> float:
-    """Gaussian density at offset ``u`` with variance ``t`` in dimension ``d``."""
-    return math.exp(log_heat_kernel(p))
-
-
 def log_gaussian_kernel_batch(sq_norms, d, t):
-    """Vectorized log heat kernel from squared offsets; ``t`` may be an array."""
+    """log of (2 pi t)^(-d/2) exp(-|u|^2 / (2t)), the Gaussian density at an
+    offset u with variance t in dimension d, from squared norms |u|^2;
+    both may be arrays."""
     sq_norms = np.asarray(sq_norms, dtype=float)
     t = np.asarray(t, dtype=float)
     return -0.5 * d * np.log(2.0 * np.pi * t) - sq_norms / (2.0 * t)

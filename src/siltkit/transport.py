@@ -47,8 +47,6 @@ __all__ = [
     "TalagrandBound",
     "EntropyEstimate",
     "W2Estimate",
-    "hessian_matrix_diagonals",
-    "hessian_eigenvalues",
     "kappa",
     "log_sigma2_integral",
     "entropy_bound",
@@ -114,27 +112,12 @@ class W2Estimate:
 # Hessian spectrum of the reference log-density
 # ---------------------------------------------------------------------------
 
-def hessian_matrix_diagonals(n: int):
-    """(diagonal, off-diagonal) of the n x n coefficient matrix: 2n except a
-    final n on the diagonal, -n off-diagonal."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    diag = np.full(n, 2.0 * n)
-    diag[-1] = float(n)
-    off = np.full(n - 1, -float(n))
-    return diag, off
-
-
-def hessian_eigenvalues(n: int) -> np.ndarray:
-    """Closed-form spectrum 2n (1 - cos((2j+1) pi / (2n+1))), ascending."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    j = np.arange(n)
-    return 2.0 * n * (1.0 - np.cos((2.0 * j + 1.0) * np.pi / (2.0 * n + 1.0)))
-
-
 def kappa(n: int) -> float:
-    """Smallest Hessian eigenvalue, 2n (1 - cos(pi / (2n+1)))."""
+    """Smallest Hessian eigenvalue, in closed form 2n (1 - cos(pi / (2n+1))).
+
+    The Hessian is n times the n x n tridiagonal matrix with 2 on the
+    diagonal except a final 1, and -1 off it; its spectrum is
+    2n (1 - cos((2j+1) pi / (2n+1))) for j = 0, ..., n - 1."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return float(2.0 * n * (1.0 - math.cos(math.pi / (2.0 * n + 1.0))))

@@ -10,7 +10,8 @@ variables only, independent of the package's path-functional code paths.
 
 The rest of the file keeps reference versions of package routines as they
 ran before an optimization (checked against the package with ==), and the
-silt variants, heat kernel and mollifier that only tests use.
+silt variants, heat kernel, mollifier, conditional kernel and Hessian
+spectrum that only tests use.
 """
 
 import heapq
@@ -124,7 +125,7 @@ def tensor_norm_sq(spec, quad):
     from siltkit.specfun import log_gaussian_kernel_batch, normalized_hermite_all
 
     K, u = spec.K, spec.u
-    tau = quad.gaps
+    tau = quad.nodes[:, 1] - quad.nodes[:, 0]
     log_wp = np.log(quad.weights) + log_gaussian_kernel_batch(
         float(np.dot(u, u)), spec.d, tau)
     keep = log_wp > -800.0
@@ -396,9 +397,7 @@ def _cell_apply(f, cell, box, gl):
 
 
 def adaptive_partition_integral_per_box(f, cells, rel_tol: float = 1e-6,
-                                base_order: int = 8,
-                                max_refinements: int = 40000,
-                                min_width: float = 1e-14) -> float:
+                                        max_refinements: int = 40000) -> float:
     """Greedy adaptive integral of a vectorized f(s, t) over starting cells.
 
     Each parameter box is scored by comparing its one-panel estimate against
@@ -406,10 +405,10 @@ def adaptive_partition_integral_per_box(f, cells, rel_tol: float = 1e-6,
     direction, so refinement toward edge singularities grades the boxes
     anisotropically instead of exploding a quadtree along the edge.  Boxes
     are split worst-first until the summed scores fall under rel_tol times
-    the running total (or the width floor is reached).  Ties break on
-    insertion order, so the result is deterministic.
+    the running total (boxes narrower than 1e-14 on a side score 0).  Ties
+    break on insertion order, so the result is deterministic.
     """
-    gl = _unit_gauss_legendre(base_order)
+    gl = _unit_gauss_legendre(8)
 
     def splits(box):
         lo_a, hi_a, lo_b, hi_b = box
@@ -436,8 +435,7 @@ def adaptive_partition_integral_per_box(f, cells, rel_tol: float = 1e-6,
             children, value, err = in_a, sum(fine_a), err_a
         else:
             children, value, err = in_b, sum(fine_b), err_b
-        narrow = (box[1] - box[0]) < min_width or (box[3] - box[2]) < min_width
-        if narrow:
+        if (box[1] - box[0]) < 1e-14 or (box[3] - box[2]) < 1e-14:
             err = 0.0
         total += value
         err_total += err
@@ -597,9 +595,48 @@ def gaussian_kernel_batch(offsets, t, d=None):
     return np.exp(log_gaussian_kernel_batch(sq, d, t))
 
 
+def conditional_kernel(s: float, t: float, grid, eps: float, u, x) -> float:
+    """E[p_eps(w(t) - w(s) - u) | w at the grid times = x, shape (n, d)]: the
+    Gaussian kernel at variance eps + sigma^2 of the projected increment
+    minus u.  The overlaps alpha_j and sigma^2 come from a scalar loop over
+    the cells, not from marginals.grid_overlaps, so summed over a rule at
+    eps = 0 this checks marginal_density_q_batch independently."""
+    if not 0.0 <= s < t <= 1.0 or eps < 0:
+        raise ValueError(f"need 0 <= s < t <= 1 and eps >= 0, got {s}, {t}, {eps}")
+    x = np.asarray(x, dtype=float)
+    arg = -np.atleast_1d(np.asarray(u, dtype=float))
+    shares = []
+    for j, (lo, hi) in enumerate(zip(grid.t[:-1], grid.t[1:])):
+        alpha = max(min(t, hi) - max(s, lo), 0.0)
+        arg = arg + alpha / (hi - lo) * (x[j] - (x[j - 1] if j else 0.0))
+        shares.append(alpha * alpha / (hi - lo))
+    variance = eps + max((t - s) - sum(shares), 0.0)
+    if variance == 0.0:
+        if not np.any(arg):
+            raise ValueError("degenerate kernel: zero variance at zero argument")
+        return 0.0
+    return float(np.exp(log_gaussian_kernel_batch(float(arg @ arg), x.shape[1],
+                                                  variance)))
+
+
+def hessian_matrix_diagonals(n: int):
+    """(diagonal, off-diagonal) of the Hessian of the Brownian marginal's
+    negative log-density on the uniform n-grid, per coordinate: 2n except a
+    final n on the diagonal, -n off it."""
+    diag = np.full(n, 2.0 * n)
+    diag[-1] = float(n)
+    return diag, np.full(n - 1, -float(n))
+
+
+def hessian_eigenvalues(n: int) -> np.ndarray:
+    """Its closed-form spectrum 2n (1 - cos((2j+1) pi / (2n+1))), ascending."""
+    j = np.arange(n)
+    return 2.0 * n * (1.0 - np.cos((2.0 * j + 1.0) * np.pi / (2.0 * n + 1.0)))
+
+
 def gaussian_mollifier(x, eps: float):
     """Planar Gaussian mollifier in variance parameterization: the density of
-    N(0, eps I_2), dynkin_T's default kernel.  Within the scale family
+    N(0, eps I_2), dynkin_T's kernel.  Within the scale family
     delta^-2 q(./delta) this is the member at delta = sqrt(eps)."""
     return gaussian_kernel_batch(np.asarray(x, dtype=float), eps, d=2)
 
@@ -620,10 +657,9 @@ def silt_epsilon_per_node(path, scales, u, quad) -> list:
         sq, path.d, e)))) for e in scales]
 
 
-def dynkin_T_per_node(path, scales, phi, nodes, weights,
-                      q_kernel=None) -> list:
+def dynkin_T_per_node(path, scales, phi, nodes, weights) -> list:
     """dynkin_T of order len(nodes[0]) at each scale, as a list of floats;
-    the default kernel is the planar Gaussian mollifier."""
+    the kernel is the planar Gaussian mollifier."""
     columns = tuple(nodes.T)
     points = [path_interpolation_gather(path, c) for c in columns]
     phi_vals = np.broadcast_to(np.asarray(phi(*columns), dtype=float),
@@ -632,14 +668,12 @@ def dynkin_T_per_node(path, scales, phi, nodes, weights,
     for e in scales:
         product = 1
         for a, b in zip(points[:-1], points[1:]):
-            product = product * (gaussian_kernel_batch(b - a, e, d=2)
-                                 if q_kernel is None else q_kernel(b - a, e))
+            product = product * gaussian_kernel_batch(b - a, e, d=2)
         out.append(float(np.dot(weights, phi_vals * product)))
     return out
 
 
-def chaos_term_per_node(path, idx, offsets, quad,
-                        normalization="per-factor") -> list:
+def chaos_term_per_node(path, idx, offsets, quad) -> list:
     """chaos_term at each row of offsets, as a list of floats."""
     s, t = quad.nodes[:, 0], quad.nodes[:, 1]
     tau = t - s
@@ -657,8 +691,6 @@ def chaos_term_per_node(path, idx, offsets, quad,
             n, offsets[:, j, None] / sqrt_tau)
         sign *= sg_w * sg_u
         log_mag += lg_w + lg_u
-        if normalization == "single":
-            log_mag += 0.5 * math.lgamma(n + 1)
     out = []
     for sg, lm in zip(sign, log_mag):
         peak = np.max(lm)

@@ -21,8 +21,8 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from siltkit.cli import main as cli_main
-from siltkit.marginals import TimeGrid, marginal_density_q_batch, \
-    overlap_decomposition, conditional_kernel, sample_mu_n
+from siltkit.marginals import TimeGrid, grid_overlaps, \
+    marginal_density_q_batch, sample_mu_n
 from siltkit.quadrature import SimplexQuadrature
 from siltkit.rng import stream_generator
 from siltkit.siltcore import chaos_term, chaos_term_bound, dynkin_B, \
@@ -41,8 +41,6 @@ from siltkit.transport import (
     empirical_w2,
     entropic_w2,
     entropy_bound,
-    hessian_eigenvalues,
-    hessian_matrix_diagonals,
     kappa,
     talagrand_bound,
     theta_relative_entropy,
@@ -50,6 +48,8 @@ from siltkit.transport import (
 )
 
 from conftest import axis_offset
+from exact_oracles import conditional_kernel, hessian_eigenvalues, \
+    hessian_matrix_diagonals
 from test_marginals import bridge_conditional_mc, exact_projection_residual
 from test_specfun import oracle_simplex_quadrature
 
@@ -222,9 +222,8 @@ def test_08_projection_residuals():
         grid = TimeGrid(nodes)
         s = float(gen.uniform(0.0, 0.95))
         t = float(gen.uniform(s + 0.01, 1.0))
-        dec = overlap_decomposition(s, t, grid)
-        assert abs(dec.sigma2
-                   - exact_projection_residual(s, t, grid)) <= 1e-10
+        sigma2 = grid_overlaps(s, t, grid)[1][0]
+        assert abs(sigma2 - exact_projection_residual(s, t, grid)) <= 1e-10
     rng = np.random.default_rng(21)
     checked = 0
     while checked < 20:
@@ -270,6 +269,7 @@ def test_10_hessian_spectrum():
         else:
             reference = eigh_tridiagonal(diag, off, eigvals_only=True)
         assert np.max(np.abs(hessian_eigenvalues(n) - reference)) <= 1e-10, n
+        assert abs(kappa(n) - reference.min()) <= 1e-10, n
     n, d = 3, 2
     diag, off = hessian_matrix_diagonals(n)
     a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

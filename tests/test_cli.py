@@ -210,8 +210,8 @@ class TestCommands:
                         "12", "--grid-m", "256", "--quad-order", "32",
                         "--eps-ladder", "0.2,0.1,0.05"]) == 0
         _, header, rows = read_rows(os.path.join(out, "silt.csv"))
-        kinds = {r[0] for r in rows}
-        assert {"point", "rate_var", "rate_fit"} <= kinds
+        assert {r[0] for r in rows} == {"point", "rate_var"}
+        assert [float(r[2]) for r in rows if r[0] == "rate_var"] == [0.2, 0.1]
 
     def test_silt_renormalized_3d(self, tmp_path):
         out = str(tmp_path)
@@ -229,6 +229,18 @@ class TestCommands:
         assert run_cli(["silt", "--out", str(tmp_path), flag, value]) == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "silt.csv")
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("silt", "--replicas", "0"), ("dynkin", "--replicas", "0"),
+        ("kernel", "--u-norms", "-0.5"), ("chaos", "--u-norms", "0.5,0"),
+        ("marginal", "--u-norms", "-0.2"), ("transport", "--u-norms", "-0.3"),
+        ("capacity", "--u-norms", "-0.25")])
+    def test_no_replicas_or_non_positive_norm_writes_nothing(
+            self, tmp_path, capsys, command, flag, value):
+        assert run_cli([command, "--out", str(tmp_path), flag, value]) == 2
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
+        assert not os.path.exists(tmp_path / f"{command}.csv")
 
     def test_silt_rule_built_once_and_read_only(self):
         rule = _triangle_rule(24)

@@ -9,11 +9,8 @@ from scipy.integrate import dblquad
 from siltkit.marginals import (
     TimeGrid,
     _effective_nodes,
-    conditional_kernel,
     grid_overlaps,
-    marginal_density_q,
     marginal_density_q_batch,
-    overlap_decomposition,
     sample_mu_n,
 )
 from siltkit.quadrature import SimplexQuadrature
@@ -21,7 +18,8 @@ from siltkit.rng import stream_generator
 from siltkit.specfun import SimplexIntegralSpec, simplex_moment_integral
 
 from conftest import axis_offset
-from exact_oracles import gaussian_kernel_batch, marginal_density_q_einsum
+from exact_oracles import conditional_kernel, gaussian_kernel_batch, \
+    marginal_density_q_einsum
 
 
 def exact_projection_residual(s, t, grid):
@@ -102,29 +100,31 @@ class TestTimeGrid:
 
 
 class TestOverlapDecomposition:
+    """grid_overlaps, one increment at a time."""
+
     def test_hand_example(self):
         grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
-        dec = overlap_decomposition(0.25, 0.75, grid)
-        assert np.allclose(dec.alpha, [0.25, 0.25])
-        assert dec.sigma2 == pytest.approx(0.25, abs=1e-15)
+        alpha, sigma2 = grid_overlaps(0.25, 0.75, grid)
+        assert np.allclose(alpha[0], [0.25, 0.25])
+        assert sigma2[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_grid_aligned_endpoints(self):
         grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
-        assert overlap_decomposition(0.5, 1.0, grid).sigma2 == pytest.approx(
+        assert grid_overlaps(0.5, 1.0, grid)[1][0] == pytest.approx(
             0.0, abs=1e-15)
 
     def test_single_cell(self):
         grid = TimeGrid.make_uniform(8)
-        dec = overlap_decomposition(0.3, 0.35, grid)
+        sigma2 = grid_overlaps(0.3, 0.35, grid)[1][0]
         expected = 0.05 * (1 - 0.05 / 0.125)
-        assert dec.sigma2 == pytest.approx(expected, abs=1e-15)
-        assert dec.sigma2 == pytest.approx(
+        assert sigma2 == pytest.approx(expected, abs=1e-15)
+        assert sigma2 == pytest.approx(
             exact_projection_residual(0.3, 0.35, grid), abs=1e-12)
 
     def test_domain_error(self):
         grid = TimeGrid.make_uniform(2)
         with pytest.raises(ValueError):
-            overlap_decomposition(0.7, 0.7, grid)
+            grid_overlaps(0.7, 0.7, grid)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -139,22 +139,24 @@ class TestOverlapDecomposition:
         grid = TimeGrid(nodes)
         s = data.draw(st.floats(0.0, 0.98))
         t = data.draw(st.floats(s + 0.01, 1.0))
-        dec = overlap_decomposition(s, t, grid)
-        assert np.all(dec.alpha >= 0)
-        assert np.all(dec.alpha <= grid.cell_lengths + 1e-15)
-        assert sum(dec.alpha) == pytest.approx(t - s, abs=1e-12)
-        assert 0.0 <= dec.sigma2 <= (t - s) + 1e-15
-        assert dec.sigma2 == pytest.approx(
+        (alpha,), (sigma2,) = grid_overlaps(s, t, grid)
+        assert np.all(alpha >= 0)
+        assert np.all(alpha <= grid.cell_lengths + 1e-15)
+        assert sum(alpha) == pytest.approx(t - s, abs=1e-12)
+        assert 0.0 <= sigma2 <= (t - s) + 1e-15
+        assert sigma2 == pytest.approx(
             exact_projection_residual(s, t, grid), abs=1e-10)
 
 
 class TestConditionalKernel:
+    """The conditional-kernel oracle that checks marginal_density_q_batch."""
+
     def test_zero_values(self):
         grid = TimeGrid.make_uniform(3)
         u = np.array([0.2, -0.1])
         x = np.zeros((3, 2))
-        dec = overlap_decomposition(0.1, 0.6, grid)
-        expected = float(gaussian_kernel_batch(-u, 0.05 + dec.sigma2))
+        sigma2 = grid_overlaps(0.1, 0.6, grid)[1][0]
+        expected = float(gaussian_kernel_batch(-u, 0.05 + sigma2))
         got = conditional_kernel(0.1, 0.6, grid, 0.05, u, x)
         assert got == pytest.approx(expected, rel=1e-13)
 
@@ -217,7 +219,7 @@ class TestMarginalDensity:
         d, n, r = 4, 2, 0.3
         u = axis_offset(r, d)
         grid = TimeGrid.make_uniform(n)
-        got = marginal_density_q(u, grid, np.zeros((n, d)), quad64)
+        got = marginal_density_q_batch(u, grid, np.zeros((1, n, d)), quad64)[0]
 
         def sigma2(s, t):
             alpha = np.clip(np.minimum(t, grid.t[1:])
@@ -237,7 +239,7 @@ class TestMarginalDensity:
         grid = TimeGrid.make_uniform(1)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, d))
-        got = marginal_density_q(u, grid, x, quad64)
+        got = marginal_density_q_batch(u, grid, x[None], quad64)[0]
 
         def f(t, s):
             tau = t - s
@@ -253,12 +255,14 @@ class TestMarginalDensity:
     def test_zero_offset_rejected(self, quad64):
         grid = TimeGrid.make_uniform(2)
         with pytest.raises(ValueError):
-            marginal_density_q(np.zeros(3), grid, np.zeros((2, 3)), quad64)
+            marginal_density_q_batch(np.zeros(3), grid, np.zeros((1, 2, 3)),
+                                     quad64)
 
     def test_non_uniform_grid_rejected(self, quad64):
         grid = TimeGrid(np.array([0.0, 0.3, 1.0]))
         with pytest.raises(ValueError):
-            marginal_density_q(np.ones(2), grid, np.zeros((2, 2)), quad64)
+            marginal_density_q_batch(np.ones(2), grid, np.zeros((1, 2, 2)),
+                                     quad64)
 
     def test_singular_nodes_are_subdivided(self):
         # a quadrature node sitting exactly on two grid times has sigma2 = 0;
@@ -270,8 +274,8 @@ class TestMarginalDensity:
         dirty = SimplexQuadrature(nodes, weights)
         u = np.array([0.25, 0.1])
         x = np.array([[0.05, 0.0], [0.3, -0.2], [0.1, 0.4]])
-        val = marginal_density_q(u, grid, x, dirty)
-        clean = marginal_density_q(u, grid, x, base)
+        val = marginal_density_q_batch(u, grid, x[None], dirty)[0]
+        clean = marginal_density_q_batch(u, grid, x[None], base)[0]
         assert math.isfinite(val) and val >= 0
         assert val == pytest.approx(clean, rel=0.05)
 
@@ -292,7 +296,7 @@ class TestMarginalDensity:
         grid = TimeGrid.make_uniform(n)
         path = sample_path(2048, d, 314)
         x = path.at(grid.t[1:])
-        q = marginal_density_q(u, grid, x, quad64)
+        q = marginal_density_q_batch(u, grid, x[None], quad64)[0]
         typical_sigma2 = 1.0 / (6.0 * n)  # mean residual variance scale
         mollified = silt_epsilon(path, typical_sigma2, u, quad64)
         print(f"grid-refinement diagnostic: q={q:.4f}, "

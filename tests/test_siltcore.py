@@ -20,7 +20,6 @@ from siltkit.cli import _chaos_task, _dynkin_task, _silt_task, build_parser, \
     resolve_config
 from siltkit.quadrature import SimplexQuadrature, simplex3_gauss_legendre
 from siltkit.siltcore import (
-    MultiIndex,
     _as_offset,
     Path,
     centering_constant_2d,
@@ -405,13 +404,6 @@ class TestChaosTerm:
         with pytest.raises(ValueError):
             chaos_term(sample_path(64, 2, 1), (1, 0), np.zeros(2), quad_geo)
 
-    def test_normalization_flag(self, quad_geo):
-        u = np.array([0.4, 0.3])
-        p = sample_path(256, 2, 6)
-        per = chaos_term(p, (2, 1), u, quad_geo)
-        single = chaos_term(p, (2, 1), u, quad_geo, normalization="single")
-        assert single == pytest.approx(per * math.sqrt(2.0), rel=1e-10)
-
     def test_offset_array_matches_scalar_calls(self, quad_geo):
         # one interpolation and one set of increment factors serve every
         # offset, with the same bits per offset; the last index vanishes at
@@ -419,13 +411,10 @@ class TestChaosTerm:
         p = sample_path(256, 4, 9)
         offsets = np.array([[0.3, 0.1, 0.0, 0.05], [0.05, 0.0, 0.0, 0.0],
                             [0.4, -0.2, 0.1, 0.3]])
-        for idx, normalization in [((0, 0, 0, 0), "per-factor"),
-                                   ((2, 1, 0, 0), "per-factor"),
-                                   ((1, 0, 0, 1), "single")]:
-            values = chaos_term(p, idx, offsets, quad_geo, normalization)
+        for idx in [(0, 0, 0, 0), (2, 1, 0, 0), (1, 0, 0, 1)]:
+            values = chaos_term(p, idx, offsets, quad_geo)
             assert isinstance(values, np.ndarray) and values.shape == (3,)
-            singles = [chaos_term(p, idx, u, quad_geo, normalization)
-                       for u in offsets]
+            singles = [chaos_term(p, idx, u, quad_geo) for u in offsets]
             assert all(type(v) is float for v in singles)
             assert values.tolist() == singles
         assert singles[1] == 0.0
@@ -445,7 +434,8 @@ class TestChaosTerm:
         gen = np.random.default_rng(12)
         log_w = np.log(quad_geo.weights)
         for r, d in [(0.3, 4), (0.05, 2), (0.8, 3)]:
-            log_mag = log_gaussian_kernel_batch(r * r, d, quad_geo.gaps) + log_w \
+            gaps = quad_geo.nodes[:, 1] - quad_geo.nodes[:, 0]
+            log_mag = log_gaussian_kernel_batch(r * r, d, gaps) + log_w \
                 + gen.normal(0.0, 5.0, len(log_w))
             sign = gen.choice([-1.0, 1.0], len(log_w))
             peak = float(np.max(log_mag))
@@ -512,14 +502,10 @@ class TestChaosTermBound:
         offsets = np.array([[0.3, 0.1, 0.0, 0.05], [0.05, 0.0, 0.0, 0.0],
                             [0.4, -0.2, 0.1, 0.3]])
         p = sample_path(128, 4, 7)
-        for idx, normalization in [((0, 0, 0, 0), "per-factor"),
-                                   ((2, 1, 0, 0), "per-factor"),
-                                   ((1, 0, 3, 1), "single")]:
-            values = chaos_term_bound(p, idx, offsets,
-                                      normalization=normalization)
+        for idx in [(0, 0, 0, 0), (2, 1, 0, 0), (1, 0, 3, 1)]:
+            values = chaos_term_bound(p, idx, offsets)
             assert isinstance(values, np.ndarray) and values.shape == (3,)
-            singles = [chaos_term_bound(p, idx, u, normalization=normalization)
-                       for u in offsets]
+            singles = [chaos_term_bound(p, idx, u) for u in offsets]
             assert all(type(v) is float for v in singles)
             assert values.tolist() == singles
         planar = sample_path(64, 2, 3)  # the logarithmic branch
@@ -814,9 +800,7 @@ class TestPlansAgainstPerNodeOracles:
     @pytest.mark.parametrize("kind", ["repeated times", "distinct times",
                                       "repeated nodes"])
     @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize("q_kernel", [None, lambda x, e: np.exp(
-        -np.abs(x).sum(axis=1) / e)], ids=["gaussian", "laplace"])
-    def test_dynkin_T(self, rules, rules3, kind, k, q_kernel):
+    def test_dynkin_T(self, rules, rules3, kind, k):
         ladder = [0.4, 0.1]
         phi = lambda *ts: 1.0 + ts[0] * ts[-1]
         if k == 2:
@@ -827,23 +811,21 @@ class TestPlansAgainstPerNodeOracles:
             nodes, weights = rules3[kind]
         for stream in range(2):
             path = sample_path(256, 2, 17, stream=stream)
-            got = dynkin_T(path, k, np.array(ladder), phi, q_kernel=q_kernel,
-                           **rule)
+            got = dynkin_T(path, k, np.array(ladder), phi, **rule)
             assert got.tolist() == dynkin_T_per_node(
-                path, ladder, phi, nodes, weights, q_kernel)
+                path, ladder, phi, nodes, weights)
 
     @pytest.mark.parametrize("kind", ["repeated times", "distinct times",
                                       "repeated nodes"])
-    @pytest.mark.parametrize("normalization", ["per-factor", "single"])
-    def test_chaos_term(self, rules, kind, normalization):
+    def test_chaos_term(self, rules, kind):
         offsets = np.array([[0.3, 0.1, 0.0], [0.05, -0.2, 0.1],
                             [0.4, 0.0, 0.3]])
         for stream in range(2):
             path = sample_path(256, 3, 19, stream=stream)
             for idx in [(0, 0, 0), (2, 1, 0), (1, 0, 3), (2, 1, 1)]:
-                got = chaos_term(path, idx, offsets, rules[kind], normalization)
+                got = chaos_term(path, idx, offsets, rules[kind])
                 assert got.tolist() == chaos_term_per_node(
-                    path, idx, offsets, rules[kind], normalization)
+                    path, idx, offsets, rules[kind])
 
     def test_cached_arrays_read_only(self, quad64, quad_geo):
         _, steps = siltcore._rule_plan(quad64.nodes.tobytes(), 2)
@@ -944,7 +926,12 @@ class TestPathIO:
             path_from_binary(buf)
 
     def test_multi_index_type(self):
-        idx = MultiIndex((2, 0, 1))
-        assert idx.order == 3 and len(idx) == 3
-        with pytest.raises(ValueError):
-            MultiIndex((-1, 0))
+        # a multi-index is any sequence of non-negative integers, one per
+        # coordinate of the path
+        p = sample_path(64, 3, 1)
+        u = axis_offset(0.3, 3)
+        assert chaos_term_bound(p, np.array([2, 0, 1]), u) == \
+            chaos_term_bound(p, (2, 0, 1), u)
+        for bad in [(-1, 0, 1), (1, 0)]:
+            with pytest.raises(ValueError):
+                chaos_term_bound(p, bad, u)

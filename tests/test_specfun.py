@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from siltkit.specfun import (
-    KernelPoint,
     SimplexIntegralSpec,
     calibrate_log_branch_constant,
     calibrate_szego_constant,
-    heat_kernel,
     hermite_eval,
-    log_heat_kernel,
+    log_gaussian_kernel_batch,
     normalized_hermite_all,
     normalized_hermite_log_sign,
     simplex_moment_asymptotic,
@@ -62,27 +60,22 @@ def oracle_simplex_quadrature(alpha, d, r, epsrel=1e-12):
 
 
 class TestHeatKernel:
+    """Closed-form values of log_gaussian_kernel_batch, the one Gaussian
+    kernel the package evaluates."""
+
     def test_zero_offset_d2(self):
-        assert heat_kernel(KernelPoint(np.zeros(2), 2, 1.0)) == pytest.approx(
-            1.0 / (2.0 * math.pi), rel=1e-15)
+        assert math.exp(log_gaussian_kernel_batch(0.0, 2, 1.0)) == \
+            pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
 
     def test_d4_offset(self):
         # direct high-precision evaluation of the displayed formula
         expected = float(mp.mpf(math.pi) ** -2 * mp.e ** -1)
-        assert heat_kernel(KernelPoint([1, 0, 0, 0], 4, 0.5)) == pytest.approx(
-            expected, rel=1e-14)
+        assert math.exp(log_gaussian_kernel_batch(1.0, 4, 0.5)) == \
+            pytest.approx(expected, rel=1e-14)
 
     def test_standard_normal_at_zero(self):
-        assert heat_kernel(KernelPoint([0.0], 1, 1.0)) == pytest.approx(
-            (2.0 * math.pi) ** -0.5, rel=1e-15)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            KernelPoint(np.zeros(2), 2, 0.0)
-        with pytest.raises(ValueError):
-            KernelPoint(np.zeros(2), 2, -1.0)
-        with pytest.raises(ValueError):
-            KernelPoint(np.zeros(3), 2, 1.0)
+        assert math.exp(log_gaussian_kernel_batch(0.0, 1, 1.0)) == \
+            pytest.approx((2.0 * math.pi) ** -0.5, rel=1e-15)
 
     @pytest.mark.parametrize("d,nodes", [(1, 400), (2, 140), (3, 80), (4, 48)])
     def test_normalization_on_box(self, d, nodes):
@@ -105,9 +98,14 @@ class TestHeatKernel:
            st.lists(st.floats(-3, 3), min_size=4, max_size=4))
     @settings(max_examples=50, deadline=None)
     def test_log_form_matches(self, d, t, coords):
-        p = KernelPoint(np.array(coords[:d]), d, t)
-        assert math.exp(log_heat_kernel(p)) == pytest.approx(heat_kernel(p),
-                                                             rel=1e-12)
+        # batched over variances, against the product of d one-dimensional
+        # normal densities in high precision
+        u = np.array(coords[:d])
+        variances = [t, 2 * t]
+        got = log_gaussian_kernel_batch(u @ u, d, variances)
+        for value, var in zip(got.tolist(), variances):
+            expected = mp.fprod(mp.npdf(c, 0, mp.sqrt(var)) for c in u)
+            assert math.exp(value) == pytest.approx(float(expected), rel=1e-12)
 
 
 class TestUpperIncompleteGamma:
