@@ -196,13 +196,15 @@ class TestBatchedRefinement:
         assert str(got.value) == str(want.value)
         assert f"exceeded {budget} splits" in str(got.value)
 
-    def test_width_floor_stops_refinement(self):
-        # int over {s<t} of 1/s diverges; in the cell's (a, b) box it is
-        # (1-a)/a, so refinement halves toward a = 0 until a box is narrower
-        # than 1e-14, at width 2^-47, and ends there instead of exhausting
-        # the budget: the exact integral above 2^-47 plus that box's two
-        # half-panel Gauss-Legendre estimates of 1/a
-        cells = triangle_grid_cells(GRIDS["one_cell"])
+    @pytest.mark.parametrize("width", [1e-3, 0.05, 1.0])
+    def test_min_width_stops_refinement_as_before(self, width):
+        # int over {s<t} of 1/s diverges; in the cell's unit (a, b) box it is
+        # width * (1-a)/a, so refinement halves toward a = 0 until a box is
+        # narrower than the 1e-14 floor, at 2^-47 whatever the cell's width,
+        # and ends there instead of exhausting the budget: width times the
+        # exact integral above 2^-47 plus that box's two half-panel
+        # Gauss-Legendre estimates of 1/a
+        cells = triangle_grid_cells([0.0, width])
         f = lambda s, t: 1.0 / s
         got = adaptive_partition_integral(f, cells, rel_tol=1e-15,
                                           max_refinements=10 ** 6)
@@ -212,5 +214,6 @@ class TestBatchedRefinement:
         x, w = np.polynomial.legendre.leggauss(8)
         x, w = 0.5 * (x + 1.0), 0.5 * w
         last_box = np.sum(w / x) + np.sum(w / (1.0 + x))
-        assert got == pytest.approx(47 * math.log(2) - 1 + last_box, rel=1e-12)
+        assert got == pytest.approx(width * (47 * math.log(2) - 1 + last_box),
+                                    rel=1e-12)
 
