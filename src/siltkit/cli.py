@@ -10,6 +10,12 @@ convert or leaves its declared domain is a usage error naming its key) and
 also feeds each CSV header's ``config_sha256``.  Floats are written with 17
 significant digits so CSVs round-trip exactly.
 
+Independent tasks (replicas, paths, offset norms) run in ``parallel_map``:
+the calling process forks at most min(workers, tasks, usable CPUs)
+children, each on a static interleaved shard, and only waits for them; the
+shards come back in input order.  Without ``os.fork`` the run is serial.
+``--workers`` (or ``SILT_WORKERS``) must be an integer of at least 1.
+
 Exit codes: 0 success, 2 usage or domain error, 3 numerical non-convergence.
 """
 
@@ -19,8 +25,9 @@ import argparse
 import hashlib
 import math
 import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -194,14 +201,84 @@ def write_csv(config: RunConfig, name: str, header: list, rows: list) -> str:
     return path
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def parallel_map(fn, items, workers: int) -> list:
-    """Order-preserving map over independent tasks; fork-join when workers>1."""
+    """Order-preserving map over independent tasks, as a POSIX fork-join.
+
+    The caller forks k = min(workers, tasks, usable CPUs) children and only
+    waits: child i computes items[i::k] in order and pipes back one pickled
+    (ok, results or exception).  A task's exception is re-raised here with
+    its own type; a child that leaves no result raises RuntimeError.  No
+    child outlives the call.  Serial when k <= 1 or without os.fork.
+    """
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    k = min(workers, len(items), _usable_cpus())
+    if k <= 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    chunk = max(1, len(items) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+    children = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for i in range(k):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _run_share(fn, items[i::k], read_end, write_end)
+            os.close(write_end)
+            children[pid] = read_end
+        out = [None] * len(items)
+        for i, (pid, read_end) in enumerate(list(children.items())):
+            with os.fdopen(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(pid))
+            try:
+                ok, value = pickle.loads(data)
+            except Exception:
+                raise RuntimeError(
+                    f"worker {pid} left no result (exit status "
+                    f"{os.waitstatus_to_exitcode(status)})") from None
+            if not ok:
+                raise value
+            out[i::k] = value
+        return out
+    finally:
+        for pid, read_end in children.items():  # not reaped: kill, then reap
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_share(fn, share, read_end, write_end) -> None:
+    """A forked child's whole life: compute its share, write one pickled
+    (ok, results or exception) to its pipe and leave through os._exit,
+    never returning into the caller's stack."""
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            payload = (True, [fn(item) for item in share])
+        except BaseException as exc:  # re-raised in the caller
+            if hasattr(exc, "add_note"):  # Python 3.11+: keep this traceback
+                import traceback
+                exc.add_note(f"in worker {os.getpid()}:\n"
+                             + traceback.format_exc())
+            payload = (False, exc)
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +477,8 @@ def cmd_marginal(config: RunConfig) -> str:
         u = r * p.u_dir
         points = sample_mu_n(n, d, config.seed, count, stream=stream)
         q = marginal_density_q_batch(u, grid, points, quad)
+        if not q.any():  # no spread, no weights: z and ESS are undefined
+            raise ValueError(f"q underflows to 0 at every sample at |u|={r}")
         m_exact = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=d, u=u))
         mc = float(np.mean(q))
         se = float(np.std(q, ddof=1) / math.sqrt(count))
@@ -524,8 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: SILT_WORKERS or CPUs)")
+        p.add_argument("--workers", default=None,
+                       help="worker processes, at least 1 (default: "
+                            "SILT_WORKERS or the usable CPUs)")
         for key in declared:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
     return parser
@@ -546,12 +626,12 @@ def resolve_config(args) -> RunConfig:
             setattr(values, key, convert(params[key]))
         except ValueError as exc:
             raise UsageError(f"{key} {exc}") from exc
-    if args.workers is not None:
-        workers = args.workers
-    elif os.environ.get("SILT_WORKERS"):
-        workers = int(os.environ["SILT_WORKERS"])
-    else:
-        workers = os.cpu_count() or 1
+    key, text = ("workers", args.workers) if args.workers is not None \
+        else ("SILT_WORKERS", os.environ.get("SILT_WORKERS") or None)
+    try:
+        workers = _usable_cpus() if text is None else number(int, lo=1)(text)
+    except UsageError as exc:
+        raise UsageError(f"{key} {exc}") from exc
     return RunConfig(command=args.command, out_dir=args.out, seed=args.seed,
                      workers=workers, params=params, values=values)
 

@@ -253,19 +253,36 @@ def chaos_term(path: Path, idx, u, quad: SimplexQuadrature):
     idx = _coerce_index(idx, path.d)
     offsets = _as_offset_rows(u, path.d)
     nodes = quad.nodes.tobytes()
-    log_mag, offset_factors = _chaos_plan(nodes, quad.weights.tobytes(),
-                                          offsets.tobytes(), path.d, idx)
-    increment_factor = _increment_factors(path.times.tobytes(),
-                                          path.values.tobytes(), nodes)
-    sign = np.ones_like(log_mag)
-    for j, n, sg_u, lg_u in offset_factors:
-        sg_w, lg_w = increment_factor(j, n)
-        sign = sign * (sg_w * sg_u)
-        log_mag = log_mag + (lg_w + lg_u)
-    values = np.array([peak_exp_sum(sg, lm, peak) if np.isfinite(peak) else 0.0
-                       for sg, lm, peak in zip(sign, log_mag,
-                                               np.max(log_mag, axis=1))])
+    plan_key = (nodes, quad.weights.tobytes(), offsets.tobytes(), path.d)
+    log_mag, offset_factors = _chaos_plan(*plan_key, idx)
+    if offset_factors:
+        increment_factor = _increment_factors(path.times.tobytes(),
+                                              path.values.tobytes(), nodes)
+        sign = np.ones_like(log_mag)
+        for j, n, sg_u, lg_u in offset_factors:
+            sg_w, lg_w = increment_factor(j, n)
+            sign = sign * (sg_w * sg_u)
+            log_mag = log_mag + (lg_w + lg_u)
+        values = np.array(_node_sums(sign, log_mag))
+    else:  # every n_j = 0: no factor reads the path
+        values = np.array(_zero_index_terms(*plan_key))
     return float(values[0]) if np.ndim(u) < 2 else values
+
+
+def _node_sums(sign, log_mag) -> list:
+    """Per row, the compensated node sum of sign * exp(log_mag); 0 where
+    every term is 0."""
+    return [peak_exp_sum(sg, lm, peak) if np.isfinite(peak) else 0.0
+            for sg, lm, peak in zip(sign, log_mag, np.max(log_mag, axis=1))]
+
+
+@lru_cache(maxsize=16)
+def _zero_index_terms(nodes: bytes, weights: bytes, offsets: bytes,
+                      d: int) -> tuple:
+    """chaos_term at the all-zero index, per offset: the node sum of
+    _chaos_plan's base alone, the same for every path, summed once."""
+    base, _ = _chaos_plan(nodes, weights, offsets, d, (0,) * d)
+    return tuple(_node_sums(np.ones_like(base), base))
 
 
 @lru_cache(maxsize=16)
@@ -419,6 +436,13 @@ def _eval_symbol(phi, columns):
         return np.array([float(phi(*point)) for point in zip(*columns)])
 
 
+@lru_cache(maxsize=1)
+def _line_rule() -> tuple:
+    """dynkin_renormalized_sum's Gauss-Legendre rule on [0, 1], built once
+    per process and read-only."""
+    return _read_only(*_unit_gauss_legendre(_LINE_ORDER))
+
+
 def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
                             quad: SimplexQuadrature = None, quad3=None,
                             t_top=None):
@@ -445,7 +469,7 @@ def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
         weight = np.array([(x / (2.0 * math.pi)) ** (k - l) for x in log_scales])
         collapsed = phi if l == k else dynkin_B(k, l, phi)
         if l == 1:
-            x, w = _unit_gauss_legendre(_LINE_ORDER)
+            x, w = _line_rule()
             term = float(np.dot(w, _eval_symbol(collapsed, (x,))))
         elif l == k and t_top is not None:
             term = np.asarray(t_top, dtype=float)

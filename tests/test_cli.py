@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from siltkit.cli import (
     build_parser,
     load_config,
     main,
+    parallel_map,
     parse_multi_indices,
     parse_norm_list,
     resolve_config,
@@ -123,6 +125,21 @@ class TestParsing:
         assert config.workers == 3
         config = resolve_config(parser.parse_args(["kernel", "--workers", "2"]))
         assert config.workers == 2
+
+    @pytest.mark.parametrize("flag, env", [
+        ("0", None), ("-2", None), ("1.5", None), ("two", None),
+        (None, "0"), (None, "-2")])
+    def test_workers_at_least_one(self, tmp_path, capsys, monkeypatch, flag,
+                                  env):
+        argv = ["kernel", "--out", str(tmp_path)]
+        if flag is not None:
+            argv += ["--workers", flag]
+        else:
+            monkeypatch.setenv("SILT_WORKERS", env)
+        assert main(argv) == 2
+        key = "workers" if flag is not None else "SILT_WORKERS"
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+        assert not os.path.exists(tmp_path / "kernel.csv")
 
     def test_digest_depends_on_params(self):
         a = RunConfig("kernel", ".", 0, 1, {"alpha": "0"})
@@ -374,6 +391,14 @@ class TestCommands:
         assert "|u|=60" in err and "underflows" in err
         assert not os.path.exists(os.path.join(tmp_path, "transport.csv"))
 
+    def test_marginal_all_zero_q_is_domain_error(self, tmp_path, capsys):
+        # at |u| = 40 every q underflows: no spread, so z and ESS are undefined
+        assert run_cli(["marginal", "--out", str(tmp_path), "--u-norms", "40",
+                        "--count", "500"]) == 2
+        assert capsys.readouterr().err == (
+            "domain error: q underflows to 0 at every sample at |u|=40.0\n")
+        assert not os.path.exists(tmp_path / "marginal.csv")
+
     def test_capacity_guards(self, tmp_path):
         assert run_cli(["capacity", "--out", str(tmp_path),
                         "--gamma", "0"]) == 2
@@ -482,3 +507,107 @@ class TestRuntimeImports:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
         assert report == {"codes": [0] * len(runs), "scipy": []}
+
+    def test_forked_commands_never_import_pools(self, tmp_path):
+        # parallel_map forks directly: neither concurrent.futures nor
+        # multiprocessing is loaded, before or after a two-worker command
+        runs = [["silt", "--replicas", "2", "--grid-m", "64", "--quad-order",
+                 "8", "--eps-ladder", "0.2,0.1"],
+                ["capacity", "--u-norms", "0.5,0.25", "--k-max", "4",
+                 "--tau-levels", "6", "--tau-order", "3"]]
+        runs = [run + ["--out", str(tmp_path), "--workers", "2"]
+                for run in runs]
+        code = (
+            "import json, sys\n"
+            "def pools():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in\n"
+            "                  ('concurrent', 'multiprocessing'))\n"
+            "from siltkit.cli import main\n"
+            "at_import = pools()\n"
+            f"codes = [main(args) for args in {runs!r}]\n"
+            "print(json.dumps({'codes': codes, 'at_import': at_import,\n"
+            "                  'after': pools()}))\n")
+        src = os.path.dirname(os.path.dirname(siltkit.__file__))
+        path = os.pathsep.join([src] + ([os.environ["PYTHONPATH"]]
+                                        if os.environ.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=600,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report == {"codes": [0, 0], "at_import": [], "after": []}
+
+
+def exit_on_three(i):
+    if i == 3:
+        os._exit(3)
+    return i
+
+
+def fail_fast_or_sleep(i):
+    if i == 0:
+        raise KeyError("share 0 fails at once")
+    time.sleep(60)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestParallelMap:
+    """Two workers on two usable CPUs, whatever the machine: every call
+    forks two children, and none is left behind."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_uneven_shares_in_input_order(self):
+        out = parallel_map(lambda i: (i * i, os.getpid()), range(7), 2)
+        assert [v for v, _ in out] == [i * i for i in range(7)]
+        pids = [pid for _, pid in out]
+        # static interleaved shares, computed by children only
+        assert set(pids[0::2]) != set(pids[1::2])
+        assert len(set(pids[0::2])) == len(set(pids[1::2])) == 1
+        assert os.getpid() not in pids
+
+    def test_task_exception_keeps_its_type(self):
+        def fail_on_five(i):
+            if i == 5:
+                raise KeyError("task 5")
+            return i
+        with pytest.raises(KeyError, match="task 5") as caught:
+            parallel_map(fail_on_five, range(7), 2)
+        if sys.version_info >= (3, 11):  # the worker's frames come along
+            assert "fail_on_five" in "".join(caught.value.__notes__)
+
+    def test_task_value_error_exits_2(self, tmp_path, capsys):
+        # the envelope's domain error is raised inside each path task
+        assert run_cli(["chaos", "--out", str(tmp_path), "--dim", "1",
+                        "--u-dir", "1", "--multi-index", "1", "--paths", "4",
+                        "--grid-m", "64", "--workers", "2"]) == 2
+        assert "k + d > 2" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "chaos.csv")
+
+    def test_child_exit_without_result_raises(self):
+        with pytest.raises(RuntimeError, match="left no result"):
+            parallel_map(exit_on_three, range(7), 2)
+
+    def test_failure_kills_the_other_child(self):
+        # share 0 fails at once; share 1 would sleep for a minute
+        start = time.perf_counter()
+        with pytest.raises(KeyError):
+            parallel_map(fail_fast_or_sleep, range(4), 2)
+        assert time.perf_counter() - start < 30
+
+    @pytest.mark.parametrize("cpus, forks", [({0}, 0), ({0, 1}, 2)])
+    def test_children_capped_at_usable_cpus(self, monkeypatch, cpus, forks):
+        # ask for 64 workers over 10 tasks: the CPU count caps the forks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+        calls, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        assert parallel_map(abs, range(-5, 5), 64) == [abs(i) for i in
+                                                       range(-5, 5)]
+        assert len(calls) == forks

@@ -619,6 +619,26 @@ class TestDynkin:
         assert dynkin_T(p, 2, 0.1, phi, quad=quad64) == pytest.approx(
             2.0 * first, rel=1e-14)
 
+    def test_line_rule_built_once_and_read_only(self, quad64):
+        # the l = 1 term's rule is cached per process; its symbol is not
+        siltcore._line_rule.cache_clear()
+        x, w = np.polynomial.legendre.leggauss(48)
+        phi = lambda *ts: 1.0 + ts[0]
+        sums = [dynkin_renormalized_sum(sample_path(64, 2, 5, stream=i), 2,
+                                        0.1, phi, quad=quad64)
+                for i in range(3)]
+        assert siltcore._line_rule.cache_info().misses == 1
+        rule = siltcore._line_rule()
+        assert rule[0].tolist() == (0.5 * (x + 1.0)).tolist()
+        assert rule[1].tolist() == (0.5 * w).tolist()
+        for arr in rule:
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        doubled = lambda *ts: 2.0 * phi(*ts)
+        assert dynkin_renormalized_sum(
+            sample_path(64, 2, 5, stream=2), 2, 0.1, doubled,
+            quad=quad64) == pytest.approx(2.0 * sums[2], rel=1e-14)
+
     def test_domain_errors(self, quad64):
         one = lambda *ts: 1.0
         with pytest.raises(ValueError):
@@ -827,6 +847,23 @@ class TestPlansAgainstPerNodeOracles:
                 assert got.tolist() == chaos_term_per_node(
                     path, idx, offsets, rules[kind])
 
+    def test_zero_index_summed_once_per_process(self, quad_geo):
+        # the all-zero index has no increment factor: every path gets the
+        # per-node value of the first, and no path's factors are built
+        offsets = np.array([[0.3, 0.1, 0.0], [0.05, -0.2, 0.1]])
+        siltcore._zero_index_terms.cache_clear()
+        siltcore._increment_factors.cache_clear()
+        for stream in range(3):
+            path = sample_path(256, 3, 23, stream=stream)
+            got = chaos_term(path, (0, 0, 0), offsets, quad_geo)
+            assert got.tolist() == chaos_term_per_node(path, (0, 0, 0),
+                                                       offsets, quad_geo)
+            got[:] = 0.0  # the caller's copy, not the cached sums
+            assert chaos_term(path, (0, 0, 0), offsets[1], quad_geo) == \
+                chaos_term_per_node(path, (0, 0, 0), offsets[1:], quad_geo)[0]
+        assert siltcore._zero_index_terms.cache_info().misses == 2
+        assert siltcore._increment_factors.cache_info().currsize == 0
+
     def test_cached_arrays_read_only(self, quad64, quad_geo):
         _, steps = siltcore._rule_plan(quad64.nodes.tobytes(), 2)
         nodes, weights = quad_geo.nodes.tobytes(), quad_geo.weights.tobytes()
@@ -845,7 +882,8 @@ class TestPlansAgainstPerNodeOracles:
     def test_no_plan_built_at_import(self):
         # every cache the pathwise tasks fill, empty in a fresh interpreter
         caches = ("siltcore._rule_plan", "siltcore._chaos_plan",
-                  "siltcore._increment_factors")
+                  "siltcore._increment_factors", "siltcore._zero_index_terms",
+                  "siltcore._line_rule")
         code = ("import siltkit.cli\nfrom siltkit import siltcore\n"
                 "print(sum(c.cache_info().currsize for c in ["
                 + ", ".join(caches) + "]))")
