@@ -301,6 +301,9 @@ def cmd_kernel(config: RunConfig) -> str:
                 if not all(map(math.isfinite, values)):
                     raise ValueError(f"alpha={alpha}, d={d}: exact, asymptotic "
                                      f"or ratio is not finite at u_norm={r}")
+                if values[0] == 0.0:
+                    raise ValueError(f"alpha={alpha}, d={d}: exact underflows "
+                                     f"to 0 at u_norm={r}")
                 rows.append((alpha, d, r, *values))
     return write_csv(config, "kernel.csv",
                      ["alpha", "d", "u_norm", "exact", "asymptotic", "ratio"], rows)

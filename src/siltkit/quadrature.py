@@ -208,7 +208,7 @@ def adaptive_partition_integral(f, cells, rel_tol: float = 1e-6,
     are split worst-first until the summed scores fall under rel_tol times
     the running total; a box narrower than _MIN_WIDTH on a side scores 0, so
     it is never split.  Ties break on insertion order, so the result is
-    deterministic.
+    deterministic.  A non-finite total raises ConvergenceError.
 
     f is called on concatenated batches of boxes: once for every starting
     cell's box and its four halves, then once per split for the four halves
@@ -266,4 +266,6 @@ def adaptive_partition_integral(f, cells, rel_tol: float = 1e-6,
         for k, (child, coarse) in enumerate(children):
             push(cell, child, coarse, est[4 * k:4 * k + 4])
         refinements += 1
+    if not np.isfinite(total):
+        raise ConvergenceError(f"adaptive refinement reached a non-finite total ({total})")
     return total

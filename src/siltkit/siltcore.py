@@ -81,11 +81,10 @@ class Path:
         return len(self.times) - 1
 
     def at(self, t) -> np.ndarray:
-        """Linear interpolation at times t, shape (len(t), d), on a stencil
-        shared per (grid, t); past the last node it extrapolates."""
+        """Linear interpolation at times t, shape (len(t), d); past the last
+        node it extrapolates."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.column_stack(_interpolate(
-            self.values, _stencil(self.times.tobytes(), t.tobytes())))
+        return np.column_stack(_interpolate(self.values, _stencil(self.times, t)))
 
     def max_abs(self) -> np.ndarray:
         """Per-coordinate sup of |w_i| over the grid (interpolation cannot exceed it)."""
@@ -98,14 +97,12 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-@lru_cache(maxsize=16)
-def _stencil(times: bytes, t: bytes) -> tuple:
-    """Read-only (cell index, weight) of linear interpolation at the query
-    times t on the grid times, both given as float64 bytes."""
-    times, t = np.frombuffer(times), np.frombuffer(t)
+def _stencil(times, t) -> tuple:
+    """(cell index, weight) of linear interpolation at the query times t on
+    the grid times."""
     idx = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
     left = times[idx]
-    return _read_only(idx, (t - left) / (times[idx + 1] - left))
+    return idx, (t - left) / (times[idx + 1] - left)
 
 
 def _interpolate(values, stencil) -> list:
@@ -116,23 +113,24 @@ def _interpolate(values, stencil) -> list:
 
 
 @lru_cache(maxsize=16)
-def _rule_plan(nodes: bytes, k: int) -> tuple:
-    """Of a rule's (N, k) node bytes, built on first use and read-only: each
-    column's distinct times, as stencil keys, and per step from column i to
-    i + 1 the map of the nodes onto the step's distinct time pairs and of
-    those onto each end's times."""
+def _rule_plan(nodes: bytes, k: int, times: bytes) -> tuple:
+    """Of a rule's (N, k) node bytes on a path grid's time bytes, built on
+    first use and read-only: the stencil of each column's distinct times,
+    and per step from column i to i + 1 the map of the nodes onto the step's
+    distinct time pairs and of those onto each end's times."""
+    grid = np.frombuffer(times)
     columns = [np.unique(c, return_inverse=True)
                for c in np.frombuffer(nodes).reshape(-1, k).T]
     steps = []
     for (_, ia), (tb, ib) in zip(columns[:-1], columns[1:]):
         codes, pairs = np.unique(ia * len(tb) + ib, return_inverse=True)
         steps.append(_read_only(pairs, *np.divmod(codes, len(tb))))
-    return tuple(t.tobytes() for t, _ in columns), tuple(steps)
+    return tuple(_read_only(*_stencil(grid, t)) for t, _ in columns), tuple(steps)
 
 
 def _increments(path, plan) -> list:
     """Per plan step and coordinate, w(t_{i+1}) - w(t_i) on distinct pairs."""
-    at = [_interpolate(path.values, _stencil(path.times.tobytes(), t)) for t in plan[0]]
+    at = [_interpolate(path.values, stencil) for stencil in plan[0]]
     return [[b.take(ib) - a.take(ia) for a, b in zip(at[i], at[i + 1])]
             for i, (_, ia, ib) in enumerate(plan[1])]
 
@@ -191,7 +189,7 @@ def silt_epsilon(path: Path, eps, u, quad: SimplexQuadrature):
     eps: a float, or an array for a 1-d array of scales (one interpolation)."""
     scales = _as_scales(eps)
     u = _as_offset(u, path.d)
-    plan = _rule_plan(quad.nodes.tobytes(), 2)
+    plan = _rule_plan(quad.nodes.tobytes(), 2, path.times.tobytes())
     rows = [row - c for row, c in zip(_increments(path, plan)[0], u)]
     sq = _squared_norms(rows).take(plan[1][0][0])
     values = np.array([np.dot(quad.weights, np.exp(log_gaussian_kernel_batch(
@@ -253,19 +251,20 @@ def chaos_term(path: Path, idx, u, quad: SimplexQuadrature):
     idx = _coerce_index(idx, path.d)
     offsets = _as_offset_rows(u, path.d)
     nodes = quad.nodes.tobytes()
-    plan_key = (nodes, quad.weights.tobytes(), offsets.tobytes(), path.d)
-    log_mag, offset_factors = _chaos_plan(*plan_key, idx)
+    log_mag, offset_factors, zero_sums = _chaos_plan(
+        nodes, quad.weights.tobytes(), offsets.tobytes(), path.d, idx)
     if offset_factors:
-        increment_factor = _increment_factors(path.times.tobytes(),
-                                              path.values.tobytes(), nodes)
+        (s, t), plan = quad.nodes.T, _rule_plan(nodes, 2, path.times.tobytes())
+        x = [row.take(plan[1][0][0]) / np.sqrt(t - s)
+             for row in _increments(path, plan)[0]]
         sign = np.ones_like(log_mag)
         for j, n, sg_u, lg_u in offset_factors:
-            sg_w, lg_w = increment_factor(j, n)
+            sg_w, lg_w = normalized_hermite_log_sign(n, x[j])
             sign = sign * (sg_w * sg_u)
             log_mag = log_mag + (lg_w + lg_u)
         values = np.array(_node_sums(sign, log_mag))
-    else:  # every n_j = 0: no factor reads the path
-        values = np.array(_zero_index_terms(*plan_key))
+    else:  # every n_j = 0: no factor reads the path, and the plan holds the sums
+        values = np.array(zero_sums)
     return float(values[0]) if np.ndim(u) < 2 else values
 
 
@@ -277,19 +276,12 @@ def _node_sums(sign, log_mag) -> list:
 
 
 @lru_cache(maxsize=16)
-def _zero_index_terms(nodes: bytes, weights: bytes, offsets: bytes,
-                      d: int) -> tuple:
-    """chaos_term at the all-zero index, per offset: the node sum of
-    _chaos_plan's base alone, the same for every path, summed once."""
-    base, _ = _chaos_plan(nodes, weights, offsets, d, (0,) * d)
-    return tuple(_node_sums(np.ones_like(base), base))
-
-
-@lru_cache(maxsize=16)
 def _chaos_plan(nodes: bytes, weights: bytes, offsets: bytes, d: int,
                 idx: tuple) -> tuple:
-    """chaos_term's rule- and offset-only arrays: log(kernel * weight) per
-    (offset, node), and (j, n_j, sign, log|H_n_j/sqrt(n_j!)|) of u_j/sqrt(t-s)."""
+    """chaos_term's rule- and offset-only parts: log(kernel * weight) per
+    (offset, node); (j, n_j, sign, log|H_n_j/sqrt(n_j!)|) of u_j/sqrt(t-s)
+    for each n_j > 0; and, at the all-zero index, whose terms read no path,
+    the node sum per offset, else None."""
     s, t = np.frombuffer(nodes).reshape(-1, 2).T
     offsets = np.frombuffer(offsets).reshape(-1, d)
     # a dot per row, as for one offset: an array call keeps the scalar bits
@@ -297,19 +289,10 @@ def _chaos_plan(nodes: bytes, weights: bytes, offsets: bytes, d: int,
     if np.any(r2 == 0):
         raise ValueError("offset must be nonzero")
     base = log_gaussian_kernel_batch(r2, d, t - s) + np.log(np.frombuffer(weights))
-    return _read_only(base)[0], tuple((j, n, *_read_only(*normalized_hermite_log_sign(
+    factors = tuple((j, n, *_read_only(*normalized_hermite_log_sign(
         n, offsets[:, j, None] / np.sqrt(t - s)))) for j, n in enumerate(idx) if n)
-
-
-@lru_cache(maxsize=4)
-def _increment_factors(times: bytes, values: bytes, nodes: bytes):
-    """(j, n) -> (sign, log|H_n/sqrt(n!)|) of (w_j(t) - w_j(s)) / sqrt(t - s),
-    once each, for the path of these grid times and values on a rule."""
-    path = Path(np.frombuffer(times), np.frombuffer(values).reshape(len(times) // 8, -1))
-    (s, t), plan = np.frombuffer(nodes).reshape(-1, 2).T, _rule_plan(nodes, 2)
-    x = [row.take(plan[1][0][0]) / np.sqrt(t - s) for row in _increments(path, plan)[0]]
-    return lru_cache(maxsize=None)(
-        lambda j, n: _read_only(*normalized_hermite_log_sign(n, x[j])))
+    zero_sums = None if factors else tuple(_node_sums(np.ones_like(base), base))
+    return _read_only(base)[0], factors, zero_sums
 
 
 def peak_exp_sum(sign, log_mag, peak) -> float:
@@ -418,7 +401,7 @@ def dynkin_T(path: Path, k: int, eps, phi, quad: SimplexQuadrature = None,
     else:
         nodes, weights = simplex3_gauss_legendre(12) if quad3 is None else quad3
     nodes = np.asarray(nodes, dtype=float)
-    plan = _rule_plan(nodes.tobytes(), k)
+    plan = _rule_plan(nodes.tobytes(), k, path.times.tobytes())
     sq_norms = [_squared_norms(rows) for rows in _increments(path, plan)]
     phi_vals = _eval_symbol(phi, tuple(nodes.T))
     values = np.array([np.dot(weights, phi_vals * math.prod(

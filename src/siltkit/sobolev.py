@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import geometric_panels, interval_overlap
+from .quadrature import geometric_panels
 from .specfun import SimplexIntegralSpec, log_gaussian_kernel_batch, \
     normalized_hermite_all, simplex_moment_integral
 
@@ -41,7 +41,6 @@ __all__ = [
     "SobolevSpec",
     "SobolevNormResult",
     "CapacityResult",
-    "interval_overlap",
     "sobolev_norm_sq_truncated",
     "capacity_lower_bound",
 ]

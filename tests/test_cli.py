@@ -172,7 +172,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("alpha,dim,u_norms", [
         ("170,200", "4", "0.5"),  # Gamma(alpha + d/2 - 1) leaves double range
-        ("0", "2", "1")])  # log(1/|u|) = 0: the ratio divides by zero
+        ("0", "2", "1"),  # log(1/|u|) = 0: the ratio divides by zero
+        ("0", "4", "30,40")])  # exact is 4.6e-203 at 30, underflows to 0 at 40
     def test_kernel_non_finite_is_domain_error(self, tmp_path, capsys, alpha,
                                                dim, u_norms):
         assert run_cli(["kernel", "--out", str(tmp_path), "--alpha", alpha,
@@ -180,6 +181,7 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"alpha={float(alpha.split(',')[0])}" in err
         assert f"d={dim}" in err
+        assert f"u_norm={float(u_norms.split(',')[-1])}" in err
         assert not os.path.exists(tmp_path / "kernel.csv")
 
     def test_hermite(self, tmp_path):

@@ -132,6 +132,17 @@ class TestAdaptiveIntegral:
             adaptive_partition_integral(lambda s, t: np.log(t - s), cells,
                                         rel_tol=1e-13, max_refinements=3)
 
+    @pytest.mark.parametrize("f", [lambda s, t: np.log(t - s),
+                                   lambda s, t: 1.0 / (t - s)],
+                             ids=["log_gap", "inverse_gap"])
+    def test_non_finite_total_raises(self, f):
+        # at this tolerance the boxes at the diagonal narrow below the float
+        # resolution of t - s, so the integrand is evaluated at t == s
+        cells = triangle_grid_cells([0.0, 1.0])
+        with np.errstate(divide="ignore"), \
+                pytest.raises(ConvergenceError, match="non-finite total"):
+            adaptive_partition_integral(f, cells, rel_tol=1e-15)
+
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             triangle_grid_cells([0.0, 0.5, 0.5, 1.0])

@@ -1,11 +1,11 @@
 import io
+import json
 import math
 import os
 import struct
 import subprocess
 import sys
 from dataclasses import astuple
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -93,8 +93,9 @@ class TestPathSampling:
 
 
 class TestInterpolationStencil:
-    """Path.at shares one stencil per (grid, query) pair and interpolates one
-    coordinate at a time, bit for bit as the gather oracle."""
+    """Path.at interpolates one coordinate at a time on the stencil of its
+    query times, bit for bit as the gather oracle; the rule plans keep one
+    stencil per rule column and grid."""
 
     @staticmethod
     def assert_matches_gather(path, t):
@@ -143,34 +144,28 @@ class TestInterpolationStencil:
         assert not np.array_equal(uniform.at(t), squared.at(t))
         self.assert_matches_gather(uniform, t)
         self.assert_matches_gather(squared, t)
+        # nor a rule plan: each grid gets its own stencils
+        quad = SimplexQuadrature.gauss_legendre(16)
+        for p in (uniform, squared, uniform):
+            assert silt_epsilon(p, np.array([0.2]), 0, quad).tolist() == \
+                silt_epsilon_per_node(p, [0.2], np.zeros(2), quad)
 
-    def test_cached_arrays_read_only(self):
-        p = sample_path(32, 1, 0)
-        t = np.linspace(0.0, 1.0, 7)
-        idx, lam = siltcore._stencil(p.times.tobytes(), t.tobytes())
-        assert siltcore._stencil(p.times.tobytes(), t.tobytes())[0] is idx
-        for arr in (idx, lam):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1
-        assert np.array_equal(p.at(t), path_interpolation_gather(p, t))
-
-    def test_silt_replicas_build_each_stencil_once(self, monkeypatch):
-        builds = []
-        build = siltcore._stencil.__wrapped__
-
-        def counting(times, t):
-            builds.append(t)
-            return build(times, t)
-
-        monkeypatch.setattr(siltcore, "_stencil", lru_cache(maxsize=16)(counting))
+    def test_silt_replicas_build_each_stencil_once(self):
+        # the s and t stencils on the task grid are in one rule plan, built
+        # by the first replica and read by the other seven
+        siltcore._rule_plan.cache_clear()
         config = task_config("silt", "--seed", "4", "--grid-m", "128",
                              "--eps-ladder", "0.2,0.1", "--quad-order", "16")
         for stream in range(8):
             rows = _silt_task(config, stream)
             assert len(rows) == 2
-        # one stencil for the s column and one for the t column
-        assert len(builds) == len(set(builds)) == 2
+        info = siltcore._rule_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 7)
+        nodes = SimplexQuadrature.gauss_legendre(16).nodes
+        stencils, _ = siltcore._rule_plan(
+            nodes.tobytes(), 2, np.linspace(0.0, 1.0, 129).tobytes())
+        assert [len(idx) for idx, _ in stencils] == [
+            len(np.unique(c)) for c in nodes.T]
 
 
 class TestSiltEpsilon:
@@ -741,7 +736,6 @@ class TestInterpolationsPerTask:
         indices = ((0, 0, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0))
         for norms, n_norms in [("0.25", 1), ("2^-2..2^-8", 7)]:
             stencils.clear()
-            siltcore._increment_factors.cache_clear()
             config = task_config(
                 "chaos", "--seed", "3", "--grid-m", "128", "--multi-index",
                 ";".join(",".join(map(str, idx)) for idx in indices),
@@ -749,8 +743,9 @@ class TestInterpolationsPerTask:
                 "--quad-order-gap", "2", "--quad-order-pos", "4")
             rows = _chaos_task(config, 0)
             assert len(rows) == len(indices) * n_norms
-            # w(s) and w(t) once for every index; no node time repeats here
-            assert [len(idx) for idx in stencils] == [72, 72]
+            # w(s) and w(t) once for each index with a factor, none for the
+            # all-zero index; no node time repeats here
+            assert [len(idx) for idx in stencils] == [72] * 4
 
     @pytest.mark.parametrize("k, per_replica", [(2, 2), (3, 5)])
     def test_dynkin_task(self, monkeypatch, k, per_replica):
@@ -849,10 +844,10 @@ class TestPlansAgainstPerNodeOracles:
 
     def test_zero_index_summed_once_per_process(self, quad_geo):
         # the all-zero index has no increment factor: every path gets the
-        # per-node value of the first, and no path's factors are built
+        # per-node value of the first, and no rule plan is built for it
         offsets = np.array([[0.3, 0.1, 0.0], [0.05, -0.2, 0.1]])
-        siltcore._zero_index_terms.cache_clear()
-        siltcore._increment_factors.cache_clear()
+        siltcore._chaos_plan.cache_clear()
+        siltcore._rule_plan.cache_clear()
         for stream in range(3):
             path = sample_path(256, 3, 23, stream=stream)
             got = chaos_term(path, (0, 0, 0), offsets, quad_geo)
@@ -861,38 +856,51 @@ class TestPlansAgainstPerNodeOracles:
             got[:] = 0.0  # the caller's copy, not the cached sums
             assert chaos_term(path, (0, 0, 0), offsets[1], quad_geo) == \
                 chaos_term_per_node(path, (0, 0, 0), offsets[1:], quad_geo)[0]
-        assert siltcore._zero_index_terms.cache_info().misses == 2
-        assert siltcore._increment_factors.cache_info().currsize == 0
+        assert siltcore._chaos_plan.cache_info().misses == 2
+        assert siltcore._rule_plan.cache_info().misses == 0
 
     def test_cached_arrays_read_only(self, quad64, quad_geo):
-        _, steps = siltcore._rule_plan(quad64.nodes.tobytes(), 2)
+        times = sample_path(64, 2, 1).times.tobytes()
+        stencils, steps = siltcore._rule_plan(quad64.nodes.tobytes(), 2, times)
+        stencils3, steps3 = siltcore._rule_plan(
+            simplex3_gauss_legendre(6)[0].tobytes(), 3, times)
         nodes, weights = quad_geo.nodes.tobytes(), quad_geo.weights.tobytes()
-        base, factors = siltcore._chaos_plan(
+        base, factors, zero_sums = siltcore._chaos_plan(
             nodes, weights, np.array([[0.3, 0.1]]).tobytes(), 2, (2, 1))
-        path = sample_path(64, 2, 1)
-        increment_factor = siltcore._increment_factors(
-            path.times.tobytes(), path.values.tobytes(), nodes)
-        arrays = [*steps[0], base] + [
-            arr for factor in factors for arr in factor[2:]] + [
-            *increment_factor(1, 3)]
-        assert len(arrays) == 10
+        assert zero_sums is None
+        arrays = [arr for plan in (stencils, steps, stencils3, steps3)
+                  for part in plan for arr in part] + [base] + [
+            arr for factor in factors for arr in factor[2:]]
+        assert len(arrays) == 2 * 2 + 3 + 3 * 2 + 2 * 3 + 1 + 2 * 2
         for arr in arrays:
-            assert not arr.flags.writeable
+            assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
     def test_no_plan_built_at_import(self):
-        # every cache the pathwise tasks fill, empty in a fresh interpreter
-        caches = ("siltcore._rule_plan", "siltcore._chaos_plan",
-                  "siltcore._increment_factors", "siltcore._zero_index_terms",
-                  "siltcore._line_rule")
-        code = ("import siltkit.cli\nfrom siltkit import siltcore\n"
-                "print(sum(c.cache_info().currsize for c in ["
-                + ", ".join(caches) + "]))")
+        # every cache in every siltkit module, found as the benchmark's runner
+        # finds them and named where it is defined, is empty in a fresh
+        # interpreter; siltcore defines its three plans
+        code = (
+            "import importlib, json, pkgutil\nimport siltkit, siltkit.cli\n"
+            "caches = {f'{value.__module__}.{value.__qualname__}':\n"
+            "          value.cache_info().currsize\n"
+            "          for info in pkgutil.iter_modules(siltkit.__path__)\n"
+            "          for value in vars(importlib.import_module(\n"
+            "              f'siltkit.{info.name}')).values()\n"
+            "          if callable(getattr(value, 'cache_clear', None))}\n"
+            "print(json.dumps(caches))")
         src = os.path.dirname(os.path.dirname(siltkit.__file__))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120,
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0"
+        caches = json.loads(proc.stdout)
+        assert len(caches) == 8 and set(caches.values()) == {0}
+        assert {name for name in caches
+                if name.startswith("siltkit.siltcore.")} == {
+            "siltkit.siltcore._rule_plan", "siltkit.siltcore._chaos_plan",
+            "siltkit.siltcore._line_rule"}
 
 
 _BINARY_MAGIC = b"SILTPATH1"

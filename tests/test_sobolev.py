@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siltkit.quadrature import SimplexQuadrature
+from siltkit.quadrature import SimplexQuadrature, interval_overlap
 from siltkit.siltcore import Path, chaos_term, sample_path
 from siltkit.sobolev import (
     CapacityResult,
@@ -14,7 +14,6 @@ from siltkit.sobolev import (
     _norm_orders_collapsed,
     _shift_integrals,
     capacity_lower_bound,
-    interval_overlap,
     sobolev_norm_sq_truncated,
 )
 from siltkit.specfun import SimplexIntegralSpec, simplex_moment_integral
