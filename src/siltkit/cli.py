@@ -595,7 +595,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str = None) -> argparse.ArgumentParser:
+    """The parser of every command; given ``command``, only that command's
+    subparser gets its options, all that one invocation of it parses."""
     parser = argparse.ArgumentParser(
         prog="siltkit",
         description="Numerics for Brownian self-intersection local times.",
@@ -603,6 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, declared) in COMMANDS.items():
         p = sub.add_parser(name)
+        if command is not None and name != command:
+            continue
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--config", default=None, help="key=value config file")
@@ -640,7 +644,8 @@ def resolve_config(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         config = resolve_config(args)

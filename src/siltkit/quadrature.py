@@ -17,8 +17,10 @@ projections and the residual variance.
 
 The adaptive machinery at the bottom refines a list of starting cells
 (rectangles, or triangles in mapped coordinates) by greedy quadtree splitting
-until the summed local error estimates drop below a relative tolerance; it is
-what integrates the log-singular entropy integrand.
+until the summed local error estimates drop below a relative tolerance.  No
+package code calls it: the tests integrate the log-singular entropy integrand
+with it, as the reference for transport's fixed rule, and the benchmark's
+tracer binds it by name.
 """
 
 from __future__ import annotations

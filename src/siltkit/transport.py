@@ -13,7 +13,8 @@ The entropy side has a closed upper bound
 
 where m is the total mass of the marginal intersection measure and sigma^2
 the projection residual variance; the integrand's logarithmic singularities
-sit on the grid lines, so it is integrated by the adaptive cell refinement.
+sit on the grid lines, so it is integrated by a fixed rule graded toward
+them (geometric panels, and Duffy triangles at the corners of grid cells).
 The empirical side draws the normalized intersection marginal theta
 exactly.  Its density with respect to the Brownian marginal is q/m, and on a
 quadrature rule q is a weighted sum over nodes of Gaussian kernels of
@@ -36,7 +37,7 @@ import numpy as np
 from .marginals import TimeGrid, grid_overlaps, marginal_density_q_batch, \
     sample_mu_n
 from .quadrature import ConvergenceError, SimplexQuadrature, \
-    adaptive_partition_integral, triangle_grid_cells
+    _unit_gauss_legendre, geometric_panels
 from .rng import stream_generator
 from .specfun import SimplexIntegralSpec, log_gaussian_kernel_batch, \
     simplex_moment_integral
@@ -62,7 +63,11 @@ __all__ = [
 _STREAM_PROPOSAL = 1
 _STREAM_REFERENCE = 2
 
-_SIGMA2_MAX_REFINEMENTS = 60000
+# the log sigma^2 rule: geometric panels toward each singularity, Gauss
+# nodes in the Duffy angle
+_SIGMA2_LEVELS = 40
+_SIGMA2_RADIAL_ORDER = 8
+_SIGMA2_ANGLE_ORDER = 16
 _SINKHORN_ABSORB_EVERY = 20
 
 
@@ -127,33 +132,48 @@ def kappa(n: int) -> float:
 # Entropy bound
 # ---------------------------------------------------------------------------
 
-def log_sigma2_integral(u, d: int, n: int, rel_tol: float = 1e-6,
-                        quad: SimplexQuadrature = None) -> float:
+def log_sigma2_integral(u, d: int, n: int) -> float:
     """Integral of log(sigma^2(s, t)) * kernel_d(t - s, u) over the triangle.
 
-    sigma^2 vanishes where both endpoints sit on the uniform n-grid and on
-    the diagonal t = s, so the integrand has integrable log singularities;
-    with quad=None it is integrated by adaptive refinement of the grid-cell
-    partition, otherwise by the fixed rule provided (useful as a cross-check).
+    On the uniform n-grid, with h = 1/n and phi(y) = y (1 - n y), it equals
+    n T + sum_{k=0}^{n-2} (n - 1 - k) R_k, where
+    T = int_0^h (h - x) log(phi(x)) p(x) dx and
+    R_k = int int_[0,h]^2 log(phi(a) + phi(b)) p(a + b + k h) da db.  T runs
+    geometric panels toward both ends of [0, h]; each corner quadrant of R_k
+    runs two Duffy triangles, the panels in the radius and Gauss nodes in the
+    angle.  phi is evaluated from the distance to the nearer end, so no node
+    rounds onto a zero of sigma^2.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     r2 = float(np.dot(u, u))
     if r2 == 0:
         raise ValueError("offset must be nonzero")
-    grid = TimeGrid.make_uniform(n)
+    if n < 1:
+        raise ValueError(f"need n >= 1 cells, got {n}")
+    h = 1.0 / n
 
-    def integrand(s, t):
-        _, sigma2 = grid_overlaps(s, t, grid)
-        sigma2 = np.clip(sigma2, 1e-300, None)
-        return np.log(sigma2) * np.exp(log_gaussian_kernel_batch(r2, d, t - s))
+    def kernel(x):
+        return np.exp(log_gaussian_kernel_batch(r2, d, x))
 
-    if quad is not None:
-        return float(np.dot(quad.weights,
-                            integrand(quad.nodes[:, 0], quad.nodes[:, 1])))
-    cells = triangle_grid_cells(grid.t)
-    return adaptive_partition_integral(
-        integrand, cells, rel_tol=rel_tol,
-        max_refinements=_SIGMA2_MAX_REFINEMENTS)
+    def phi(e):
+        return e * (1.0 - n * e)
+
+    y, wy = geometric_panels(_SIGMA2_LEVELS, _SIGMA2_RADIAL_ORDER)
+    e, we = 0.5 * h * y, 0.5 * h * wy  # distance to the nearer end
+    total = n * float(np.dot(we * np.log(phi(e)),
+                             (h - e) * kernel(e) + e * kernel(h - e)))
+    # corner quadrant, triangle 0 < eb = rho theta < ea = rho <= h/2; the
+    # other triangle swaps ea and eb and keeps log(phi(ea) + phi(eb))
+    theta, wt = _unit_gauss_legendre(_SIGMA2_ANGLE_ORDER)
+    rho = e[:, None]
+    log_w = (we[:, None] * rho * wt) * np.log(phi(rho) + phi(rho * theta))
+    near, skew = rho * (1.0 + theta), rho * (1.0 - theta)  # ea + eb, ea - eb
+    shift = h * np.arange(n - 1)[:, None, None]
+    # a + b over the corners (0, 0), (h, h), (h, 0) and (0, h), both triangles
+    mass = kernel(shift + near) + kernel(shift + (2.0 * h - near)) \
+        + kernel(shift + (h - skew)) + kernel(shift + (h + skew))
+    r_k = 2.0 * np.sum(mass * log_w, axis=(1, 2))
+    return total + float(np.dot(np.arange(n - 1, 0, -1), r_k))
 
 
 def entropy_bound(u, d: int, n: int) -> float:

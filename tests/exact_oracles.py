@@ -19,7 +19,9 @@ import math
 
 import numpy as np
 
-from siltkit.quadrature import ConvergenceError, _unit_gauss_legendre
+from siltkit.marginals import TimeGrid, grid_overlaps
+from siltkit.quadrature import ConvergenceError, _unit_gauss_legendre, \
+    adaptive_partition_integral, triangle_grid_cells
 from siltkit.siltcore import _as_offset, silt_adjustment, silt_epsilon
 from siltkit.specfun import log_gaussian_kernel_batch
 
@@ -460,6 +462,33 @@ def adaptive_partition_integral_per_box(f, cells, rel_tol: float = 1e-6,
             push(cell, child)
         refinements += 1
     return total
+
+
+# The entropy bound's log integral as siltkit.transport computed it before
+# its fixed graded rule: the integrand on (s, t) from the grid overlaps,
+# driven by the adaptive refiner over the grid-cell partition.
+
+def log_sigma2_integrand(u, d: int, n: int):
+    """log(sigma^2(s, t)) * kernel_d(t - s, u) on the uniform n-grid, as a
+    vectorized f(s, t); sigma^2 is clipped at 1e-300."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    r2 = float(np.dot(u, u))
+    grid = TimeGrid.make_uniform(n)
+
+    def integrand(s, t):
+        _, sigma2 = grid_overlaps(s, t, grid)
+        sigma2 = np.clip(sigma2, 1e-300, None)
+        return np.log(sigma2) * np.exp(log_gaussian_kernel_batch(r2, d, t - s))
+
+    return integrand
+
+
+def log_sigma2_integral_adaptive(u, d: int, n: int, rel_tol: float) -> float:
+    """The log sigma^2 integral by adaptive refinement of the grid cells,
+    through the module's adaptive_partition_integral (a test may swap it)."""
+    cells = triangle_grid_cells(TimeGrid.make_uniform(n).t)
+    return adaptive_partition_integral(log_sigma2_integrand(u, d, n), cells,
+                                       rel_tol=rel_tol, max_refinements=60000)
 
 
 # Plain Sinkhorn, checked every 20 sweeps, as it was before the Gibbs kernel

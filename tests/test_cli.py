@@ -95,6 +95,27 @@ class TestParsing:
         assert set(vars(config.values)) == set(declared)
         assert not any(isinstance(v, str) for v in vars(config.values).values())
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_command_help_lists_every_option(self, capsys, command):
+        # main builds only the invoked command's options; its help must read
+        # as the parser with every command's options reads it
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        got = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        assert got == capsys.readouterr().out
+        for key in ["out", "seed", "config", "workers", *COMMANDS[command][1]]:
+            assert f"--{key.replace('_', '-')}" in got
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        listed = capsys.readouterr().out
+        assert all(command in listed for command in COMMANDS)
+
     @pytest.mark.parametrize("command,key,value", [
         ("kernel", "dim", "four"), ("hermite", "n_max", "-1"),
         ("silt", "u_norm", "-0.3"), ("silt", "eps_ladder", "0.2,0.1,0.1"),

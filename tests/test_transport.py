@@ -7,8 +7,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from siltkit.marginals import TimeGrid, grid_overlaps, \
     marginal_density_q_batch, sample_mu_n
-from siltkit.quadrature import ConvergenceError, SimplexQuadrature, \
-    adaptive_partition_integral
+from siltkit.quadrature import ConvergenceError, SimplexQuadrature
 from siltkit.rng import stream_generator
 from siltkit import transport
 from siltkit.specfun import SimplexIntegralSpec, log_gaussian_kernel_batch, \
@@ -27,12 +26,15 @@ from siltkit.transport import (
 )
 
 from conftest import axis_offset
+import exact_oracles
 from exact_oracles import _overlap, adaptive_partition_integral_per_box, \
-    hessian_eigenvalues, hessian_matrix_diagonals, sinkhorn_log_temporaries
+    hessian_eigenvalues, hessian_matrix_diagonals, \
+    log_sigma2_integral_adaptive, log_sigma2_integrand, \
+    sinkhorn_log_temporaries
 
-# frozen after the two independent quadrature schemes agreed to 1e-4
-# (adaptive cell refinement vs per-cell scipy dblquad), d=4, n=2, |u|=0.2
-ENTROPY_BOUND_BASELINE_4_2_02 = 2.7911132978
+# the bound with the log integral from the adaptive oracle at rel_tol=1e-10,
+# d=4, n=2, |u|=0.2; the oracle agrees with per-cell scipy dblquad to 1e-4
+ENTROPY_BOUND_BASELINE_4_2_02 = 2.79111484928
 
 
 def log_sigma2_scipy_cells(u, d, n):
@@ -104,21 +106,48 @@ class TestHessianSpectrum:
             kappa(0)
 
 
+@pytest.fixture(scope="module")
+def log_sigma2_oracle():
+    """The adaptive oracle at rel_tol=1e-10, memoized per (n, |u|), d=4."""
+    values = {}
+
+    def value(n, r):
+        if (n, r) not in values:
+            values[n, r] = log_sigma2_integral_adaptive(axis_offset(r, 4), 4,
+                                                        n, rel_tol=1e-10)
+        return values[n, r]
+
+    return value
+
+
 class TestEntropyBound:
     def test_refinement_converges(self):
         for r in (0.1, 0.5):
             u = axis_offset(r, 4)
             for n in (1, 4, 8):
-                coarse = log_sigma2_integral(u, 4, n, rel_tol=1e-7)
-                fine = log_sigma2_integral(u, 4, n, rel_tol=1e-8)
+                coarse = log_sigma2_integral_adaptive(u, 4, n, rel_tol=1e-7)
+                fine = log_sigma2_integral_adaptive(u, 4, n, rel_tol=1e-8)
                 assert abs(coarse - fine) / abs(fine) < 1e-6
 
     def test_two_schemes_agree(self):
         u = axis_offset(0.2, 4)
         for n in (1, 2):
-            adaptive = log_sigma2_integral(u, 4, n, rel_tol=1e-8)
+            adaptive = log_sigma2_integral_adaptive(u, 4, n, rel_tol=1e-8)
             scipy_val = log_sigma2_scipy_cells(u, 4, n)
             assert adaptive == pytest.approx(scipy_val, rel=1e-4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("r", [0.02, 0.3, 1.0, 5.0])
+    def test_fixed_rule_matches_adaptive_oracle(self, log_sigma2_oracle, n, r):
+        assert log_sigma2_integral(axis_offset(r, 4), 4, n) == pytest.approx(
+            log_sigma2_oracle(n, r), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("d, n", [(4, 1), (4, 2), (4, 3), (4, 8), (1, 16)])
+    @pytest.mark.parametrize("r", [1e-3, 0.02, 30.0, 37.0])
+    def test_no_node_on_a_singularity(self, d, n, r):
+        # at |u| = 37 the integral is about -1.75e-304 (n = 1, d = 4)
+        value = log_sigma2_integral(axis_offset(r, d), d, n)
+        assert math.isfinite(value) and value < 0
 
     def test_log_term_sign(self):
         # sigma2 <= t-s <= 1 pointwise, so the log integral is <= 0 and the
@@ -130,27 +159,36 @@ class TestEntropyBound:
     def test_regression_baseline(self):
         u = axis_offset(0.2, 4)
         value = entropy_bound(u, 4, 2)
-        assert value == pytest.approx(ENTROPY_BOUND_BASELINE_4_2_02, abs=1e-6)
+        assert value == pytest.approx(ENTROPY_BOUND_BASELINE_4_2_02, abs=1e-8)
 
     def test_zero_offset_rejected(self):
         with pytest.raises(ValueError):
             entropy_bound(np.zeros(4), 4, 2)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_grid_rejected(self, n):
+        with pytest.raises(ValueError, match="need n >= 1 cells"):
+            log_sigma2_integral(axis_offset(0.3, 4), 4, n)
+
     def test_fixed_rule_cross_check(self, quad_geo):
-        # passing an explicit rule evaluates the same integrand directly
+        # the same integrand evaluated directly on an explicit rule
         u = axis_offset(0.5, 4)
-        adaptive = log_sigma2_integral(u, 4, 1, rel_tol=1e-8)
-        fixed = log_sigma2_integral(u, 4, 1, quad=quad_geo)
+        adaptive = log_sigma2_integral_adaptive(u, 4, 1, rel_tol=1e-8)
+        f = log_sigma2_integrand(u, 4, 1)
+        fixed = float(np.dot(quad_geo.weights,
+                             f(quad_geo.nodes[:, 0], quad_geo.nodes[:, 1])))
         assert fixed == pytest.approx(adaptive, rel=1e-3)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8])
     def test_batched_refinement_keeps_bits(self, n, rel_tol, monkeypatch):
-        values = [log_sigma2_integral(axis_offset(r, 4), 4, n, rel_tol=rel_tol)
+        values = [log_sigma2_integral_adaptive(axis_offset(r, 4), 4, n,
+                                               rel_tol=rel_tol)
                   for r in (0.1, 0.3, 0.5)]
-        monkeypatch.setattr(transport, "adaptive_partition_integral",
+        monkeypatch.setattr(exact_oracles, "adaptive_partition_integral",
                             adaptive_partition_integral_per_box)
-        per_box = [log_sigma2_integral(axis_offset(r, 4), 4, n, rel_tol=rel_tol)
+        per_box = [log_sigma2_integral_adaptive(axis_offset(r, 4), 4, n,
+                                                rel_tol=rel_tol)
                    for r in (0.1, 0.3, 0.5)]
         assert values == per_box
 
