@@ -29,13 +29,13 @@ import pickle
 import signal
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .marginals import TimeGrid, marginal_density_q_batch, sample_mu_n
-from .quadrature import ConvergenceError, SimplexQuadrature, \
+from .quadrature import ConvergenceError, SimplexQuadrature, _shared_rule, \
     simplex3_gauss_legendre
 from .sobolev import SobolevSpec, capacity_lower_bound
 from .specfun import (
@@ -90,7 +90,7 @@ def number(kind, lo=-math.inf, hi=math.inf):
     return convert
 
 
-_int, _float = number(int), number(float)
+_int, _float, _size = number(int), number(float), number(int, lo=1)
 
 
 def comma_list(convert):
@@ -331,39 +331,12 @@ def cmd_hermite(config: RunConfig) -> str:
                      rows)
 
 
-@lru_cache(maxsize=None)
-def _triangle_rule(quad_order: int) -> SimplexQuadrature:
-    """The silt and dynkin tasks' triangle rule, built once per process and
-    shared read-only."""
-    quad = SimplexQuadrature.gauss_legendre(quad_order)
-    quad.nodes.flags.writeable = quad.weights.flags.writeable = False
-    return quad
-
-
-@lru_cache(maxsize=None)
-def _diagonal_rule(levels: int, order_gap: int, order_pos: int) -> SimplexQuadrature:
-    """The diagonal-refined rule of chaos, marginal and transport, built once
-    per process and shared read-only."""
-    quad = SimplexQuadrature.geometric_diagonal(levels, order_gap, order_pos)
-    quad.nodes.flags.writeable = quad.weights.flags.writeable = False
-    return quad
-
-
-@lru_cache(maxsize=None)
-def _simplex3_rule(order: int) -> tuple:
-    """The dynkin tasks' 3-simplex rule, built once per process and shared
-    read-only."""
-    nodes, weights = simplex3_gauss_legendre(order)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def _silt_task(config: RunConfig, stream: int) -> list:
     p = config.values
     u = p.u_norm * p.u_dir if p.u_norm > 0 else np.zeros(p.dim)
     path = sample_path(p.grid_m, p.dim, config.seed, stream=stream)
-    raws = silt_epsilon(path, np.array(p.eps_ladder), u,
-                        _triangle_rule(p.quad_order))
+    raws = silt_epsilon(path, np.array(p.eps_ladder), u, _shared_rule(
+        SimplexQuadrature.gauss_legendre, p.quad_order))
     u_norm = float(np.linalg.norm(u))
     return [(stream, eps, u_norm, raw, *silt_adjustment(raw, eps, p.dim, u_norm))
             for eps, raw in zip(p.eps_ladder, raws.tolist())]
@@ -397,7 +370,8 @@ def cmd_silt(config: RunConfig) -> str:
 
 def _chaos_task(config: RunConfig, stream: int) -> list:
     p = config.values
-    quad = _diagonal_rule(p.quad_levels, p.quad_order_gap, p.quad_order_pos)
+    quad = _shared_rule(SimplexQuadrature.geometric_diagonal, p.quad_levels,
+                        p.quad_order_gap, p.quad_order_pos)
     path = sample_path(p.grid_m, p.dim, config.seed, stream=stream)
     offsets = np.array(p.u_norms)[:, None] * p.u_dir
     out = []
@@ -440,8 +414,9 @@ def cmd_chaos(config: RunConfig) -> str:
 
 def _dynkin_task(config: RunConfig, stream: int) -> list:
     p = config.values
-    quad = _triangle_rule(p.quad_order)
-    quad3 = _simplex3_rule(p.quad3_order) if p.k == 3 else None
+    quad = _shared_rule(SimplexQuadrature.gauss_legendre, p.quad_order)
+    quad3 = _shared_rule(simplex3_gauss_legendre, p.quad3_order) \
+        if p.k == 3 else None
     path = sample_path(p.grid_m, 2, config.seed, stream=stream)
     one = (lambda *ts: np.ones_like(ts[0], dtype=float))
     scales = np.array(p.eps_ladder)
@@ -473,7 +448,7 @@ def cmd_marginal(config: RunConfig) -> str:
     p = config.values
     d, n, count = p.dim, p.n, p.count
     _check_dim("u_dir", d, p.u_dir)
-    quad = _diagonal_rule(p.quad_levels, 4, 12)
+    quad = _shared_rule(SimplexQuadrature.geometric_diagonal, p.quad_levels)
     grid = TimeGrid.make_uniform(n)
     rows = []
     for stream, r in enumerate(p.u_norms):
@@ -499,7 +474,7 @@ def cmd_transport(config: RunConfig) -> str:
     _check_dim("u_dir", d, p.u_dir)
     if d * n > 16:
         raise UsageError(f"flattened dimension d*n capped at 16, got {d * n}")
-    quad = _diagonal_rule(p.quad_levels, 4, 12)
+    quad = _shared_rule(SimplexQuadrature.geometric_diagonal, p.quad_levels)
     plan = TransportPlanSpec(regularization=p.reg, max_iterations=p.max_iter,
                              tolerance=p.tol)
     rows = []
@@ -553,45 +528,45 @@ def cmd_capacity(config: RunConfig) -> str:
 # command -> (runner, {key: (converter, default string)})
 COMMANDS = {
     "kernel": (cmd_kernel, {
-        "alpha": (comma_list(_float), "0"), "dim": (comma_list(_int), "4"),
+        "alpha": (comma_list(_float), "0"), "dim": (comma_list(_size), "4"),
         "u_norms": (parse_norm_list, "2^-1..2^-10")}),
     "hermite": (cmd_hermite, {
         "n_max": (number(int, lo=0), "30"), "x_min": (_float, "-8"),
-        "x_max": (_float, "8"), "x_count": (_int, "81"), "alpha": (_float, "0.25"),
+        "x_max": (_float, "8"), "x_count": (_size, "81"), "alpha": (_float, "0.25"),
         "c": (lambda text: None if text == "auto" else _float(text), "auto")}),
     "silt": (cmd_silt, {
-        "dim": (_int, "2"), "grid_m": (_int, "2048"),
-        "replicas": (number(int, lo=1), "100"),
+        "dim": (_size, "2"), "grid_m": (_size, "2048"),
+        "replicas": (_size, "100"),
         "eps_ladder": (parse_eps_ladder, "0.2,0.1,0.05,0.025"),
         "u_norm": (number(float, lo=0), "0"), "u_dir": (parse_direction, "1,0"),
-        "quad_order": (_int, "128")}),
+        "quad_order": (_size, "128")}),
     "chaos": (cmd_chaos, {
-        "dim": (_int, "4"), "grid_m": (_int, "1024"),
-        "paths": (number(int, lo=1), "20"),
+        "dim": (_size, "4"), "grid_m": (_size, "1024"),
+        "paths": (_size, "20"),
         "multi_index": (parse_multi_indices, "0,0,0,0;1,0,0,0;1,1,0,0;2,1,0,0"),
         "u_norms": (parse_norm_list, "2^-3..2^-10"),
-        "u_dir": (parse_direction, "1,1,1,1"), "quad_levels": (_int, "36"),
-        "quad_order_gap": (_int, "4"), "quad_order_pos": (_int, "12")}),
+        "u_dir": (parse_direction, "1,1,1,1"), "quad_levels": (_size, "36"),
+        "quad_order_gap": (_size, "4"), "quad_order_pos": (_size, "12")}),
     "dynkin": (cmd_dynkin, {
-        "k": (number(int, lo=2, hi=3), "3"), "grid_m": (_int, "2048"),
-        "replicas": (number(int, lo=1), "8"),
+        "k": (number(int, lo=2, hi=3), "3"), "grid_m": (_size, "2048"),
+        "replicas": (_size, "8"),
         "eps_ladder": (parse_eps_ladder, "0.4,0.2,0.1"),
-        "quad_order": (_int, "64"), "quad3_order": (_int, "32")}),
+        "quad_order": (_size, "64"), "quad3_order": (_size, "32")}),
     "marginal": (cmd_marginal, {  # the standard error needs two samples
-        "dim": (_int, "4"), "n": (_int, "2"), "count": (number(int, lo=2), "10000"),
+        "dim": (_size, "4"), "n": (_size, "2"), "count": (number(int, lo=2), "10000"),
         "u_norms": (parse_norm_list, "0.2,0.5"),
-        "u_dir": (parse_direction, "1,0,0,0"), "quad_levels": (_int, "36")}),
+        "u_dir": (parse_direction, "1,0,0,0"), "quad_levels": (_size, "36")}),
     "transport": (cmd_transport, {
-        "dim": (_int, "4"), "n": (_int, "2"),
+        "dim": (_size, "4"), "n": (_size, "2"),
         "count": (number(int, lo=2, hi=5000), "2000"),
         "u_norms": (parse_norm_list, "0.3"), "u_dir": (parse_direction, "1,0,0,0"),
         "reg": (_float, "0.25"), "max_iter": (_int, "20000"),
-        "tol": (_float, "1e-9"), "quad_levels": (_int, "36")}),
+        "tol": (_float, "1e-9"), "quad_levels": (_size, "36")}),
     "capacity": (cmd_capacity, {  # the capacity machinery needs d >= 4
         "dim": (number(int, lo=4), "4"), "gamma": (_float, "-0.5"),
         "u_norms": (parse_norm_list, "2^-2..2^-7"),
         "u_dir": (parse_direction, "1,0,0,0"), "k_max": (_int, "64"),
-        "tau_levels": (_int, "34"), "tau_order": (_int, "6")}),
+        "tau_levels": (_int, "34"), "tau_order": (_size, "6")}),
 }
 
 
@@ -636,7 +611,7 @@ def resolve_config(args) -> RunConfig:
     key, text = ("workers", args.workers) if args.workers is not None \
         else ("SILT_WORKERS", os.environ.get("SILT_WORKERS") or None)
     try:
-        workers = _usable_cpus() if text is None else number(int, lo=1)(text)
+        workers = _usable_cpus() if text is None else _size(text)
     except UsageError as exc:
         raise UsageError(f"{key} {exc}") from exc
     return RunConfig(command=args.command, out_dir=args.out, seed=args.seed,

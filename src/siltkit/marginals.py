@@ -41,7 +41,6 @@ class TimeGrid:
     """Partition 0 = t_0 < t_1 < ... < t_n <= 1."""
 
     t: np.ndarray
-    uniform: bool = False
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -59,11 +58,15 @@ class TimeGrid:
     def cell_lengths(self) -> np.ndarray:
         return np.diff(self.t)
 
+    @property
+    def uniform(self) -> bool:
+        return np.array_equal(self.t, np.linspace(0.0, 1.0, self.n + 1))
+
     @classmethod
     def make_uniform(cls, n: int) -> "TimeGrid":
         if n < 1:
             raise ValueError(f"need n >= 1 cells, got {n}")
-        return cls(t=np.linspace(0.0, 1.0, n + 1), uniform=True)
+        return cls(t=np.linspace(0.0, 1.0, n + 1))
 
 
 def grid_overlaps(s, t, grid: TimeGrid):

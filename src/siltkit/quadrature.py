@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss  # at import: forked workers inherit it
@@ -102,9 +103,6 @@ class SimplexQuadrature:
         if abs(total - 0.5) > 1e-12:
             raise ValueError(f"weights sum to {total}, expected 1/2")
 
-    def __len__(self):
-        return len(self.weights)
-
     @classmethod
     def gauss_legendre(cls, n_a: int = 64) -> "SimplexQuadrature":
         """Tensor rule mapped by s = a, t = a + b(1 - a); default 64 x 64."""
@@ -151,6 +149,22 @@ def simplex3_gauss_legendre(n: int = 12):
     w = WA * WB * WC * (1.0 - A) ** 2 * (1.0 - B)
     nodes = np.column_stack([t1.ravel(), t2.ravel(), t3.ravel()])
     return nodes, w.ravel()
+
+
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _shared_rule(build, *args):
+    """build(*args), built once per process and shared read-only: the nodes
+    and weights of a SimplexQuadrature, or the arrays of a tuple rule."""
+    rule = build(*args)
+    _read_only(*((rule.nodes, rule.weights)
+                 if isinstance(rule, SimplexQuadrature) else rule))
+    return rule
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,15 @@ functionals with their combinatorial renormalization operators.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
 
-from .quadrature import SimplexQuadrature, _unit_gauss_legendre, \
-    simplex3_gauss_legendre
+from .quadrature import SimplexQuadrature, _read_only, _shared_rule, \
+    _unit_gauss_legendre
 from .rng import stream_generator
 from .specfun import (
     calibrate_log_branch_constant,
@@ -89,12 +90,6 @@ class Path:
     def max_abs(self) -> np.ndarray:
         """Per-coordinate sup of |w_i| over the grid (interpolation cannot exceed it)."""
         return np.max(np.abs(self.values), axis=0)
-
-
-def _read_only(*arrays) -> tuple:
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
 
 
 def _stencil(times, t) -> tuple:
@@ -184,17 +179,29 @@ def _as_scales(eps) -> np.ndarray:
     return scales.ravel()
 
 
+def _kernel_integral(path: Path, nodes, weights, eps, u, phi_vals=None):
+    """Per scale e, sum_i w_i phi_i prod_j p_e(w(t_j+1) - w(t_j) - [j = 1] u)
+    on a rule's (N, k) nodes, phi_i = 1 if phi_vals is None: a float, or an
+    array for a 1-d array of scales (one interpolation)."""
+    scales = _as_scales(eps)
+    plan = _rule_plan(nodes.tobytes(), nodes.shape[1], path.times.tobytes())
+    steps = _increments(path, plan)
+    steps[0] = [row - c for row, c in zip(steps[0], _as_offset(u, path.d))]
+    sq_norms = [_squared_norms(rows) for rows in steps]
+    values = []
+    for e in scales.tolist():
+        kernel = reduce(operator.mul, [  # exp on distinct pairs, then nodes
+            np.exp(log_gaussian_kernel_batch(sq, path.d, e)).take(pairs)
+            for sq, (pairs, _, _) in zip(sq_norms, plan[1])])
+        values.append(np.dot(weights, kernel if phi_vals is None
+                             else phi_vals * kernel))
+    return float(values[0]) if np.ndim(eps) == 0 else np.array(values)
+
+
 def silt_epsilon(path: Path, eps, u, quad: SimplexQuadrature):
     """Triangle quadrature of the Gaussian kernel of w(t) - w(s) - u at scale
     eps: a float, or an array for a 1-d array of scales (one interpolation)."""
-    scales = _as_scales(eps)
-    u = _as_offset(u, path.d)
-    plan = _rule_plan(quad.nodes.tobytes(), 2, path.times.tobytes())
-    rows = [row - c for row, c in zip(_increments(path, plan)[0], u)]
-    sq = _squared_norms(rows).take(plan[1][0][0])
-    values = np.array([np.dot(quad.weights, np.exp(log_gaussian_kernel_batch(
-        sq, path.d, e))) for e in scales])
-    return float(values[0]) if np.ndim(eps) == 0 else values
+    return _kernel_integral(path, quad.nodes, quad.weights, eps, u)
 
 
 def centering_constant_2d(eps: float) -> float:
@@ -386,28 +393,20 @@ def dynkin_T(path: Path, k: int, eps, phi, quad: SimplexQuadrature = None,
     a float, or an array for a 1-d array of scales (one interpolation).
 
     Integrates the product of q_eps over consecutive increments against phi
-    over the ordered k-simplex; supported for k = 2 (using a triangle rule)
-    and k = 3 (using a tensor rule on the 3-simplex).  q_eps is the density
-    of N(0, eps I_2).
+    over the ordered k-simplex; supported for k = 2 on the triangle rule
+    ``quad`` and k = 3 on the (nodes, weights) 3-simplex rule ``quad3``; the
+    order's rule is required.  q_eps is the density of N(0, eps I_2).
     """
     if path.d != 2:
         raise ValueError(f"order-k functionals are planar only, got d={path.d}")
     if k not in (2, 3):
         raise ValueError(f"only k in {{2, 3}} supported at desk scale, got {k}")
-    scales = _as_scales(eps)
-    if k == 2:
-        quad = SimplexQuadrature.gauss_legendre(48) if quad is None else quad
-        nodes, weights = quad.nodes, quad.weights
-    else:
-        nodes, weights = simplex3_gauss_legendre(12) if quad3 is None else quad3
+    if (quad, quad3)[k - 2] is None:
+        raise ValueError(f"order {k} needs its rule {('quad', 'quad3')[k - 2]}")
+    nodes, weights = (quad.nodes, quad.weights) if k == 2 else quad3
     nodes = np.asarray(nodes, dtype=float)
-    plan = _rule_plan(nodes.tobytes(), k, path.times.tobytes())
-    sq_norms = [_squared_norms(rows) for rows in _increments(path, plan)]
-    phi_vals = _eval_symbol(phi, tuple(nodes.T))
-    values = np.array([np.dot(weights, phi_vals * math.prod(
-        np.exp(log_gaussian_kernel_batch(sq, 2, e)).take(step[0])
-        for sq, step in zip(sq_norms, plan[1]))) for e in scales.tolist()])
-    return float(values[0]) if np.ndim(eps) == 0 else values
+    return _kernel_integral(path, nodes, weights, eps, 0,
+                            _eval_symbol(phi, tuple(nodes.T)))
 
 
 def _eval_symbol(phi, columns):
@@ -417,13 +416,6 @@ def _eval_symbol(phi, columns):
                                columns[0].shape).copy()
     except Exception:
         return np.array([float(phi(*point)) for point in zip(*columns)])
-
-
-@lru_cache(maxsize=1)
-def _line_rule() -> tuple:
-    """dynkin_renormalized_sum's Gauss-Legendre rule on [0, 1], built once
-    per process and read-only."""
-    return _read_only(*_unit_gauss_legendre(_LINE_ORDER))
 
 
 def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
@@ -452,12 +444,11 @@ def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
         weight = np.array([(x / (2.0 * math.pi)) ** (k - l) for x in log_scales])
         collapsed = phi if l == k else dynkin_B(k, l, phi)
         if l == 1:
-            x, w = _line_rule()
+            x, w = _shared_rule(_unit_gauss_legendre, _LINE_ORDER)
             term = float(np.dot(w, _eval_symbol(collapsed, (x,))))
         elif l == k and t_top is not None:
             term = np.asarray(t_top, dtype=float)
         else:
-            term = dynkin_T(path, l, scales, collapsed, quad=quad,
-                            quad3=quad3)
+            term = dynkin_T(path, l, scales, collapsed, quad, quad3)
         total += weight * term
     return float(total[0]) if np.ndim(eps) == 0 else total

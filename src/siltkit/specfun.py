@@ -33,6 +33,9 @@ __all__ = [
     "calibrate_log_branch_constant",
 ]
 
+_CF_TOL = 1e-15  # the incomplete gamma continued fraction's stop and cap
+_CF_MAX_ITER = 600
+
 
 def log_gaussian_kernel_batch(sq_norms, d, t):
     """log of (2 pi t)^(-d/2) exp(-|u|^2 / (2t)), the Gaussian density at an
@@ -47,8 +50,7 @@ def log_gaussian_kernel_batch(sq_norms, d, t):
 # Upper incomplete gamma for arbitrary real first argument
 # ---------------------------------------------------------------------------
 
-def _upper_gamma_continued_fraction(s: float, a: float, tol: float = 1e-15,
-                                    max_iter: int = 600) -> float:
+def _upper_gamma_continued_fraction(s: float, a: float) -> float:
     # Legendre continued fraction with modified Lentz iteration; converges
     # fast where a >= 1.5 or a >= s + 1.
     tiny = 1e-300
@@ -56,7 +58,7 @@ def _upper_gamma_continued_fraction(s: float, a: float, tol: float = 1e-15,
     c = 1.0 / tiny
     d = 1.0 / b if b != 0 else 1.0 / tiny
     h = d
-    for i in range(1, max_iter + 1):
+    for i in range(1, _CF_MAX_ITER + 1):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b
@@ -68,7 +70,7 @@ def _upper_gamma_continued_fraction(s: float, a: float, tol: float = 1e-15,
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < _CF_TOL:
             return math.exp(-a + s * math.log(a)) * h
     raise RuntimeError(f"incomplete gamma continued fraction stalled at s={s}, a={a}")
 

@@ -6,6 +6,7 @@ benchmark, not this suite.  These tests read perfbench/ and change nothing
 there.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -17,6 +18,7 @@ import pytest
 import siltkit
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(siltkit.__file__).resolve().parent
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +68,27 @@ def test_arguments_read_by_name(modules):
     assert {"u", "grid", "points", "quad"} <= set(q.parameters)
     sinkhorn = inspect.signature(modules["transport"].sinkhorn_log)
     assert "max_iterations" in sinkhorn.parameters
+
+
+def _is_cache(decorator) -> bool:
+    """True for functools' lru_cache or cache, bare, called or dotted."""
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = node.attr if isinstance(node, ast.Attribute) else \
+        getattr(node, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def test_caches_only_on_module_level_functions():
+    # the benchmark clears, before each op, only the caches it finds as
+    # module attributes: one on a method or a nested function would carry
+    # warm rules from one op into the next
+    misplaced = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and id(node) not in top \
+                    and any(map(_is_cache, node.decorator_list)):
+                misplaced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not misplaced

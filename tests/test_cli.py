@@ -21,10 +21,9 @@ from siltkit.cli import (
     parse_multi_indices,
     parse_norm_list,
     resolve_config,
-    _diagonal_rule,
-    _simplex3_rule,
-    _triangle_rule,
 )
+from siltkit.quadrature import SimplexQuadrature, _shared_rule, \
+    simplex3_gauss_legendre
 
 
 def run_cli(args):
@@ -274,7 +273,14 @@ class TestCommands:
         ("silt", "--replicas", "0"), ("dynkin", "--replicas", "0"),
         ("kernel", "--u-norms", "-0.5"), ("chaos", "--u-norms", "0.5,0"),
         ("marginal", "--u-norms", "-0.2"), ("transport", "--u-norms", "-0.3"),
-        ("capacity", "--u-norms", "-0.25")])
+        ("capacity", "--u-norms", "-0.25"),
+        # every integer size key is at least 1
+        ("hermite", "--x-count", "0"), ("silt", "--quad-order", "0"),
+        ("silt", "--grid-m", "0"), ("dynkin", "--quad3-order", "0"),
+        ("chaos", "--quad-order-gap", "0"), ("chaos", "--quad-order-pos", "0"),
+        ("capacity", "--tau-order", "0"), ("marginal", "--quad-levels", "0"),
+        ("marginal", "--n", "0"), ("marginal", "--dim", "0"),
+        ("kernel", "--dim", "4,0"), ("transport", "--n", "0")])
     def test_no_replicas_or_non_positive_norm_writes_nothing(
             self, tmp_path, capsys, command, flag, value):
         assert run_cli([command, "--out", str(tmp_path), flag, value]) == 2
@@ -283,18 +289,19 @@ class TestCommands:
         assert not os.path.exists(tmp_path / f"{command}.csv")
 
     def test_silt_rule_built_once_and_read_only(self):
-        rule = _triangle_rule(24)
-        assert _triangle_rule(24) is rule
+        rule = _shared_rule(SimplexQuadrature.gauss_legendre, 24)
+        assert _shared_rule(SimplexQuadrature.gauss_legendre, 24) is rule
         with pytest.raises(ValueError):
             rule.weights[0] = 1.0
         with pytest.raises(ValueError):
             rule.nodes[0, 0] = 0.5
 
     def test_chaos_and_dynkin_rules_built_once_and_read_only(self):
-        diagonal = _diagonal_rule(6, 2, 4)
-        simplex3 = _simplex3_rule(6)
-        assert _diagonal_rule(6, 2, 4) is diagonal
-        assert _simplex3_rule(6) is simplex3
+        diagonal = _shared_rule(SimplexQuadrature.geometric_diagonal, 6, 2, 4)
+        simplex3 = _shared_rule(simplex3_gauss_legendre, 6)
+        assert _shared_rule(SimplexQuadrature.geometric_diagonal, 6, 2, 4) \
+            is diagonal
+        assert _shared_rule(simplex3_gauss_legendre, 6) is simplex3
         for array in (diagonal.nodes, diagonal.weights) + simplex3:
             with pytest.raises(ValueError):
                 array[0] = 0.5

@@ -98,6 +98,20 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid.make_uniform(0)
 
+    def test_uniform_read_from_the_nodes(self, quad64):
+        # a uniform grid given by its nodes is uniform and q accepts it; a
+        # non-uniform one cannot be declared uniform
+        grid = TimeGrid(np.linspace(0.0, 1.0, 3))
+        assert grid.uniform and not TimeGrid(np.array([0.0, 0.3, 1.0])).uniform
+        points = sample_mu_n(2, 2, 0, 4)
+        assert marginal_density_q_batch(np.array([0.3, 0.0]), grid, points,
+                                        quad64).tolist() == \
+            marginal_density_q_batch(np.array([0.3, 0.0]),
+                                     TimeGrid.make_uniform(2), points,
+                                     quad64).tolist()
+        with pytest.raises(TypeError):
+            TimeGrid(np.array([0.0, 0.3, 1.0]), uniform=True)
+
 
 class TestOverlapDecomposition:
     """grid_overlaps, one increment at a time."""

@@ -18,7 +18,8 @@ import siltkit
 from siltkit import siltcore
 from siltkit.cli import _chaos_task, _dynkin_task, _silt_task, build_parser, \
     resolve_config
-from siltkit.quadrature import SimplexQuadrature, simplex3_gauss_legendre
+from siltkit.quadrature import SimplexQuadrature, _shared_rule, \
+    _unit_gauss_legendre, simplex3_gauss_legendre
 from siltkit.siltcore import (
     _as_offset,
     Path,
@@ -579,11 +580,21 @@ class TestDynkin:
             dynkin_B(2, 3, lambda *ts: 1.0)
 
     def test_order2_coincides_with_silt(self, quad64):
+        # one integral behind both: the same bits at every scale
         p = sample_path(512, 2, 5)
         one = lambda s, t: np.ones_like(s)
-        a = dynkin_T(p, 2, 0.09, one, quad=quad64)
-        b = silt_epsilon(p, 0.09, 0, quad64)
-        assert a == pytest.approx(b, rel=1e-14)
+        scales = np.array([0.4, 0.09, 0.01])
+        a = dynkin_T(p, 2, scales, one, quad=quad64)
+        b = silt_epsilon(p, scales, 0, quad64)
+        assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("k, missing", [(2, "quad"), (3, "quad3")])
+    def test_order_needs_its_rule(self, quad64, k, missing):
+        # no default rule is built for a missing one
+        rules = dict(quad=quad64, quad3=simplex3_gauss_legendre(4))
+        del rules[missing]
+        with pytest.raises(ValueError, match=f"needs its rule {missing}$"):
+            dynkin_T(sample_path(64, 2, 1), k, 0.1, lambda *ts: 1.0, **rules)
 
     def test_zero_path_order2(self, quad64):
         one = lambda s, t: np.ones_like(s)
@@ -616,14 +627,15 @@ class TestDynkin:
 
     def test_line_rule_built_once_and_read_only(self, quad64):
         # the l = 1 term's rule is cached per process; its symbol is not
-        siltcore._line_rule.cache_clear()
+        _shared_rule.cache_clear()
         x, w = np.polynomial.legendre.leggauss(48)
         phi = lambda *ts: 1.0 + ts[0]
         sums = [dynkin_renormalized_sum(sample_path(64, 2, 5, stream=i), 2,
                                         0.1, phi, quad=quad64)
                 for i in range(3)]
-        assert siltcore._line_rule.cache_info().misses == 1
-        rule = siltcore._line_rule()
+        assert _shared_rule.cache_info().misses == 1
+        rule = _shared_rule(_unit_gauss_legendre, 48)
+        assert _shared_rule.cache_info().misses == 1
         assert rule[0].tolist() == (0.5 * (x + 1.0)).tolist()
         assert rule[1].tolist() == (0.5 * w).tolist()
         for arr in rule:
@@ -880,7 +892,7 @@ class TestPlansAgainstPerNodeOracles:
     def test_no_plan_built_at_import(self):
         # every cache in every siltkit module, found as the benchmark's runner
         # finds them and named where it is defined, is empty in a fresh
-        # interpreter; siltcore defines its three plans
+        # interpreter; quadrature defines the rule cache, siltcore two plans
         code = (
             "import importlib, json, pkgutil\nimport siltkit, siltkit.cli\n"
             "caches = {f'{value.__module__}.{value.__qualname__}':\n"
@@ -896,11 +908,11 @@ class TestPlansAgainstPerNodeOracles:
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         caches = json.loads(proc.stdout)
-        assert len(caches) == 8 and set(caches.values()) == {0}
+        assert len(caches) == 5 and set(caches.values()) == {0}
         assert {name for name in caches
-                if name.startswith("siltkit.siltcore.")} == {
-            "siltkit.siltcore._rule_plan", "siltkit.siltcore._chaos_plan",
-            "siltkit.siltcore._line_rule"}
+                if not name.startswith("siltkit.specfun.")} == {
+            "siltkit.quadrature._shared_rule", "siltkit.siltcore._rule_plan",
+            "siltkit.siltcore._chaos_plan"}
 
 
 _BINARY_MAGIC = b"SILTPATH1"
