@@ -10,10 +10,11 @@ convert or leaves its declared domain is a usage error naming its key) and
 also feeds each CSV header's ``config_sha256``.  Floats are written with 17
 significant digits so CSVs round-trip exactly.
 
-Independent tasks (replicas, paths, offset norms) run in ``parallel_map``:
-the calling process forks at most min(workers, tasks, usable CPUs)
-children, each on a static interleaved shard, and only waits for them; the
-shards come back in input order.  Without ``os.fork`` the run is serial.
+Independent tasks (replicas, paths, offset norms, and the six Sinkhorn
+solves of each transport row) run in ``parallel_map``: the calling process
+forks at most min(workers, tasks, usable CPUs) children, each on a static
+interleaved shard, and only waits for them; the shards come back in input
+order.  Without ``os.fork`` the run is serial.
 ``--workers`` (or ``SILT_WORKERS``) must be an integer of at least 1.
 
 Exit codes: 0 success, 2 usage or domain error, 3 numerical non-convergence.
@@ -484,7 +485,8 @@ def cmd_transport(config: RunConfig) -> str:
         bound = talagrand_bound(u, d, n)
         points = weighted_theta_samples(u, d, n, config.seed, p.count, quad)
         entropy = theta_relative_entropy(u, points, quad)
-        w2 = empirical_w2(points, config.seed, plan)
+        w2 = empirical_w2(points, config.seed, plan,
+                          partial(parallel_map, workers=config.workers))
         rows.append((d, n, r, m_exact, bound.kappa_n, bound.entropy, bound.value,
                      entropy.value, entropy.stderr, w2.value, w2.stderr,
                      int(bound.vacuous)))
@@ -565,8 +567,9 @@ COMMANDS = {
     "capacity": (cmd_capacity, {  # the capacity machinery needs d >= 4
         "dim": (number(int, lo=4), "4"), "gamma": (_float, "-0.5"),
         "u_norms": (parse_norm_list, "2^-2..2^-7"),
-        "u_dir": (parse_direction, "1,0,0,0"), "k_max": (_int, "64"),
-        "tau_levels": (_int, "34"), "tau_order": (_size, "6")}),
+        "u_dir": (parse_direction, "1,0,0,0"),
+        "k_max": (number(int, lo=0), "64"),
+        "tau_levels": (number(int, lo=0), "34"), "tau_order": (_size, "6")}),
 }
 
 

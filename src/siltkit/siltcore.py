@@ -187,12 +187,16 @@ def _kernel_integral(path: Path, nodes, weights, eps, u, phi_vals=None):
     plan = _rule_plan(nodes.tobytes(), nodes.shape[1], path.times.tobytes())
     steps = _increments(path, plan)
     steps[0] = [row - c for row, c in zip(steps[0], _as_offset(u, path.d))]
-    sq_norms = [_squared_norms(rows) for rows in steps]
+    # exp on distinct pairs, then onto the nodes; a step whose pairs are all
+    # distinct maps its squared norms onto the nodes once instead
+    sq_norms = [(sq.take(pairs), slice(None)) if len(sq) == len(pairs) else
+                (sq, pairs) for sq, (pairs, _, _) in
+                zip(map(_squared_norms, steps), plan[1])]
     values = []
     for e in scales.tolist():
-        kernel = reduce(operator.mul, [  # exp on distinct pairs, then nodes
-            np.exp(log_gaussian_kernel_batch(sq, path.d, e)).take(pairs)
-            for sq, (pairs, _, _) in zip(sq_norms, plan[1])])
+        kernel = reduce(operator.mul, [
+            np.exp(log_gaussian_kernel_batch(sq, path.d, e))[pairs]
+            for sq, pairs in sq_norms])
         values.append(np.dot(weights, kernel if phi_vals is None
                              else phi_vals * kernel))
     return float(values[0]) if np.ndim(eps) == 0 else np.array(values)

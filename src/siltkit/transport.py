@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -259,9 +260,12 @@ def theta_relative_entropy(u, points: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    sq = np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :] \
-        - 2.0 * (x @ y.T)
-    return np.clip(sq, 0.0, None)
+    """|x_i|^2 + |y_j|^2 - 2 x_i . y_j, clipped at 0, in the Gram's buffer."""
+    gram = x @ y.T
+    gram *= 2.0
+    np.subtract(np.add.outer(np.sum(x * x, axis=1), np.sum(y * y, axis=1)),
+                gram, out=gram)
+    return np.maximum(gram, 0.0, out=gram)
 
 
 def sinkhorn_log(cost: np.ndarray, reg: float, max_iterations: int,
@@ -269,93 +273,119 @@ def sinkhorn_log(cost: np.ndarray, reg: float, max_iterations: int,
     """Alternating dual scaling against a cost matrix, uniform marginals.
 
     The scaling vectors are iterated in linear space (two matrix-vector
-    products per sweep) and absorbed into the log-domain potentials whenever
-    they threaten to overflow, which keeps the scheme stable at small
-    regularization without paying a log-sum-exp per entry.
+    products per sweep, into preallocated vectors) and absorbed into the
+    log-domain potentials whenever they threaten to overflow, which keeps
+    the scheme stable at small regularization without paying a log-sum-exp
+    per entry.
 
     Plain sweeps run until two successive ratios of the violation agree to
     within 5% of one minus the ratio, Theta; then u <- u (a / (u K v))^omega,
     v likewise, with omega = 2 / (1 + sqrt(1 - Theta)).  A relaxed scaling
     that is not finite takes the plain step; a violation past twice its value
     at the switch makes the rest plain; an absorption re-measures Theta.  The
-    violation, the larger of the row and column L1 violations, is tested
-    after every sweep.
+    violation, the larger of the row and column L1 violations of the plan
+    P = diag(u) K diag(v), is tested after every sweep.
 
-    Returns (transport cost <P, C>, marginal L1 violation, sweeps); raises
-    ValueError for a cost with non-finite entries, and ConvergenceError when
-    the violation is not pushed under the tolerance within the budget.
+    Returns (<P, C> = u . ((K * C) v) at the final scalings, the violation,
+    sweeps); raises ValueError for a cost with non-finite entries, and
+    ConvergenceError when the violation is not pushed under the tolerance
+    within the budget.
     """
+    u, kernel, v, err, it = _sinkhorn_scalings(cost, reg, max_iterations,
+                                               tolerance)
+    kernel *= cost
+    return float(u @ (kernel @ v)), err, it
+
+
+def _sinkhorn_scalings(cost, reg, max_iterations, tolerance):
+    """sinkhorn_log's sweeps: (u, K, v, violation, sweeps), with
+    K = exp((f + g - cost) / reg) at the last absorption's potentials."""
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix has non-finite entries")
-    n, m = cost.shape
-    a = np.full(n, 1.0 / n)
-    b = np.full(m, 1.0 / m)
-    f = np.zeros(n)
-    g = np.zeros(m)
-    kernel = np.empty_like(cost, dtype=float)
-    u = np.ones(n)
-    v = np.ones(m)
-    it = 0
-    tiny = 1e-300
+    (n, m), tiny, it = cost.shape, 1e-300, 0
+    a, f = np.full(n, 1.0 / n), np.zeros(n)
+    b, g = np.full(m, 1.0 / m), np.zeros(m)
+    u, kv, row = np.ones(n), np.empty(n), np.empty(n)  # row, col: scratch
+    v, ktu, col = np.ones(m), np.empty(m), np.empty(m)
+    kernel = np.divide(cost, -reg, out=np.empty_like(cost, dtype=float))
 
     def absorb():
-        """Fold the scalings into the potentials and rebuild the kernel
-        exp((cost - f - g) / -reg) in its own buffer."""
-        nonlocal f, g, u, v
+        """Fold the scalings into f and g; rebuild the kernel in place."""
+        nonlocal f, g
         f = f + reg * np.log(np.maximum(u, tiny))
         g = g + reg * np.log(np.maximum(v, tiny))
-        np.subtract(cost, f[:, None], out=kernel)
-        np.subtract(kernel, g[None, :], out=kernel)
-        np.divide(kernel, -reg, out=kernel)
-        with np.errstate(under="ignore"):
-            np.exp(kernel, out=kernel)
-        u = np.ones(n)
-        v = np.ones(m)
+        np.subtract(np.subtract(cost, f[:, None], out=kernel), g, out=kernel)
+        np.exp(np.divide(kernel, -reg, out=kernel), out=kernel)
+        u.fill(1.0)
+        v.fill(1.0)
 
-    def scale(x, target, product):
-        """The plain update target / product, or its relaxed form."""
+    def violation(x, product, target, buf):
+        return np.sum(np.abs(np.subtract(np.multiply(x, product, out=buf),
+                                         target, out=buf), out=buf))
+
+    def scale(x, target, product, buf):
+        """x <- target / product in place, or its relaxed form."""
         if omega > 1.0:
-            with np.errstate(over="ignore", invalid="ignore"):
-                relaxed = x * (target / np.maximum(x * product, tiny)) ** omega
-            if np.isfinite(relaxed).all():
-                return relaxed
-        return target / np.maximum(product, tiny)
+            np.maximum(np.multiply(x, product, out=buf), tiny, out=buf)
+            np.power(np.divide(target, buf, out=buf), omega, out=buf)
+            if np.isfinite(np.multiply(x, buf, out=buf)).all():
+                x[:] = buf
+                return
+        np.divide(target, np.maximum(product, tiny, out=buf), out=x)
 
-    with np.errstate(under="ignore"):  # the kernel at zero potentials
-        np.exp(np.divide(cost, -reg, out=kernel), out=kernel)
-    omega, relax = 1.0, True
-    col_err, last_err, last_ratio = np.inf, np.nan, np.nan
-    while True:
-        if (it % _SINKHORN_ABSORB_EVERY == 0 or it >= max_iterations) and (
-                max(u.max(), v.max()) > 1e150 or min(u.min(), v.min()) < 1e-150):
-            absorb()
-            omega, last_err = 1.0, np.nan
-        kv = kernel @ v
-        err = float(np.maximum(np.sum(np.abs(u * kv - a)), col_err))
-        if not err >= tolerance or it >= max_iterations:
-            break
-        if omega > 1.0 and err > 2.0 * switch_err:
-            omega, relax = 1.0, False
-        elif relax and omega == 1.0:
-            ratio = err / last_err
-            if ratio < 1.0 and abs(ratio - last_ratio) <= 0.05 * (1 - ratio):
-                omega, switch_err = 2.0 / (1.0 + math.sqrt(1.0 - ratio)), err
-            last_ratio = ratio
-        last_err = err
-        u = scale(u, a, kv)
-        ktu = kernel.T @ u
-        v = scale(v, b, ktu)
-        col_err = float(np.sum(np.abs(v * ktu - b)))
-        it += 1
+    # under: kernel entries; over, invalid: a relaxed scaling (then plain)
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        np.exp(kernel, out=kernel)
+        omega, relax = 1.0, True
+        col_err, last_err, last_ratio = np.inf, np.nan, np.nan
+        while True:
+            if (it % _SINKHORN_ABSORB_EVERY == 0 or it >= max_iterations) \
+                    and (max(u.max(), v.max()) > 1e150
+                         or min(u.min(), v.min()) < 1e-150):
+                absorb()
+                omega, last_err = 1.0, np.nan
+            np.matmul(kernel, v, out=kv)
+            err = float(np.maximum(violation(u, kv, a, row), col_err))
+            if not err >= tolerance or it >= max_iterations:
+                break
+            if omega > 1.0 and err > 2.0 * switch_err:
+                omega, relax = 1.0, False
+            elif relax and omega == 1.0:
+                ratio = err / last_err
+                if ratio < 1.0 and abs(ratio - last_ratio) <= 0.05 * (1 - ratio):
+                    omega, switch_err = 2.0 / (1.0 + math.sqrt(1.0 - ratio)), err
+                last_ratio = ratio
+            last_err = err
+            scale(u, a, kv, row)
+            scale(v, b, np.matmul(kernel.T, u, out=ktu), col)
+            col_err = float(violation(v, ktu, b, col))
+            it += 1
     if not err < tolerance:
         raise ConvergenceError(
             f"entropic transport stopped at marginal violation {err:.3e} "
             f"after {it} iterations (tolerance {tolerance:.1e})"
         )
-    absorb()  # fold the final scalings into the potentials; kernel is now the plan
-    kernel *= cost
-    plan_cost = float(u @ (kernel @ v))
-    return plan_cost, err, it
+    return u, kernel, v, err, it
+
+
+def _solve(plan: TransportPlanSpec, task):
+    """sinkhorn_log for task (x, y, reg) on a cost matrix built here (so a
+    forked worker builds its own); a ConvergenceError is returned."""
+    try:
+        return sinkhorn_log(_squared_distances(*task[:2]), task[2],
+                            plan.max_iterations, plan.tolerance)
+    except ConvergenceError as exc:
+        return exc
+
+
+def _debiased(solves):
+    """2 cost(eps) - cost(2 eps), the larger violation and the summed sweeps
+    of the solves at eps and 2 eps; the first failed solve raises."""
+    for solve in solves:
+        if isinstance(solve, ConvergenceError):
+            raise solve
+    (c1, err1, it1), (c2, err2, it2) = solves
+    return 2.0 * c1 - c2, max(err1, err2), it1 + it2
 
 
 def entropic_w2(x: np.ndarray, y: np.ndarray, plan: TransportPlanSpec):
@@ -364,23 +394,22 @@ def entropic_w2(x: np.ndarray, y: np.ndarray, plan: TransportPlanSpec):
     Runs the solver at the plan's regularization eps and at 2 eps and
     extrapolates linearly to eps = 0:  2 cost(eps) - cost(2 eps).
     """
-    cost = _squared_distances(np.asarray(x, float), np.asarray(y, float))
-    c1, err1, it1 = sinkhorn_log(cost, plan.regularization,
-                                 plan.max_iterations, plan.tolerance)
-    c2, err2, it2 = sinkhorn_log(cost, 2.0 * plan.regularization,
-                                 plan.max_iterations, plan.tolerance)
-    return 2.0 * c1 - c2, max(err1, err2), it1 + it2
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    return _debiased([_solve(plan, (x, y, scale * plan.regularization))
+                      for scale in (1.0, 2.0)])
 
 
-def empirical_w2(points: np.ndarray, seed: int,
-                 plan: TransportPlanSpec) -> W2Estimate:
+def empirical_w2(points: np.ndarray, seed: int, plan: TransportPlanSpec,
+                 mapper=map) -> W2Estimate:
     """Squared Wasserstein distance between the normalized marginal
     intersection measure and the Brownian marginal, from samples.
 
     The intersection side is the theta draws ``points``, shape
     (count, n, d), as they are; the Brownian side is as many independent
     draws from a stream of the master seed ``seed``.  The error bar is half
-    the gap between two disjoint half-batch estimates.
+    the gap between two disjoint half-batch estimates.  The six solves run
+    slowest first through ``mapper(fn, tasks)`` (serial by default); the
+    first failure in the order full batch, first half, second half raises.
     """
     count, n, d = points.shape
     if not 2 <= count <= 5000:
@@ -390,10 +419,12 @@ def empirical_w2(points: np.ndarray, seed: int,
     theta_cloud = points.reshape(count, n * d)
     mu_cloud = sample_mu_n(n, d, seed, count, stream=_STREAM_REFERENCE)
     mu_cloud = mu_cloud.reshape(count, n * d)
-    value, err, iters = entropic_w2(theta_cloud, mu_cloud, plan)
-    half = count // 2
-    w_a, _, _ = entropic_w2(theta_cloud[:half], mu_cloud[:half], plan)
-    w_b, _, _ = entropic_w2(theta_cloud[half:], mu_cloud[half:], plan)
-    stderr = 0.5 * abs(w_a - w_b)
-    return W2Estimate(value=value, stderr=stderr, marginal_error=err,
-                      iterations=iters)
+    full, a, b = slice(None), slice(count // 2), slice(count // 2, None)
+    solves = list(mapper(partial(_solve, plan), [
+        (theta_cloud[s], mu_cloud[s], scale * plan.regularization) for s, scale
+        in ((full, 1.0), (full, 2.0), (a, 1.0), (b, 1.0), (b, 2.0), (a, 2.0))]))
+    value, err, iters = _debiased(solves[:2])
+    w_a = _debiased([solves[2], solves[5]])[0]
+    w_b = _debiased(solves[3:5])[0]
+    return W2Estimate(value=value, stderr=0.5 * abs(w_a - w_b),
+                      marginal_error=err, iterations=iters)

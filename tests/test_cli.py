@@ -280,7 +280,9 @@ class TestCommands:
         ("chaos", "--quad-order-gap", "0"), ("chaos", "--quad-order-pos", "0"),
         ("capacity", "--tau-order", "0"), ("marginal", "--quad-levels", "0"),
         ("marginal", "--n", "0"), ("marginal", "--dim", "0"),
-        ("kernel", "--dim", "4,0"), ("transport", "--n", "0")])
+        ("kernel", "--dim", "4,0"), ("transport", "--n", "0"),
+        # and the capacity truncation keys at least 0
+        ("capacity", "--tau-levels", "-1"), ("capacity", "--k-max", "-1")])
     def test_no_replicas_or_non_positive_norm_writes_nothing(
             self, tmp_path, capsys, command, flag, value):
         assert run_cli([command, "--out", str(tmp_path), flag, value]) == 2
@@ -641,3 +643,19 @@ class TestParallelMap:
         assert parallel_map(abs, range(-5, 5), 64) == [abs(i) for i in
                                                        range(-5, 5)]
         assert len(calls) == forks
+
+    def test_transport_non_convergence_forks_and_exits_3(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # each row's six Sinkhorn solves run in two children; every solve
+        # fails, and the full batch's solve at reg is reported either way
+        args = ["transport", "--out", str(tmp_path), "--count", "200",
+                "--quad-levels", "12", "--max-iter", "3", "--tol", "1e-13"]
+        assert run_cli(args + ["--workers", "1"]) == 3
+        serial = capsys.readouterr().err
+        calls, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        assert run_cli(args + ["--workers", "2"]) == 3
+        assert capsys.readouterr().err == serial
+        assert serial.startswith("did not converge: ")
+        assert len(calls) == 2
+        assert not os.path.exists(tmp_path / "transport.csv")

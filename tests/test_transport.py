@@ -1,10 +1,13 @@
 import math
+import os
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 from scipy.linalg import eigh_tridiagonal
 
+from siltkit.cli import parallel_map
 from siltkit.marginals import TimeGrid, grid_overlaps, \
     marginal_density_q_batch, sample_mu_n
 from siltkit.quadrature import ConvergenceError, SimplexQuadrature
@@ -391,38 +394,27 @@ class TestEntropicTransport:
         monkeypatch.setattr(np, "log", counting_log)
         got, _, sweeps = sinkhorn_log(cost, 0.1, 20000, 1e-6)
         monkeypatch.undo()
-        # each absorb takes two logs: one at the start, one or more mid-solve
-        # and the final one
-        assert len(log_calls) >= 6
+        # each absorb takes two logs, and none follows the last sweep: two or
+        # more absorbs happen mid-solve
+        assert len(log_calls) >= 4
         assert got == pytest.approx(want, rel=1e-7, abs=0)
         assert sweeps <= plain_sweeps
 
     @pytest.mark.parametrize("reg,relaxed_at_stop", [(0.1, False),
                                                      (1.0, True)])
-    def test_violation_bounds_rebuilt_plan_marginals(self, monkeypatch, reg,
+    def test_violation_bounds_rebuilt_plan_marginals(self, reg,
                                                      relaxed_at_stop):
-        # Every absorb folds reg * log(scaling) into the potentials f and g;
-        # recording the scalings it takes logs of gives the potentials, and
-        # exp((f + g - C) / reg), built here, is the plan whose row and
-        # column L1 violations the returned error claims to bound.
+        # the plan diag(u) K diag(v) of the final scalings is the one the
+        # returned cost is read from and whose row and column L1 violations
+        # the returned error claims to bound
+        # (K = exp((f + g - C) / reg) on the potentials of the last absorb)
         gen = stream_generator(21, 3)
         x = gen.standard_normal((30, 2))
         y = gen.standard_normal((40, 2)) + 0.5
         cost = transport._squared_distances(x, y)
-        real_log, folded = np.log, []
-
-        def recording_log(z):
-            folded.append(np.array(z, copy=True))
-            return real_log(z)
-
-        monkeypatch.setattr(np, "log", recording_log)
-        _, err, _ = sinkhorn_log(cost, reg, 20000, 1e-9)
-        monkeypatch.undo()
-        f, g = np.zeros(30), np.zeros(40)
-        for scale_u, scale_v in zip(folded[0::2], folded[1::2]):
-            f = f + reg * np.log(scale_u)
-            g = g + reg * np.log(scale_v)
-        plan = np.exp((f[:, None] + g[None, :] - cost) / reg)
+        u, kernel, v, err, it = transport._sinkhorn_scalings(cost, reg, 20000,
+                                                             1e-9)
+        plan = u[:, None] * kernel * v[None, :]
         rows = np.sum(np.abs(plan.sum(axis=1) - 1 / 30))
         cols = np.sum(np.abs(plan.sum(axis=0) - 1 / 40))
         assert 0 < err < 1e-9
@@ -431,6 +423,8 @@ class TestEntropicTransport:
         # a plain last sweep leaves the columns exact to rounding; a relaxed
         # one leaves them off by a share of the tolerance
         assert (cols > 1e-12) == relaxed_at_stop
+        assert sinkhorn_log(cost, reg, 20000, 1e-9) == pytest.approx(
+            (float(np.sum(plan * cost)), err, it), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_non_finite_cost_refused(self, entry):
@@ -438,6 +432,29 @@ class TestEntropicTransport:
         cost[2, 3] = entry
         with pytest.raises(ValueError, match="non-finite"):
             sinkhorn_log(cost, 1.0, 200, 1e-9)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failure_raised_in_batch_order(self, monkeypatch, workers):
+        # the solves run slowest first, but a failure is raised in the order
+        # full, first half, second half, whatever the worker count: here the
+        # second half at eps and the first half at 2 eps fail
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+
+        def fake_sinkhorn(cost, reg, max_iterations, tolerance):
+            if (len(cost), reg) in {(21, 0.5), (20, 1.0)}:
+                raise ConvergenceError(f"{len(cost)} at {reg}")
+            return float(len(cost)) / reg, 0.0, 1
+
+        monkeypatch.setattr(transport, "sinkhorn_log", fake_sinkhorn)
+        points = np.arange(41 * 4.0).reshape(41, 2, 2)
+        plan = TransportPlanSpec(regularization=0.5)
+        mapper = partial(parallel_map, workers=workers)
+        with pytest.raises(ConvergenceError, match="^20 at 1.0$"):
+            empirical_w2(points, 0, plan, mapper)
+        monkeypatch.setattr(transport, "sinkhorn_log", lambda *a: (1.0, 0.0, 1))
+        assert empirical_w2(points, 0, plan, mapper) == \
+            empirical_w2(points, 0, plan)
 
     def test_nonconvergence_error_unchanged(self):
         gen = stream_generator(5, 6)
