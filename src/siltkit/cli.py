@@ -91,7 +91,8 @@ def number(kind, lo=-math.inf, hi=math.inf):
     return convert
 
 
-_int, _float, _size = number(int), number(float), number(int, lo=1)
+_float, _size = number(float), number(int, lo=1)
+_positive = number(float, lo=math.ulp(0.0))
 
 
 def comma_list(convert):
@@ -100,12 +101,12 @@ def comma_list(convert):
 
 
 def parse_norm_list(text: str) -> list:
-    """Offset-norm sweeps: '2^-2..2^-7' (dyadic range) or '0.5,0.25' or '';
-    every norm positive."""
+    """Offset-norm sweeps: '2^-2..2^-7' (dyadic range) or '0.5,0.25'; at
+    least one norm, every norm positive."""
     if ".." not in text:
         norms = [_float(v) for v in text.split(",") if v.strip()]
-        if not all(r > 0 for r in norms):
-            raise UsageError(f"must be positive, got {text!r}")
+        if not (norms and all(r > 0 for r in norms)):
+            raise UsageError(f"must be one or more positive norms, got {text!r}")
         return norms
     try:
         a, b = (int(e.strip()[2:]) for e in text.split("..", 1)
@@ -118,9 +119,13 @@ def parse_norm_list(text: str) -> list:
 
 
 def parse_multi_indices(text: str) -> list:
-    """Semicolon-separated comma-tuples: '0,0;1,0' -> [(0,0), (1,0)]."""
+    """Semicolon-separated comma-tuples: '0,0;1,0' -> [(0,0), (1,0)]; at
+    least one."""
     entry = comma_list(number(int, lo=0))
-    return [tuple(entry(chunk)) for chunk in text.split(";") if chunk.strip()]
+    indices = [tuple(entry(chunk)) for chunk in text.split(";") if chunk.strip()]
+    if not indices:
+        raise UsageError(f"must name one or more multi-indices, got {text!r}")
+    return indices
 
 
 def parse_direction(text: str) -> np.ndarray:
@@ -530,12 +535,14 @@ def cmd_capacity(config: RunConfig) -> str:
 # command -> (runner, {key: (converter, default string)})
 COMMANDS = {
     "kernel": (cmd_kernel, {
-        "alpha": (comma_list(_float), "0"), "dim": (comma_list(_size), "4"),
+        "alpha": (comma_list(number(float, lo=0)), "0"),
+        "dim": (comma_list(_size), "4"),
         "u_norms": (parse_norm_list, "2^-1..2^-10")}),
     "hermite": (cmd_hermite, {
         "n_max": (number(int, lo=0), "30"), "x_min": (_float, "-8"),
-        "x_max": (_float, "8"), "x_count": (_size, "81"), "alpha": (_float, "0.25"),
-        "c": (lambda text: None if text == "auto" else _float(text), "auto")}),
+        "x_max": (_float, "8"), "x_count": (_size, "81"),
+        "alpha": (number(float, lo=0.25, hi=0.5), "0.25"),
+        "c": (lambda text: None if text == "auto" else _positive(text), "auto")}),
     "silt": (cmd_silt, {
         "dim": (_size, "2"), "grid_m": (_size, "2048"),
         "replicas": (_size, "100"),
@@ -562,8 +569,8 @@ COMMANDS = {
         "dim": (_size, "4"), "n": (_size, "2"),
         "count": (number(int, lo=2, hi=5000), "2000"),
         "u_norms": (parse_norm_list, "0.3"), "u_dir": (parse_direction, "1,0,0,0"),
-        "reg": (_float, "0.25"), "max_iter": (_int, "20000"),
-        "tol": (_float, "1e-9"), "quad_levels": (_size, "36")}),
+        "reg": (_positive, "0.25"), "max_iter": (_size, "20000"),
+        "tol": (_positive, "1e-9"), "quad_levels": (_size, "36")}),
     "capacity": (cmd_capacity, {  # the capacity machinery needs d >= 4
         "dim": (number(int, lo=4), "4"), "gamma": (_float, "-0.5"),
         "u_norms": (parse_norm_list, "2^-2..2^-7"),

@@ -11,8 +11,10 @@ the squared L^2 distance from the indicator of [s, t] to the span of the cell
 indicators.  The density q of the marginal intersection measure with respect
 to the Brownian marginal is built from that decomposition: a triangle
 integral of the Gaussian kernel at variance sigma^2 of the projected
-increment minus u (the conditional kernel at eps = 0).  A sampler for the
-Brownian marginal completes the module.
+increment minus u (the conditional kernel at eps = 0).  At a rule node with
+both ends on grid times sigma^2 vanishes and that kernel is a Dirac mass, so q
+refuses such a rule rather than repairing it.  A sampler for the Brownian
+marginal completes the module.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
 ]
 
 SINGULAR_VARIANCE = 1e-12
-_JITTER = 1e-7
 _CHUNK = 512
 
 
@@ -80,32 +81,6 @@ def grid_overlaps(s, t, grid: TimeGrid):
     return alpha, sigma2
 
 
-def _effective_nodes(grid: TimeGrid, quad: SimplexQuadrature):
-    """Quadrature nodes with projection data, singular nodes subdivided.
-
-    A node where sigma^2 vanishes against its gap t - s (both endpoints on
-    the grid; off the grid times sigma^2 ~ t - s however small the gap) is
-    replaced by four jittered copies at quarter weight; the variance there is
-    positive again, so the near-Dirac kernel is integrated over a resolved
-    neighborhood instead of being sampled on a measure-zero set.
-    """
-    s, t, w = quad.nodes[:, 0], quad.nodes[:, 1], quad.weights
-    alpha, sigma2 = grid_overlaps(s, t, grid)
-    bad = sigma2 < SINGULAR_VARIANCE * (t - s)
-    if bad.any():  # children in the order of their parents, jitters in turn
-        cs = s[bad, None] + _JITTER * np.array([-1.0, -1.0, 1.0, 1.0])
-        ct = t[bad, None] + _JITTER * np.array([-1.0, 1.0, -1.0, 1.0])
-        inside = (0.0 < cs) & (cs < ct) & (ct < 1.0)
-        share = w[bad, None] / np.maximum(inside.sum(axis=1, keepdims=True), 1)
-        w = np.concatenate([w[~bad], np.broadcast_to(share, cs.shape)[inside]])
-        s = np.concatenate([s[~bad], cs[inside]])
-        t = np.concatenate([t[~bad], ct[inside]])
-        alpha, sigma2 = grid_overlaps(s, t, grid)
-        keep = sigma2 >= SINGULAR_VARIANCE * (t - s)
-        w, alpha, sigma2 = w[keep], alpha[keep], sigma2[keep]  # depth one: drop
-    return w, alpha, sigma2
-
-
 def marginal_density_q_batch(u, grid: TimeGrid, points: np.ndarray,
                              quad: SimplexQuadrature) -> np.ndarray:
     """Density values q(x) for a batch of points of shape (count, n, d).
@@ -122,6 +97,8 @@ def marginal_density_q_batch(u, grid: TimeGrid, points: np.ndarray,
     node contributes only when c X_s lies within a few sigma of u; the nodes
     where no sample of the batch can (exact exponent below -800) are dropped
     before the GEMM, as their factor is exactly 0 in floating point.
+    A rule with a node on two grid times (sigma^2 < SINGULAR_VARIANCE (t - s);
+    off them sigma^2 ~ t - s) raises ValueError naming the node and n.
     """
     if not grid.uniform:
         raise ValueError("the marginal density is defined on the uniform grid only")
@@ -133,7 +110,13 @@ def marginal_density_q_batch(u, grid: TimeGrid, points: np.ndarray,
         raise ValueError("offset must be nonzero")
     d = points.shape[2]
     increments = np.diff(points, axis=1, prepend=np.zeros((len(points), 1, d)))
-    w, alpha, sigma2 = _effective_nodes(grid, quad)
+    s, t, w = quad.nodes[:, 0], quad.nodes[:, 1], quad.weights
+    alpha, sigma2 = grid_overlaps(s, t, grid)
+    singular = np.flatnonzero(sigma2 < SINGULAR_VARIANCE * (t - s))
+    if singular.size:
+        i = singular[0]
+        raise ValueError(f"rule node (s, t) = ({s[i]:.17g}, {t[i]:.17g}) sits on "
+                         f"two grid times of n = {grid.n}: sigma^2 = {sigma2[i]:.3g}")
     coeff = alpha * grid.n  # alpha_j / cell length on the uniform grid
     log_norm = -0.5 * d * np.log(2.0 * np.pi * sigma2)  # per-node, hoisted
     # |c X_s - u| >= |u| - |c|_1 max_{s,j} |X_s[j]| at every sample: drop the

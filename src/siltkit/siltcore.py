@@ -399,7 +399,8 @@ def dynkin_T(path: Path, k: int, eps, phi, quad: SimplexQuadrature = None,
     Integrates the product of q_eps over consecutive increments against phi
     over the ordered k-simplex; supported for k = 2 on the triangle rule
     ``quad`` and k = 3 on the (nodes, weights) 3-simplex rule ``quad3``; the
-    order's rule is required.  q_eps is the density of N(0, eps I_2).
+    order's rule is required.  q_eps is the density of N(0, eps I_2).  phi is
+    called once, on k arrays of node times, and must broadcast over them.
     """
     if path.d != 2:
         raise ValueError(f"order-k functionals are planar only, got d={path.d}")
@@ -414,12 +415,10 @@ def dynkin_T(path: Path, k: int, eps, phi, quad: SimplexQuadrature = None,
 
 
 def _eval_symbol(phi, columns):
-    """Evaluate a simplex symbol on node columns, vectorized when it can be."""
-    try:
-        return np.broadcast_to(np.asarray(phi(*columns), dtype=float),
-                               columns[0].shape).copy()
-    except Exception:
-        return np.array([float(phi(*point)) for point in zip(*columns)])
+    """Evaluate a simplex symbol in one call on arrays of node times (one
+    array per time); a constant result is broadcast over the nodes."""
+    return np.broadcast_to(np.asarray(phi(*columns), dtype=float),
+                           columns[0].shape).copy()
 
 
 def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
@@ -435,9 +434,10 @@ def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
     log of the variance for the divergences to cancel; with the
     variance-parameterized Gaussian mollifier that is log(eps) itself.  The
     l = 1 functional has no mollifier factor and reduces to a line integral
-    over [0, 1], done by a 48-node Gauss-Legendre rule.  ``t_top``, when
-    given, is dynkin_T(path, k, eps, phi) with the same rules, already
-    evaluated by the caller; it is used as the l = k term.
+    over [0, 1], done by a 48-node Gauss-Legendre rule.  phi must broadcast
+    over arrays of node times, as in dynkin_T.  ``t_top``, when given, is
+    dynkin_T(path, k, eps, phi) with the same rules, already evaluated by the
+    caller; it is used as the l = k term.
     """
     if k not in (2, 3):
         raise ValueError(f"only k in {{2, 3}} supported at desk scale, got {k}")

@@ -159,18 +159,19 @@ def tensor_norm_sq(spec, quad):
 
 # Marginal density q by direct contraction: the form siltkit.marginals used
 # before it became a quadratic form in the grid increments.  It shares only
-# the quadrature nodes with the library (singular nodes subdivided the same
-# way) and forms every kernel argument c X_s - u explicitly, so the GEMM's
+# the rule and the overlaps (alpha, sigma^2) of its nodes with the library,
+# and forms every kernel argument c X_s - u explicitly, so the GEMM's
 # expansion and its cancellation are checked against a sum of squares.
 
 def marginal_density_q_einsum(u, grid, points, quad):
     """q(x) for points of shape (count, n, d) on the uniform grid."""
-    from siltkit.marginals import _effective_nodes
+    from siltkit.marginals import grid_overlaps
 
     points = np.asarray(points, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     d = points.shape[2]
-    w, alpha, sigma2 = _effective_nodes(grid, quad)
+    w = quad.weights
+    alpha, sigma2 = grid_overlaps(quad.nodes[:, 0], quad.nodes[:, 1], grid)
     coeff = alpha * grid.n  # alpha_j / cell length on the uniform grid
     log_norm = -0.5 * d * np.log(2.0 * np.pi * sigma2)
     inv_two_var = 0.5 / sigma2

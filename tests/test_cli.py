@@ -44,7 +44,9 @@ class TestParsing:
 
     def test_comma_list_and_empty(self):
         assert parse_norm_list("0.5, 0.25") == [0.5, 0.25]
-        assert parse_norm_list("") == []
+        for empty in ("", ",", " , "):  # an empty sweep is refused
+            with pytest.raises(UsageError):
+                parse_norm_list(empty)
 
     def test_malformed(self):
         with pytest.raises(UsageError):
@@ -180,11 +182,11 @@ class TestCommands:
         ratios = [float(r[-1]) for r in rows]
         assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
 
-    def test_kernel_empty_sweep(self, tmp_path):
-        out = str(tmp_path)
-        assert run_cli(["kernel", "--out", out, "--u-norms", ""]) == 0
-        _, header, rows = read_rows(os.path.join(out, "kernel.csv"))
-        assert rows == [] and header[0] == "alpha"
+    def test_kernel_empty_sweep(self, tmp_path, capsys):
+        # refused: an empty sweep would write a CSV with only its header
+        assert run_cli(["kernel", "--out", str(tmp_path), "--u-norms", ""]) == 2
+        assert capsys.readouterr().err.startswith("error: u_norms ")
+        assert not os.path.exists(tmp_path / "kernel.csv")
 
     def test_kernel_malformed_range_exits_2(self, tmp_path):
         assert run_cli(["kernel", "--out", str(tmp_path),
@@ -282,7 +284,15 @@ class TestCommands:
         ("marginal", "--n", "0"), ("marginal", "--dim", "0"),
         ("kernel", "--dim", "4,0"), ("transport", "--n", "0"),
         # and the capacity truncation keys at least 0
-        ("capacity", "--tau-levels", "-1"), ("capacity", "--k-max", "-1")])
+        ("capacity", "--tau-levels", "-1"), ("capacity", "--k-max", "-1"),
+        # no sweep is empty
+        ("marginal", "--u-norms", ","), ("capacity", "--u-norms", ","),
+        ("kernel", "--u-norms", ","), ("transport", "--u-norms", ","),
+        ("chaos", "--multi-index", ";"),
+        # each solver and envelope key names itself out of its domain
+        ("transport", "--reg", "0"), ("transport", "--tol", "0"),
+        ("transport", "--max-iter", "0"), ("kernel", "--alpha", "-1"),
+        ("hermite", "--alpha", "0.1"), ("hermite", "--c", "-1")])
     def test_no_replicas_or_non_positive_norm_writes_nothing(
             self, tmp_path, capsys, command, flag, value):
         assert run_cli([command, "--out", str(tmp_path), flag, value]) == 2

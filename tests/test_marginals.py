@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from scipy.integrate import dblquad
 
 from siltkit.marginals import (
     TimeGrid,
-    _effective_nodes,
     grid_overlaps,
     marginal_density_q_batch,
     sample_mu_n,
@@ -278,20 +278,19 @@ class TestMarginalDensity:
             marginal_density_q_batch(np.ones(2), grid, np.zeros((1, 2, 2)),
                                      quad64)
 
-    def test_singular_nodes_are_subdivided(self):
-        # a quadrature node sitting exactly on two grid times has sigma2 = 0;
-        # the density must stay finite and close to a clean-rule evaluation
+    def test_node_on_two_grid_times_is_refused(self):
+        # a quadrature node sitting exactly on two grid times has sigma2 = 0:
+        # a Dirac kernel there, which q refuses rather than repairs
         grid = TimeGrid.make_uniform(3)
         base = SimplexQuadrature.gauss_legendre(24)
         nodes = np.vstack([base.nodes, [[1 / 3, 2 / 3]]])
         weights = np.concatenate([base.weights * (0.5 - 1e-4) / 0.5, [1e-4]])
         dirty = SimplexQuadrature(nodes, weights)
-        u = np.array([0.25, 0.1])
         x = np.array([[0.05, 0.0], [0.3, -0.2], [0.1, 0.4]])
-        val = marginal_density_q_batch(u, grid, x[None], dirty)[0]
-        clean = marginal_density_q_batch(u, grid, x[None], base)[0]
-        assert math.isfinite(val) and val >= 0
-        assert val == pytest.approx(clean, rel=0.05)
+        node = re.escape(f"(s, t) = ({1 / 3:.17g}, {2 / 3:.17g})")
+        with pytest.raises(ValueError, match=node + ".* n = 3"):
+            marginal_density_q_batch(np.array([0.25, 0.1]), grid, x[None], dirty)
+        marginal_density_q_batch(np.array([0.25, 0.1]), grid, x[None], base)
 
     def test_everywhere_finite_nonnegative(self, quad64):
         grid = TimeGrid.make_uniform(3)
@@ -373,20 +372,6 @@ class TestMarginalDensity:
             for r in (1e-3, 0.2, 2.0):
                 assert_matches_einsum(oblique_offset(r, 4), grid, points, quad)
 
-    def test_rule_with_on_grid_node(self):
-        # the rule of test_singular_nodes_are_subdivided: one node on two
-        # grid times, replaced by jittered copies with sigma^2 ~ 1e-7
-        grid = TimeGrid.make_uniform(3)
-        base = SimplexQuadrature.gauss_legendre(24)
-        nodes = np.vstack([base.nodes, [[1 / 3, 2 / 3]]])
-        weights = np.concatenate([base.weights * (0.5 - 1e-4) / 0.5, [1e-4]])
-        dirty = SimplexQuadrature(nodes, weights)
-        x = np.array([[0.05, 0.0], [0.3, -0.2], [0.1, 0.4]])
-        points = np.concatenate([x[None], sample_mu_n(3, 2, 8, 300)])
-        for u in (np.array([0.25, 0.1]), oblique_offset(1e-3, 2),
-                  oblique_offset(2.0, 2)):
-            assert_matches_einsum(u, grid, points, dirty)
-
     @pytest.mark.parametrize("n", [2, 4])
     def test_diagonal_rule_against_per_node_kernels(self, n):
         # the CLI's rule, on which most near-diagonal nodes are cut before
@@ -403,17 +388,22 @@ class TestMarginalDensity:
                    for x in points]
             assert got == pytest.approx(ref, rel=1e-12)
 
-    @pytest.mark.parametrize("levels", [36, 40])
-    def test_diagonal_rules_keep_every_node(self, levels):
-        # sigma^2 falls to 1e-12 (36 levels) and 6e-14 (40 levels) at the
-        # smallest gaps, but stays above 0.005 of the gap: no node is singular
-        quad = SimplexQuadrature.geometric_diagonal(levels, 4, 12)
-        for n in range(1, 9):
-            grid = TimeGrid.make_uniform(n)
-            w, alpha, sigma2 = _effective_nodes(grid, quad)
-            assert np.array_equal(w, quad.weights)
-            assert np.array_equal(
-                sigma2, grid_overlaps(quad.nodes[:, 0], quad.nodes[:, 1], grid)[1])
+    @pytest.mark.parametrize("rule", [
+        *(pytest.param((SimplexQuadrature.geometric_diagonal, levels, 4, 12),
+                       id=str(levels))
+          for levels in (1, 2, 4, 8, 12, 20, 36, 40, 44, 50)),
+        *(pytest.param((SimplexQuadrature.gauss_legendre, order), id=f"gl{order}")
+          for order in (8, 16, 24, 64, 128))])
+    def test_diagonal_rules_keep_every_node(self, rule):
+        # q refuses a node with sigma^2 < 1e-12 of its gap t - s; on the CLI's
+        # rules and uniform grids up to n = 64 the smallest ratio is 8.3e-5
+        # (Gauss-Legendre 64, n = 46), so no command input reaches the refusal
+        build, *args = rule
+        quad = build(*args)
+        s, t = quad.nodes[:, 0], quad.nodes[:, 1]
+        for n in range(1, 65):
+            sigma2 = grid_overlaps(s, t, TimeGrid.make_uniform(n))[1]
+            assert np.all(sigma2 >= 5e-5 * (t - s)), n
 
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_stress_batch_with_large_increments(self, n, quad64):

@@ -625,6 +625,14 @@ class TestDynkin:
         assert dynkin_T(p, 2, 0.1, phi, quad=quad64) == pytest.approx(
             2.0 * first, rel=1e-14)
 
+    def test_scalar_only_symbol_is_refused(self, quad64):
+        # the symbol is called once on arrays of node times, never per node
+        p, phi = sample_path(64, 2, 1), lambda s, t: math.sin(s)
+        with pytest.raises(TypeError):
+            dynkin_T(p, 2, 0.1, phi, quad=quad64)
+        with pytest.raises(TypeError):
+            dynkin_renormalized_sum(p, 2, 0.1, phi, quad=quad64)
+
     def test_line_rule_built_once_and_read_only(self, quad64):
         # the l = 1 term's rule is cached per process; its symbol is not
         _shared_rule.cache_clear()
