@@ -89,8 +89,11 @@ def upper_incomplete_gamma(s: float, a: float) -> float:
 
           sum_k (-1)^k / k! * a^(s+k) * expm1((s+k) log(1.5/a)) / (s+k),
 
-      which is log(1.5/a) at s + k = 0; every term is a well-conditioned
-      integral of a power, so s at or near a negative integer costs nothing.
+      which is log(1.5/a) at |s + k| < 1e-20 (its limit at 0; the next
+      order, (s+k) (log a + log(1.5/a) / 2), is below the rounding there,
+      and a subnormal s + k would lose digits in the quotient); every term
+      is a well-conditioned integral of a power, so s at or near a negative
+      integer costs nothing.
 
     About 1e-14 relative against mpmath over s in [-5, 8], a in [1e-4, 25].
     math.gamma raises OverflowError once Gamma(s) leaves double range.
@@ -113,7 +116,7 @@ def upper_incomplete_gamma(s: float, a: float) -> float:
     total, sign_fact, k = 0.0, 1.0, 0  # sign_fact = (-1)^k / k!
     while True:
         p = s + k
-        term = sign_fact * (log_ratio if p == 0 else
+        term = sign_fact * (log_ratio if abs(p) < 1e-20 else
                             a ** p * math.expm1(p * log_ratio) / p)
         total += term
         if p > 0 and abs(term) < 1e-17 * total:

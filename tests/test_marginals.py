@@ -372,6 +372,26 @@ class TestMarginalDensity:
             for r in (1e-3, 0.2, 2.0):
                 assert_matches_einsum(oblique_offset(r, 4), grid, points, quad)
 
+    def test_rule_with_on_grid_node(self):
+        # nodes with one end on a grid time keep sigma^2 ~ t - s, however
+        # small the gap, so q takes them as they are: only a node on two
+        # grid times is refused
+        grid = TimeGrid.make_uniform(3)
+        base = SimplexQuadrature.gauss_legendre(24)
+        extra = np.array([[1 / 3, 0.5], [0.2, 2 / 3], [1 / 3, 1 / 3 + 1e-6],
+                          [2 / 3 - 1e-6, 2 / 3]])
+        nodes = np.vstack([base.nodes, extra])
+        weights = np.concatenate([base.weights * (0.5 - 4e-4) / 0.5,
+                                  np.full(len(extra), 1e-4)])
+        dirty = SimplexQuadrature(nodes, weights)
+        sigma2 = grid_overlaps(extra[:, 0], extra[:, 1], grid)[1]
+        assert np.all(sigma2 >= 0.1 * (extra[:, 1] - extra[:, 0]))
+        x = np.array([[0.05, 0.0], [0.3, -0.2], [0.1, 0.4]])
+        points = np.concatenate([x[None], sample_mu_n(3, 2, 8, 300)])
+        for u in (np.array([0.25, 0.1]), oblique_offset(1e-3, 2),
+                  oblique_offset(2.0, 2)):
+            assert_matches_einsum(u, grid, points, dirty)
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_diagonal_rule_against_per_node_kernels(self, n):
         # the CLI's rule, on which most near-diagonal nodes are cut before

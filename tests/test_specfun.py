@@ -141,12 +141,13 @@ class TestUpperIncompleteGamma:
         assert mine == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("s", [k / 2 for k in range(-6, 11)]
-                             + [1e-10, 1e-6, 1e-3]
+                             + [1e-10, 1e-6, 1e-3, 2.2250738585e-313, 5e-324]
                              + [-1.00001, -0.99999, -2.0001, -3.999999])
     def test_grid_matches_mpmath(self, s):
         # integer and half-integer s are every call-site form; tiny s sits
-        # just off the s = 0 pole of the finite piece's first term, and s
-        # next to a negative integer keeps full precision too
+        # just off the s = 0 pole of the finite piece's first term (down to
+        # subnormal s, where expm1(s L) / s loses digits), and s next to a
+        # negative integer keeps full precision too
         for a in (1e-4, 0.1, 1.0, 1.49, 1.5, 10.0):
             ref = float(mp.gammainc(mp.mpf(s), mp.mpf(a), mp.inf))
             assert upper_incomplete_gamma(s, a) == pytest.approx(ref, rel=1e-13)
