@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .quadrature import ConvergenceError, SimplexQuadrature
 from .specfun import (
-    SimplexIntegralSpec,
     hermite_eval,
     simplex_moment_asymptotic,
     simplex_moment_integral,
@@ -16,7 +15,6 @@ __all__ = [
     "__version__",
     "ConvergenceError",
     "SimplexQuadrature",
-    "SimplexIntegralSpec",
     "hermite_eval",
     "simplex_moment_asymptotic",
     "simplex_moment_integral",

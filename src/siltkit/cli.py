@@ -40,7 +40,6 @@ from .quadrature import ConvergenceError, SimplexQuadrature, _shared_rule, \
     simplex3_gauss_legendre
 from .sobolev import SobolevSpec, capacity_lower_bound
 from .specfun import (
-    SimplexIntegralSpec,
     _normalized_hermite_rows,
     calibrate_szego_constant,
     simplex_moment_asymptotic,
@@ -93,6 +92,8 @@ def number(kind, lo=-math.inf, hi=math.inf):
 
 _float, _size = number(float), number(int, lo=1)
 _positive = number(float, lo=math.ulp(0.0))
+_levels = number(int, lo=1, hi=50)  # level 51 puts a rule node on s = t
+_exponent = number(int, lo=-1074, hi=1023)  # 2^e finite and positive
 
 
 def comma_list(convert):
@@ -101,19 +102,19 @@ def comma_list(convert):
 
 
 def parse_norm_list(text: str) -> list:
-    """Offset-norm sweeps: '2^-2..2^-7' (dyadic range) or '0.5,0.25'; at
-    least one norm, every norm positive."""
+    """Offset-norm sweeps: '2^-2..2^-7' (dyadic, exponents -1074..1023) or
+    '0.5,0.25'; at least one norm, every norm positive and finite."""
     if ".." not in text:
         norms = [_float(v) for v in text.split(",") if v.strip()]
         if not (norms and all(r > 0 for r in norms)):
             raise UsageError(f"must be one or more positive norms, got {text!r}")
         return norms
     try:
-        a, b = (int(e.strip()[2:]) for e in text.split("..", 1)
+        a, b = (_exponent(e.strip()[2:]) for e in text.split("..", 1)
                 if e.strip().startswith("2^"))
     except ValueError as exc:
-        raise UsageError(f"must be a dyadic range like 2^-2..2^-7, got {text!r}") \
-            from exc
+        raise UsageError("must be a dyadic range like 2^-2..2^-7 with integer "
+                         f"exponents in [-1074, 1023], got {text!r}") from exc
     step = 1 if b >= a else -1
     return [2.0 ** e for e in range(a, b + step, step)]
 
@@ -129,11 +130,13 @@ def parse_multi_indices(text: str) -> list:
 
 
 def parse_direction(text: str) -> np.ndarray:
-    """Unit vector along comma-separated coordinates."""
+    """Unit vector along comma-separated coordinates of finite nonzero length."""
     vec = np.array(comma_list(_float)(text))
-    if not np.linalg.norm(vec) > 0:
-        raise UsageError(f"must have nonzero length, got {text!r}")
-    return vec / np.linalg.norm(vec)
+    with np.errstate(over="ignore"):
+        length = np.linalg.norm(vec)
+    if not 0 < length < math.inf:
+        raise UsageError(f"must have finite nonzero length, got {text!r}")
+    return vec / length
 
 
 def parse_eps_ladder(text: str) -> tuple:
@@ -297,10 +300,9 @@ def cmd_kernel(config: RunConfig) -> str:
     for alpha in p.alpha:
         for d in p.dim:
             for r in p.u_norms:
-                spec = SimplexIntegralSpec(alpha=alpha, d=d, u_norm=r)
                 try:
-                    exact = simplex_moment_integral(spec)
-                    asym = simplex_moment_asymptotic(spec)
+                    exact = simplex_moment_integral(alpha, d, r)
+                    asym = simplex_moment_asymptotic(alpha, d, r)
                     values = (exact, asym, exact / asym)
                 except (OverflowError, ZeroDivisionError):
                     values = (math.nan,)
@@ -376,8 +378,7 @@ def cmd_silt(config: RunConfig) -> str:
 
 def _chaos_task(config: RunConfig, stream: int) -> list:
     p = config.values
-    quad = _shared_rule(SimplexQuadrature.geometric_diagonal, p.quad_levels,
-                        p.quad_order_gap, p.quad_order_pos)
+    quad = _shared_rule(SimplexQuadrature.geometric_diagonal, p.quad_levels)
     path = sample_path(p.grid_m, p.dim, config.seed, stream=stream)
     offsets = np.array(p.u_norms)[:, None] * p.u_dir
     out = []
@@ -463,7 +464,7 @@ def cmd_marginal(config: RunConfig) -> str:
         q = marginal_density_q_batch(u, grid, points, quad)
         if not q.any():  # no spread, no weights: z and ESS are undefined
             raise ValueError(f"q underflows to 0 at every sample at |u|={r}")
-        m_exact = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=d, u=u))
+        m_exact = simplex_moment_integral(0.0, d, float(np.linalg.norm(u)))
         mc = float(np.mean(q))
         se = float(np.std(q, ddof=1) / math.sqrt(count))
         w = q / q.sum()
@@ -486,7 +487,7 @@ def cmd_transport(config: RunConfig) -> str:
     rows = []
     for r in p.u_norms:
         u = r * p.u_dir
-        m_exact = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=d, u=u))
+        m_exact = simplex_moment_integral(0.0, d, float(np.linalg.norm(u)))
         bound = talagrand_bound(u, d, n)
         points = weighted_theta_samples(u, d, n, config.seed, p.count, quad)
         entropy = theta_relative_entropy(u, points, quad)
@@ -554,8 +555,7 @@ COMMANDS = {
         "paths": (_size, "20"),
         "multi_index": (parse_multi_indices, "0,0,0,0;1,0,0,0;1,1,0,0;2,1,0,0"),
         "u_norms": (parse_norm_list, "2^-3..2^-10"),
-        "u_dir": (parse_direction, "1,1,1,1"), "quad_levels": (_size, "36"),
-        "quad_order_gap": (_size, "4"), "quad_order_pos": (_size, "12")}),
+        "u_dir": (parse_direction, "1,1,1,1"), "quad_levels": (_levels, "36")}),
     "dynkin": (cmd_dynkin, {
         "k": (number(int, lo=2, hi=3), "3"), "grid_m": (_size, "2048"),
         "replicas": (_size, "8"),
@@ -564,13 +564,13 @@ COMMANDS = {
     "marginal": (cmd_marginal, {  # the standard error needs two samples
         "dim": (_size, "4"), "n": (_size, "2"), "count": (number(int, lo=2), "10000"),
         "u_norms": (parse_norm_list, "0.2,0.5"),
-        "u_dir": (parse_direction, "1,0,0,0"), "quad_levels": (_size, "36")}),
+        "u_dir": (parse_direction, "1,0,0,0"), "quad_levels": (_levels, "36")}),
     "transport": (cmd_transport, {
         "dim": (_size, "4"), "n": (_size, "2"),
         "count": (number(int, lo=2, hi=5000), "2000"),
         "u_norms": (parse_norm_list, "0.3"), "u_dir": (parse_direction, "1,0,0,0"),
         "reg": (_positive, "0.25"), "max_iter": (_size, "20000"),
-        "tol": (_positive, "1e-9"), "quad_levels": (_size, "36")}),
+        "tol": (_positive, "1e-9"), "quad_levels": (_levels, "36")}),
     "capacity": (cmd_capacity, {  # the capacity machinery needs d >= 4
         "dim": (number(int, lo=4), "4"), "gamma": (_float, "-0.5"),
         "u_norms": (parse_norm_list, "2^-2..2^-7"),

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import geometric_panels
-from .specfun import SimplexIntegralSpec, log_gaussian_kernel_batch, \
-    normalized_hermite_all, simplex_moment_integral
+from .specfun import log_gaussian_kernel_batch, normalized_hermite_all, \
+    simplex_moment_integral
 
 __all__ = [
     "SobolevSpec",
@@ -220,7 +220,7 @@ def sobolev_norm_sq_truncated(spec: SobolevSpec) -> SobolevNormResult:
 
 def capacity_lower_bound(spec: SobolevSpec) -> CapacityResult:
     """mass^2 / truncated norm^2: capacity lower bound for the support."""
-    mass = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=spec.d, u=spec.u))
+    mass = simplex_moment_integral(0.0, spec.d, float(np.linalg.norm(spec.u)))
     norm = sobolev_norm_sq_truncated(spec)
     return CapacityResult(value=mass * mass / norm.value, mass=mass,
                           norm_sq=norm.value, K_used=norm.K_used,

@@ -3,8 +3,8 @@
 Everything here is a pure function: the log Gaussian kernel, upper incomplete
 gamma for arbitrary real first argument, the exact simplex moment integral
 
-    I(alpha, d, u) = integral over {0 <= s < t <= 1} of
-                     (t - s)^(-alpha) * p_d(t - s, u) ds dt,
+    I(alpha, d, |u|) = integral over {0 <= s < t <= 1} of
+                       (t - s)^(-alpha) * p_d(t - s, u) ds dt,
 
 its small-``u`` asymptotics, probabilists' Hermite polynomials, and the
 log-domain Szego-type Hermite envelope together with the grid-search
@@ -14,13 +14,11 @@ calibration of its constant.  Only numpy and the standard library are used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "SimplexIntegralSpec",
     "log_gaussian_kernel_batch",
     "upper_incomplete_gamma",
     "simplex_moment_integral",
@@ -129,31 +127,18 @@ def upper_incomplete_gamma(s: float, a: float) -> float:
 # Simplex moment integral and its asymptotics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimplexIntegralSpec:
-    """Parameters of the weighted simplex integral: exponent, dimension, offset."""
-
-    alpha: float
-    d: int
-    u: np.ndarray = field(default=None)
-    u_norm: float = field(default=None)
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"singularity exponent must be >= 0, got {self.alpha}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if self.u is not None:
-            object.__setattr__(self, "u", np.atleast_1d(np.asarray(self.u, dtype=float)))
-            object.__setattr__(self, "u_norm", float(np.linalg.norm(self.u)))
-        if self.u_norm is None:
-            raise ValueError("either u or u_norm must be given")
-        if not self.u_norm > 0:
-            raise ValueError("offset must be nonzero (closed forms divide by |u|)")
+def _check_moment_args(alpha: float, d: int, u_norm: float) -> None:
+    if alpha < 0:
+        raise ValueError(f"singularity exponent must be >= 0, got {alpha}")
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if not u_norm > 0:
+        raise ValueError("offset must be nonzero (closed forms divide by |u|)")
 
 
-def simplex_moment_integral(spec: SimplexIntegralSpec) -> float:
-    """Exact value of I(alpha, d, u) via incomplete gamma functions.
+def simplex_moment_integral(alpha: float, d: int, u_norm: float) -> float:
+    """Exact I(alpha, d, u_norm) via incomplete gamma functions, where
+    alpha >= 0, d >= 1 and u_norm = |u| > 0 (ValueError otherwise).
 
     Substituting z = |u|^2 / (2(t-s)) collapses the double integral to
 
@@ -162,36 +147,37 @@ def simplex_moment_integral(spec: SimplexIntegralSpec) -> float:
 
     with a = |u|^2 / 2; no small-``u`` approximation is involved.
     """
-    r = spec.u_norm
-    a = 0.5 * r * r
-    s1 = spec.alpha + 0.5 * spec.d - 1.0
+    _check_moment_args(alpha, d, u_norm)
+    a = 0.5 * u_norm * u_norm
+    s1 = alpha + 0.5 * d - 1.0
     bracket = upper_incomplete_gamma(s1, a) - a * upper_incomplete_gamma(s1 - 1.0, a)
-    prefactor = 2.0 ** (spec.alpha - 1.0) / (
-        math.pi ** (0.5 * spec.d) * r ** (2.0 * spec.alpha + spec.d - 2.0)
+    prefactor = 2.0 ** (alpha - 1.0) / (
+        math.pi ** (0.5 * d) * u_norm ** (2.0 * alpha + d - 2.0)
     )
     return prefactor * bracket
 
 
-def simplex_moment_asymptotic(spec: SimplexIntegralSpec) -> float:
-    """Leading small-``u`` behavior of the simplex moment integral.
+def simplex_moment_asymptotic(alpha: float, d: int, u_norm: float) -> float:
+    """Leading small-``u`` behavior of the simplex moment integral, with the
+    same arguments and checks as simplex_moment_integral.
 
     Power regime (alpha > 1 - d/2):
         2^(alpha-1) Gamma(alpha + d/2 - 1) / (pi^(d/2) |u|^(2 alpha + d - 2)).
     Logarithmic regime (alpha = 1 - d/2):
         (2^alpha / pi^(d/2)) * log(1/|u|).
     """
-    threshold = 1.0 - 0.5 * spec.d
-    r = spec.u_norm
-    if spec.alpha > threshold:
+    _check_moment_args(alpha, d, u_norm)
+    threshold = 1.0 - 0.5 * d
+    if alpha > threshold:
         return (
-            2.0 ** (spec.alpha - 1.0)
-            * math.gamma(spec.alpha + 0.5 * spec.d - 1.0)
-            / (math.pi ** (0.5 * spec.d) * r ** (2.0 * spec.alpha + spec.d - 2.0))
+            2.0 ** (alpha - 1.0)
+            * math.gamma(alpha + 0.5 * d - 1.0)
+            / (math.pi ** (0.5 * d) * u_norm ** (2.0 * alpha + d - 2.0))
         )
-    if spec.alpha == threshold:
-        return 2.0 ** spec.alpha / math.pi ** (0.5 * spec.d) * math.log(1.0 / r)
+    if alpha == threshold:
+        return 2.0 ** alpha / math.pi ** (0.5 * d) * math.log(1.0 / u_norm)
     raise ValueError(
-        f"no asymptotic available for alpha={spec.alpha} < 1 - d/2 = {threshold}"
+        f"no asymptotic available for alpha={alpha} < 1 - d/2 = {threshold}"
     )
 
 
@@ -314,6 +300,6 @@ def calibrate_log_branch_constant() -> float:
     best = 0.0
     for j in range(1, 17):
         r = 2.0 ** (-j)
-        m = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=2, u_norm=r))
+        m = simplex_moment_integral(0.0, 2, r)
         best = max(best, m / math.log(1.0 / r))
     return 1.05 * best

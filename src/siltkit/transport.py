@@ -40,8 +40,7 @@ from .marginals import TimeGrid, grid_overlaps, marginal_density_q_batch, \
 from .quadrature import ConvergenceError, SimplexQuadrature, \
     _unit_gauss_legendre, geometric_panels
 from .rng import stream_generator
-from .specfun import SimplexIntegralSpec, log_gaussian_kernel_batch, \
-    simplex_moment_integral
+from .specfun import log_gaussian_kernel_batch, simplex_moment_integral
 
 __all__ = [
     "ConvergenceError",
@@ -181,8 +180,7 @@ def entropy_bound(u, d: int, n: int) -> float:
     """Closed upper bound for the relative entropy of the normalized marginal
     intersection measure with respect to the Brownian marginal."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    spec = SimplexIntegralSpec(alpha=0.0, d=d, u=u)
-    m = simplex_moment_integral(spec)
+    m = simplex_moment_integral(0.0, d, float(np.linalg.norm(u)))
     if not m > 0:
         raise ValueError(f"the intersection mass m underflows to 0 at "
                          f"|u|={np.linalg.norm(u):.3g}")
@@ -244,7 +242,7 @@ def theta_relative_entropy(u, points: np.ndarray,
         raise ValueError(f"count must be >= 2 for a standard error, got {count}")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     q = marginal_density_q_batch(u, TimeGrid.make_uniform(n), points, quad)
-    m = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=d, u=u))
+    m = simplex_moment_integral(0.0, d, float(np.linalg.norm(u)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_ratio = np.log(q / m)
     if not np.isfinite(log_ratio).all():

@@ -30,7 +30,6 @@ from siltkit.siltcore import chaos_term, chaos_term_bound, dynkin_B, \
 from siltkit.sobolev import SobolevSpec, capacity_lower_bound, \
     sobolev_norm_sq_truncated
 from siltkit.specfun import (
-    SimplexIntegralSpec,
     hermite_eval,
     normalized_hermite_log_sign,
     simplex_moment_asymptotic,
@@ -81,8 +80,7 @@ def test_01_simplex_closed_form_vs_oracle():
     for alpha in (0.0, 0.5, 1.0, 2.0):
         for d in (2, 3, 4, 5):
             for r in (0.05, 0.2, 1.0):
-                exact = simplex_moment_integral(
-                    SimplexIntegralSpec(alpha=alpha, d=d, u_norm=r))
+                exact = simplex_moment_integral(alpha, d, r)
                 oracle = oracle_simplex_quadrature(alpha, d, r)
                 assert abs(exact - oracle) <= 1e-8 * abs(oracle), \
                     (alpha, d, r, exact, oracle)
@@ -93,12 +91,12 @@ def test_02_asymptotic_regimes():
     for alpha in (0.0, 0.5, 1.0, 2.0):
         for d in (2, 3, 4, 5):
             if alpha > 1 - 0.5 * d:
-                spec = SimplexIntegralSpec(alpha=alpha, d=d, u_norm=1e-3)
-                ratio = simplex_moment_integral(spec) \
-                    / simplex_moment_asymptotic(spec)
+                args = (alpha, d, 1e-3)
+                ratio = simplex_moment_integral(*args) \
+                    / simplex_moment_asymptotic(*args)
                 assert 0.98 <= ratio <= 1.02, (alpha, d, ratio)
-    spec = SimplexIntegralSpec(alpha=0.0, d=2, u_norm=1e-4)
-    ratio = simplex_moment_integral(spec) / simplex_moment_asymptotic(spec)
+    args = (0.0, 2, 1e-4)
+    ratio = simplex_moment_integral(*args) / simplex_moment_asymptotic(*args)
     assert 0.95 <= ratio <= 1.05
 
 
@@ -253,8 +251,7 @@ def test_09_marginal_mass_identity(quad64):
                 u = axis_offset(r, d)
                 points = sample_mu_n(n, d, 909, 10_000, stream=stream)
                 q = marginal_density_q_batch(u, grid, points, quad64)
-                m = simplex_moment_integral(
-                    SimplexIntegralSpec(alpha=0.0, d=d, u=u))
+                m = simplex_moment_integral(0.0, d, float(np.linalg.norm(u)))
                 mc = float(np.mean(q))
                 se = float(np.std(q, ddof=1) / math.sqrt(len(q)))
                 assert abs(mc - m) <= 3 * se, (d, n, r, mc, m, se)

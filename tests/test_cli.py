@@ -279,7 +279,7 @@ class TestCommands:
         # every integer size key is at least 1
         ("hermite", "--x-count", "0"), ("silt", "--quad-order", "0"),
         ("silt", "--grid-m", "0"), ("dynkin", "--quad3-order", "0"),
-        ("chaos", "--quad-order-gap", "0"), ("chaos", "--quad-order-pos", "0"),
+        ("chaos", "--quad-levels", "0"), ("transport", "--quad-levels", "0"),
         ("capacity", "--tau-order", "0"), ("marginal", "--quad-levels", "0"),
         ("marginal", "--n", "0"), ("marginal", "--dim", "0"),
         ("kernel", "--dim", "4,0"), ("transport", "--n", "0"),
@@ -292,7 +292,15 @@ class TestCommands:
         # each solver and envelope key names itself out of its domain
         ("transport", "--reg", "0"), ("transport", "--tol", "0"),
         ("transport", "--max-iter", "0"), ("kernel", "--alpha", "-1"),
-        ("hermite", "--alpha", "0.1"), ("hermite", "--c", "-1")])
+        ("hermite", "--alpha", "0.1"), ("hermite", "--c", "-1"),
+        # the diagonal rule's levels stop at 50, where its nodes still fit
+        ("marginal", "--quad-levels", "51"), ("transport", "--quad-levels", "60"),
+        ("chaos", "--quad-levels", "51"),
+        # every 2^e of a dyadic range is finite and positive
+        ("kernel", "--u-norms", "2^1024..2^1025"),
+        ("capacity", "--u-norms", "2^-1080..2^-1075"),
+        # a direction's length is finite before it is normalized
+        ("silt", "--u-dir", "1e308,1e308")])
     def test_no_replicas_or_non_positive_norm_writes_nothing(
             self, tmp_path, capsys, command, flag, value):
         assert run_cli([command, "--out", str(tmp_path), flag, value]) == 2
@@ -328,13 +336,10 @@ class TestCommands:
         slack = [float(r[-1]) for r in points]
         assert min(slack) >= 0.0
         # k = 0 rows reproduce the mass integral
-        from siltkit.specfun import SimplexIntegralSpec, \
-            simplex_moment_integral
+        from siltkit.specfun import simplex_moment_integral
         for r in points:
             if r[2] == "0 0 0 0":
-                u_norm = float(r[3])
-                m = simplex_moment_integral(
-                    SimplexIntegralSpec(alpha=0.0, d=4, u_norm=u_norm))
+                m = simplex_moment_integral(0.0, 4, float(r[3]))
                 assert math.exp(float(r[4])) == pytest.approx(m, rel=1e-4)
 
     def test_chaos_zero_paths_is_usage_error(self, tmp_path, capsys):
@@ -376,11 +381,12 @@ class TestCommands:
 
     def test_marginal(self, tmp_path):
         out = str(tmp_path)
-        assert run_cli(["marginal", "--out", out, "--count", "800",
-                        "--quad-levels", "12", "--u-norms", "0.3"]) == 0
-        _, header, rows = read_rows(os.path.join(out, "marginal.csv"))
-        assert header[:3] == ["d", "n", "u_norm"]
-        assert abs(float(rows[0][header.index("z")])) < 5.0
+        for levels in ("12", "50"):  # 50: the largest rule the domain takes
+            assert run_cli(["marginal", "--out", out, "--count", "800",
+                            "--quad-levels", levels, "--u-norms", "0.3"]) == 0
+            _, header, rows = read_rows(os.path.join(out, "marginal.csv"))
+            assert header[:3] == ["d", "n", "u_norm"]
+            assert abs(float(rows[0][header.index("z")])) < 5.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_marginal_small_offsets_unbiased(self, tmp_path, seed):

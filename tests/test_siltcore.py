@@ -33,8 +33,7 @@ from siltkit.siltcore import (
     sample_path,
     silt_epsilon,
 )
-from siltkit.specfun import SimplexIntegralSpec, log_gaussian_kernel_batch, \
-    simplex_moment_integral
+from siltkit.specfun import log_gaussian_kernel_batch, simplex_moment_integral
 
 from conftest import axis_offset
 from exact_oracles import chaos_term_per_node, dynkin_T_per_node, \
@@ -354,9 +353,8 @@ class TestCenteredAndRenormalized:
 
     def test_3d_compensation_constant(self):
         # 1/(2 pi |u|) is the alpha=0, d=3 asymptotic constant
-        spec = SimplexIntegralSpec(alpha=0.0, d=3, u_norm=0.01)
         from siltkit.specfun import simplex_moment_asymptotic
-        assert simplex_moment_asymptotic(spec) == pytest.approx(
+        assert simplex_moment_asymptotic(0.0, 3, 0.01) == pytest.approx(
             1 / (2 * math.pi * 0.01), rel=1e-12)
 
     def test_3d_variance_grows_slower_than_log(self):
@@ -385,8 +383,7 @@ class TestChaosTerm:
     def test_order_zero_recovers_mass(self, quad_geo):
         u = np.array([0.3, 0.1, 0.0, 0.05])
         p = sample_path(128, 4, 2)
-        m_exact = simplex_moment_integral(SimplexIntegralSpec(alpha=0.0, d=4,
-                                                              u=u))
+        m_exact = simplex_moment_integral(0.0, 4, float(np.linalg.norm(u)))
         assert chaos_term(p, (0, 0, 0, 0), u, quad_geo) == pytest.approx(
             m_exact, rel=1e-5)
 
@@ -754,18 +751,18 @@ class TestInterpolationsPerTask:
     def test_chaos_task(self, monkeypatch):
         stencils = self.count_interpolations(monkeypatch)
         indices = ((0, 0, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0))
+        nodes = len(SimplexQuadrature.geometric_diagonal(4).weights)
         for norms, n_norms in [("0.25", 1), ("2^-2..2^-8", 7)]:
             stencils.clear()
             config = task_config(
                 "chaos", "--seed", "3", "--grid-m", "128", "--multi-index",
                 ";".join(",".join(map(str, idx)) for idx in indices),
-                "--u-norms", norms, "--quad-levels", "8",
-                "--quad-order-gap", "2", "--quad-order-pos", "4")
+                "--u-norms", norms, "--quad-levels", "4")
             rows = _chaos_task(config, 0)
             assert len(rows) == len(indices) * n_norms
             # w(s) and w(t) once for each index with a factor, none for the
             # all-zero index; no node time repeats here
-            assert [len(idx) for idx in stencils] == [72] * 4
+            assert [len(idx) for idx in stencils] == [nodes] * 4
 
     @pytest.mark.parametrize("k, per_replica", [(2, 2), (3, 5)])
     def test_dynkin_task(self, monkeypatch, k, per_replica):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from siltkit.specfun import (
-    SimplexIntegralSpec,
     calibrate_log_branch_constant,
     calibrate_szego_constant,
     hermite_eval,
@@ -162,8 +161,9 @@ class TestUpperIncompleteGamma:
 
 class TestSimplexMoment:
     def test_rejects_zero_offset(self):
-        with pytest.raises(ValueError):
-            SimplexIntegralSpec(alpha=0.0, d=4, u=np.zeros(4))
+        for moment in (simplex_moment_integral, simplex_moment_asymptotic):
+            with pytest.raises(ValueError, match="offset must be nonzero"):
+                moment(0.0, 4, 0.0)
 
     def test_d4_reduction(self):
         # hand reduction (exp(-a) - a E1(a)) / (2 pi^2 |u|^2) at alpha=0, d=4
@@ -171,59 +171,54 @@ class TestSimplexMoment:
         a = 0.5 * r * r
         expected = (math.exp(-a) - a * float(mp.e1(a))) \
             / (2.0 * math.pi ** 2 * r * r)
-        spec = SimplexIntegralSpec(alpha=0.0, d=4, u_norm=r)
-        assert simplex_moment_integral(spec) == pytest.approx(expected, rel=1e-12)
-        assert simplex_moment_integral(spec) == pytest.approx(
+        args = (0.0, 4, r)
+        assert simplex_moment_integral(*args) == pytest.approx(expected, rel=1e-12)
+        assert simplex_moment_integral(*args) == pytest.approx(
             oracle_simplex_quadrature(0.0, 4, r), rel=1e-9)
 
     def test_small_offset_power_law(self):
         # c(4) = Gamma(1)/(2 pi^2), mass ~ c(4)/|u|^2 within 1%
         r = 1e-3
-        spec = SimplexIntegralSpec(alpha=0.0, d=4, u_norm=r)
         expected = 1.0 / (2.0 * math.pi ** 2 * r * r)
-        assert simplex_moment_integral(spec) == pytest.approx(expected, rel=0.01)
+        assert simplex_moment_integral(0.0, 4, r) == pytest.approx(expected,
+                                                                   rel=0.01)
 
     def test_small_offset_log_law(self):
         r = 1e-4
-        spec = SimplexIntegralSpec(alpha=0.0, d=2, u_norm=r)
         expected = math.log(1.0 / r) / math.pi
-        assert simplex_moment_integral(spec) == pytest.approx(expected, rel=0.05)
+        assert simplex_moment_integral(0.0, 2, r) == pytest.approx(expected,
+                                                                   rel=0.05)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_against_raw_quadrature(self, alpha, d):
         for r in (0.05, 0.2, 1.0):
-            spec = SimplexIntegralSpec(alpha=alpha, d=d, u_norm=r)
-            assert simplex_moment_integral(spec) == pytest.approx(
+            assert simplex_moment_integral(alpha, d, r) == pytest.approx(
                 oracle_simplex_quadrature(alpha, d, r), rel=1e-8)
 
 
 class TestSimplexAsymptotic:
     def test_d4_constant(self):
-        spec = SimplexIntegralSpec(alpha=0.0, d=4, u_norm=1.0)
-        assert simplex_moment_asymptotic(spec) == pytest.approx(
+        assert simplex_moment_asymptotic(0.0, 4, 1.0) == pytest.approx(
             1.0 / (2.0 * math.pi ** 2), rel=1e-14)
 
     def test_alpha1_d2(self):
-        spec = SimplexIntegralSpec(alpha=1.0, d=2, u_norm=0.01)
-        assert simplex_moment_asymptotic(spec) == pytest.approx(1e4 / math.pi,
-                                                                rel=1e-12)
+        assert simplex_moment_asymptotic(1.0, 2, 0.01) == pytest.approx(
+            1e4 / math.pi, rel=1e-12)
 
     def test_log_case_unit_value(self):
-        spec = SimplexIntegralSpec(alpha=0.0, d=2, u_norm=math.exp(-1))
-        assert simplex_moment_asymptotic(spec) == pytest.approx(1.0 / math.pi,
-                                                                rel=1e-14)
+        assert simplex_moment_asymptotic(0.0, 2, math.exp(-1)) == \
+            pytest.approx(1.0 / math.pi, rel=1e-14)
 
     def test_unsupported_regime(self):
         with pytest.raises(ValueError):
-            simplex_moment_asymptotic(SimplexIntegralSpec(alpha=0.0, d=1,
-                                                          u_norm=0.5))
+            simplex_moment_asymptotic(0.0, 1, 0.5)
 
     @pytest.mark.parametrize("alpha,d", [(0, 3), (0, 4), (0, 5), (0.5, 2),
                                          (1, 2), (2, 5)])
     def test_ratio_tends_to_one(self, alpha, d):
-        spec = SimplexIntegralSpec(alpha=alpha, d=d, u_norm=1e-3)
-        ratio = simplex_moment_integral(spec) / simplex_moment_asymptotic(spec)
+        args = (alpha, d, 1e-3)
+        ratio = simplex_moment_integral(*args) / simplex_moment_asymptotic(*args)
         assert 0.98 <= ratio <= 1.02
 
 
