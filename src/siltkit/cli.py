@@ -93,7 +93,7 @@ def number(kind, lo=-math.inf, hi=math.inf):
 _float, _size = number(float), number(int, lo=1)
 _positive = number(float, lo=math.ulp(0.0))
 _levels = number(int, lo=1, hi=50)  # level 51 puts a rule node on s = t
-_exponent = number(int, lo=-1074, hi=1023)  # 2^e finite and positive
+_exponent = number(int, lo=-536, hi=512)  # (2^e)^2/2 finite and positive
 
 
 def comma_list(convert):
@@ -102,19 +102,21 @@ def comma_list(convert):
 
 
 def parse_norm_list(text: str) -> list:
-    """Offset-norm sweeps: '2^-2..2^-7' (dyadic, exponents -1074..1023) or
-    '0.5,0.25'; at least one norm, every norm positive and finite."""
+    """Offset-norm sweeps: '2^-2..2^-7' (dyadic, exponents -536..512) or
+    '0.5,0.25'; one or more norms, |u|^2/2 positive and finite at each."""
     if ".." not in text:
         norms = [_float(v) for v in text.split(",") if v.strip()]
-        if not (norms and all(r > 0 for r in norms)):
-            raise UsageError(f"must be one or more positive norms, got {text!r}")
+        if not (norms and all(r > 0 and 0 < 0.5 * r * r < math.inf
+                              for r in norms)):
+            raise UsageError("must be one or more norms |u| with |u|^2/2 "
+                             f"positive and finite, got {text!r}")
         return norms
     try:
         a, b = (_exponent(e.strip()[2:]) for e in text.split("..", 1)
                 if e.strip().startswith("2^"))
     except ValueError as exc:
         raise UsageError("must be a dyadic range like 2^-2..2^-7 with integer "
-                         f"exponents in [-1074, 1023], got {text!r}") from exc
+                         f"exponents in [-536, 512], got {text!r}") from exc
     step = 1 if b >= a else -1
     return [2.0 ** e for e in range(a, b + step, step)]
 
@@ -421,15 +423,14 @@ def cmd_chaos(config: RunConfig) -> str:
 
 def _dynkin_task(config: RunConfig, stream: int) -> list:
     p = config.values
-    quad = _shared_rule(SimplexQuadrature.gauss_legendre, p.quad_order)
-    quad3 = _shared_rule(simplex3_gauss_legendre, p.quad3_order) \
-        if p.k == 3 else None
+    rules = (_shared_rule(SimplexQuadrature.gauss_legendre, p.quad_order),)
+    if p.k == 3:
+        rules += (_shared_rule(simplex3_gauss_legendre, p.quad3_order),)
     path = sample_path(p.grid_m, 2, config.seed, stream=stream)
     one = (lambda *ts: np.ones_like(ts[0], dtype=float))
     scales = np.array(p.eps_ladder)
-    t_vals = dynkin_T(path, p.k, scales, one, quad=quad, quad3=quad3)
-    renorm = dynkin_renormalized_sum(path, p.k, scales, one, quad=quad,
-                                     quad3=quad3, t_top=t_vals)
+    t_vals = dynkin_T(path, scales, one, rules[-1])
+    renorm = dynkin_renormalized_sum(path, scales, one, rules, t_top=t_vals)
     return [(stream, eps, t_val, value) for eps, t_val, value
             in zip(p.eps_ladder, t_vals.tolist(), renorm.tolist())]
 
@@ -558,9 +559,9 @@ COMMANDS = {
         "u_dir": (parse_direction, "1,1,1,1"), "quad_levels": (_levels, "36")}),
     "dynkin": (cmd_dynkin, {
         "k": (number(int, lo=2, hi=3), "3"), "grid_m": (_size, "2048"),
-        "replicas": (_size, "8"),
+        "replicas": (_size, "8"), "quad_order": (_size, "64"),
         "eps_ladder": (parse_eps_ladder, "0.4,0.2,0.1"),
-        "quad_order": (_size, "64"), "quad3_order": (_size, "32")}),
+        "quad3_order": (number(int, lo=2), "32")}),  # n = 1 misses 1/6
     "marginal": (cmd_marginal, {  # the standard error needs two samples
         "dim": (_size, "4"), "n": (_size, "2"), "count": (number(int, lo=2), "10000"),
         "u_norms": (parse_norm_list, "0.2,0.5"),

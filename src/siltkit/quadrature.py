@@ -1,6 +1,6 @@
-"""Quadrature rules on the triangle {0 <= s < t <= 1} and adaptive refinement.
+"""Quadrature rules on ordered simplices and adaptive refinement.
 
-Two fixed rules cover the toolkit's needs:
+The 3-simplex has a tensor Gauss-Legendre rule, and the triangle two rules:
 
 * a tensor Gauss-Legendre rule pushed onto the triangle through
   (a, b) -> (s, t) = (a, a + b(1 - a)) with the Jacobian (1 - a) folded into
@@ -26,6 +26,7 @@ tracer binds it by name.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,9 +52,15 @@ class ConvergenceError(RuntimeError):
     """An iterative numerical procedure failed to reach its tolerance."""
 
 
+def _read_only(*arrays) -> tuple:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def _unit_gauss_legendre(n: int):
     x, w = leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _read_only(0.5 * (x + 1.0), 0.5 * w)
 
 
 def geometric_panels(levels: int, order: int):
@@ -80,28 +87,30 @@ def interval_overlap(s1, t1, s2, t2):
     return np.clip(np.minimum(t1, t2) - np.maximum(s1, s2), 0.0, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexQuadrature:
-    """Nodes (s, t) strictly inside the triangle with weights summing to 1/2."""
+    """(N, k) nodes, k >= 2, each rising strictly inside (0, 1), with positive
+    weights summing to 1/k!; read-only copies, hashed by identity."""
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes, weights = _read_only(np.array(self.nodes, dtype=float),
+                                    np.array(self.weights, dtype=float))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        if nodes.ndim != 2 or nodes.shape[1] != 2 or len(weights) != len(nodes):
-            raise ValueError("nodes must be (N, 2) with matching weights")
-        s, t = nodes[:, 0], nodes[:, 1]
-        if not (np.all(s > 0) and np.all(t < 1) and np.all(s < t)):
-            raise ValueError("every node must satisfy 0 < s < t < 1")
+        if nodes.ndim != 2 or nodes.shape[1] < 2 or len(weights) != len(nodes):
+            raise ValueError("nodes must be (N, k), k >= 2, with matching weights")
+        if not (np.all(nodes[:, 0] > 0) and np.all(nodes[:, -1] < 1)
+                and np.all(np.diff(nodes, axis=1) > 0)):
+            raise ValueError("every node must satisfy 0 < t_1 < ... < t_k < 1")
         if np.any(weights <= 0):
             raise ValueError("weights must be positive")
+        k_fact = math.factorial(nodes.shape[1])
         total = float(np.sum(weights))
-        if abs(total - 0.5) > 1e-12:
-            raise ValueError(f"weights sum to {total}, expected 1/2")
+        if abs(total - 1.0 / k_fact) > 1e-12:
+            raise ValueError(f"weights sum to {total}, expected 1/{k_fact}")
 
     @classmethod
     def gauss_legendre(cls, n_a: int = 64) -> "SimplexQuadrature":
@@ -134,12 +143,9 @@ class SimplexQuadrature:
         return cls(nodes, w.ravel())
 
 
-def simplex3_gauss_legendre(n: int = 12):
-    """Tensor Gauss-Legendre rule on {0 < t1 < t2 < t3 < 1}.
-
-    Returns (nodes, weights) with nodes of shape (n^3, 3); weights sum to the
-    simplex volume 1/6.
-    """
+def simplex3_gauss_legendre(n: int = 12) -> SimplexQuadrature:
+    """Tensor Gauss-Legendre rule on {0 < t1 < t2 < t3 < 1} with n^3 nodes;
+    n >= 2 (one node per axis misses the volume 1/6)."""
     a, wa = _unit_gauss_legendre(n)
     A, B, C = np.meshgrid(a, a, a, indexing="ij")
     WA, WB, WC = np.meshgrid(wa, wa, wa, indexing="ij")
@@ -148,23 +154,13 @@ def simplex3_gauss_legendre(n: int = 12):
     t3 = t2 + C * (1.0 - t2)
     w = WA * WB * WC * (1.0 - A) ** 2 * (1.0 - B)
     nodes = np.column_stack([t1.ravel(), t2.ravel(), t3.ravel()])
-    return nodes, w.ravel()
-
-
-def _read_only(*arrays) -> tuple:
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+    return SimplexQuadrature(nodes, w.ravel())
 
 
 @lru_cache(maxsize=None)
 def _shared_rule(build, *args):
-    """build(*args), built once per process and shared read-only: the nodes
-    and weights of a SimplexQuadrature, or the arrays of a tuple rule."""
-    rule = build(*args)
-    _read_only(*((rule.nodes, rule.weights)
-                 if isinstance(rule, SimplexQuadrature) else rule))
-    return rule
+    """build(*args), built once per process and shared (rules are read-only)."""
+    return build(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -108,14 +108,13 @@ def _interpolate(values, stencil) -> list:
 
 
 @lru_cache(maxsize=16)
-def _rule_plan(nodes: bytes, k: int, times: bytes) -> tuple:
-    """Of a rule's (N, k) node bytes on a path grid's time bytes, built on
-    first use and read-only: the stencil of each column's distinct times,
-    and per step from column i to i + 1 the map of the nodes onto the step's
+def _rule_plan(quad: SimplexQuadrature, times: bytes) -> tuple:
+    """Of a rule on a path grid's time bytes, built on first use and
+    read-only: the stencil of each node column's distinct times, and per
+    step from column i to i + 1 the map of the nodes onto the step's
     distinct time pairs and of those onto each end's times."""
     grid = np.frombuffer(times)
-    columns = [np.unique(c, return_inverse=True)
-               for c in np.frombuffer(nodes).reshape(-1, k).T]
+    columns = [np.unique(c, return_inverse=True) for c in quad.nodes.T]
     steps = []
     for (_, ia), (tb, ib) in zip(columns[:-1], columns[1:]):
         codes, pairs = np.unique(ia * len(tb) + ib, return_inverse=True)
@@ -179,12 +178,12 @@ def _as_scales(eps) -> np.ndarray:
     return scales.ravel()
 
 
-def _kernel_integral(path: Path, nodes, weights, eps, u, phi_vals=None):
+def _kernel_integral(path: Path, quad, eps, u, phi_vals=None):
     """Per scale e, sum_i w_i phi_i prod_j p_e(w(t_j+1) - w(t_j) - [j = 1] u)
     on a rule's (N, k) nodes, phi_i = 1 if phi_vals is None: a float, or an
     array for a 1-d array of scales (one interpolation)."""
     scales = _as_scales(eps)
-    plan = _rule_plan(nodes.tobytes(), nodes.shape[1], path.times.tobytes())
+    plan = _rule_plan(quad, path.times.tobytes())
     steps = _increments(path, plan)
     steps[0] = [row - c for row, c in zip(steps[0], _as_offset(u, path.d))]
     # exp on distinct pairs, then onto the nodes; a step whose pairs are all
@@ -197,7 +196,7 @@ def _kernel_integral(path: Path, nodes, weights, eps, u, phi_vals=None):
         kernel = reduce(operator.mul, [
             np.exp(log_gaussian_kernel_batch(sq, path.d, e))[pairs]
             for sq, pairs in sq_norms])
-        values.append(np.dot(weights, kernel if phi_vals is None
+        values.append(np.dot(quad.weights, kernel if phi_vals is None
                              else phi_vals * kernel))
     return float(values[0]) if np.ndim(eps) == 0 else np.array(values)
 
@@ -205,7 +204,7 @@ def _kernel_integral(path: Path, nodes, weights, eps, u, phi_vals=None):
 def silt_epsilon(path: Path, eps, u, quad: SimplexQuadrature):
     """Triangle quadrature of the Gaussian kernel of w(t) - w(s) - u at scale
     eps: a float, or an array for a 1-d array of scales (one interpolation)."""
-    return _kernel_integral(path, quad.nodes, quad.weights, eps, u)
+    return _kernel_integral(path, quad, eps, u)
 
 
 def centering_constant_2d(eps: float) -> float:
@@ -261,11 +260,10 @@ def chaos_term(path: Path, idx, u, quad: SimplexQuadrature):
     """
     idx = _coerce_index(idx, path.d)
     offsets = _as_offset_rows(u, path.d)
-    nodes = quad.nodes.tobytes()
     log_mag, offset_factors, zero_sums = _chaos_plan(
-        nodes, quad.weights.tobytes(), offsets.tobytes(), path.d, idx)
+        quad, offsets.tobytes(), path.d, idx)
     if offset_factors:
-        (s, t), plan = quad.nodes.T, _rule_plan(nodes, 2, path.times.tobytes())
+        (s, t), plan = quad.nodes.T, _rule_plan(quad, path.times.tobytes())
         x = [row.take(plan[1][0][0]) / np.sqrt(t - s)
              for row in _increments(path, plan)[0]]
         sign = np.ones_like(log_mag)
@@ -287,19 +285,18 @@ def _node_sums(sign, log_mag) -> list:
 
 
 @lru_cache(maxsize=16)
-def _chaos_plan(nodes: bytes, weights: bytes, offsets: bytes, d: int,
-                idx: tuple) -> tuple:
+def _chaos_plan(quad, offsets: bytes, d: int, idx: tuple) -> tuple:
     """chaos_term's rule- and offset-only parts: log(kernel * weight) per
     (offset, node); (j, n_j, sign, log|H_n_j/sqrt(n_j!)|) of u_j/sqrt(t-s)
     for each n_j > 0; and, at the all-zero index, whose terms read no path,
     the node sum per offset, else None."""
-    s, t = np.frombuffer(nodes).reshape(-1, 2).T
+    s, t = quad.nodes.T
     offsets = np.frombuffer(offsets).reshape(-1, d)
     # a dot per row, as for one offset: an array call keeps the scalar bits
     r2 = np.array([float(np.dot(v, v)) for v in offsets])[:, None]
     if np.any(r2 == 0):
         raise ValueError("offset must be nonzero")
-    base = log_gaussian_kernel_batch(r2, d, t - s) + np.log(np.frombuffer(weights))
+    base = log_gaussian_kernel_batch(r2, d, t - s) + np.log(quad.weights)
     factors = tuple((j, n, *_read_only(*normalized_hermite_log_sign(
         n, offsets[:, j, None] / np.sqrt(t - s)))) for j, n in enumerate(idx) if n)
     zero_sums = None if factors else tuple(_node_sums(np.ones_like(base), base))
@@ -391,27 +388,22 @@ def dynkin_B(k: int, l: int, phi):
     return summed
 
 
-def dynkin_T(path: Path, k: int, eps, phi, quad: SimplexQuadrature = None,
-             quad3=None):
+def dynkin_T(path: Path, eps, phi, quad: SimplexQuadrature):
     """Order-k mollified multiple-intersection functional of a planar path:
     a float, or an array for a 1-d array of scales (one interpolation).
 
     Integrates the product of q_eps over consecutive increments against phi
-    over the ordered k-simplex; supported for k = 2 on the triangle rule
-    ``quad`` and k = 3 on the (nodes, weights) 3-simplex rule ``quad3``; the
-    order's rule is required.  q_eps is the density of N(0, eps I_2).  phi is
-    called once, on k arrays of node times, and must broadcast over them.
+    over the ordered k-simplex, with k the width of the rule ``quad``;
+    supported for k = 2 and 3.  q_eps is the density of N(0, eps I_2).  phi
+    is called once, on k arrays of node times, and must broadcast over them.
     """
     if path.d != 2:
         raise ValueError(f"order-k functionals are planar only, got d={path.d}")
+    k = quad.nodes.shape[1]
     if k not in (2, 3):
         raise ValueError(f"only k in {{2, 3}} supported at desk scale, got {k}")
-    if (quad, quad3)[k - 2] is None:
-        raise ValueError(f"order {k} needs its rule {('quad', 'quad3')[k - 2]}")
-    nodes, weights = (quad.nodes, quad.weights) if k == 2 else quad3
-    nodes = np.asarray(nodes, dtype=float)
-    return _kernel_integral(path, nodes, weights, eps, 0,
-                            _eval_symbol(phi, tuple(nodes.T)))
+    return _kernel_integral(path, quad, eps, 0,
+                            _eval_symbol(phi, tuple(quad.nodes.T)))
 
 
 def _eval_symbol(phi, columns):
@@ -421,13 +413,12 @@ def _eval_symbol(phi, columns):
                            columns[0].shape).copy()
 
 
-def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
-                            quad: SimplexQuadrature = None, quad3=None,
-                            t_top=None):
+def dynkin_renormalized_sum(path: Path, eps, phi, rules, t_top=None):
     """Log-weighted combination of the order-l functionals of the collapsed
     symbols: sum over l <= k of (log(eps)/(2 pi))^(k-l) T_l with the order-l
     symbol obtained from phi by summing over monotone surjections.  A float,
     or an array for a 1-d array of scales (one interpolation per order).
+    ``rules`` is the order-2 rule, followed by the order-3 rule for k = 3.
 
     The mean of an order-l functional diverges like (log(1/v)/(2 pi))^(l-1)
     with v the mollifier's variance, so the log in the weights must be the
@@ -436,11 +427,13 @@ def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
     l = 1 functional has no mollifier factor and reduces to a line integral
     over [0, 1], done by a 48-node Gauss-Legendre rule.  phi must broadcast
     over arrays of node times, as in dynkin_T.  ``t_top``, when given, is
-    dynkin_T(path, k, eps, phi) with the same rules, already evaluated by the
-    caller; it is used as the l = k term.
+    dynkin_T(path, eps, phi, rules[-1]), already evaluated by the caller; it
+    is used as the l = k term.
     """
-    if k not in (2, 3):
-        raise ValueError(f"only k in {{2, 3}} supported at desk scale, got {k}")
+    widths = [rule.nodes.shape[1] for rule in rules]
+    if widths not in ([2], [2, 3]):
+        raise ValueError(f"rules must have orders [2] or [2, 3], got {widths}")
+    k = len(rules) + 1
     scales = _as_scales(eps)
     log_scales = [math.log(e) for e in scales]
     total = np.zeros(len(scales))
@@ -453,6 +446,6 @@ def dynkin_renormalized_sum(path: Path, k: int, eps, phi,
         elif l == k and t_top is not None:
             term = np.asarray(t_top, dtype=float)
         else:
-            term = dynkin_T(path, l, scales, collapsed, quad, quad3)
+            term = dynkin_T(path, scales, collapsed, rules[l - 2])
         total += weight * term
     return float(total[0]) if np.ndim(eps) == 0 else total

@@ -220,8 +220,11 @@ def sobolev_norm_sq_truncated(spec: SobolevSpec) -> SobolevNormResult:
 
 def capacity_lower_bound(spec: SobolevSpec) -> CapacityResult:
     """mass^2 / truncated norm^2: capacity lower bound for the support."""
-    mass = simplex_moment_integral(0.0, spec.d, float(np.linalg.norm(spec.u)))
+    u_norm = float(np.linalg.norm(spec.u))
+    mass = simplex_moment_integral(0.0, spec.d, u_norm)
     norm = sobolev_norm_sq_truncated(spec)
+    if not norm.value > 0:  # every pair weight underflows at far offsets
+        raise ValueError(f"the truncated norm underflows to 0 at |u|={u_norm:.3g}")
     return CapacityResult(value=mass * mass / norm.value, mass=mass,
                           norm_sq=norm.value, K_used=norm.K_used,
                           tail_ratio=norm.tail_ratio)

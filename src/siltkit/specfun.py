@@ -89,12 +89,13 @@ def upper_incomplete_gamma(s: float, a: float) -> float:
 
       which is log(1.5/a) at |s + k| < 1e-20 (its limit at 0; the next
       order, (s+k) (log a + log(1.5/a) / 2), is below the rounding there,
-      and a subnormal s + k would lose digits in the quotient); every term
-      is a well-conditioned integral of a power, so s at or near a negative
+      and a subnormal s + k would lose digits in the quotient), and
+      (1.5^(s+k) - a^(s+k)) / (s+k) where expm1 overflows; every term is a
+      well-conditioned integral of a power, so s at or near a negative
       integer costs nothing.
 
-    About 1e-14 relative against mpmath over s in [-5, 8], a in [1e-4, 25].
-    math.gamma raises OverflowError once Gamma(s) leaves double range.
+    About 1e-14 relative against mpmath over s in [-5, 8], a in [1e-4, 25],
+    and to a = 5e-324; OverflowError means the value leaves double range.
     """
     if not a > 0:
         raise ValueError(f"second argument must be positive, got {a}")
@@ -110,12 +111,16 @@ def upper_incomplete_gamma(s: float, a: float) -> float:
         return math.gamma(s) - math.exp(s * math.log(a) - a) * total
     if a >= 1.5 or (s > 0 and a >= s + 1.0):
         return _upper_gamma_continued_fraction(s, a)
-    log_ratio = math.log(1.5 / a)
+    log_ratio = (math.log(1.5 / a) if 1.5 / a < math.inf  # a > 8.3e-309
+                 else math.log(1.5) - math.log(a))
     total, sign_fact, k = 0.0, 1.0, 0  # sign_fact = (-1)^k / k!
     while True:
         p = s + k
-        term = sign_fact * (log_ratio if abs(p) < 1e-20 else
-                            a ** p * math.expm1(p * log_ratio) / p)
+        try:
+            term = sign_fact * (log_ratio if abs(p) < 1e-20 else
+                                a ** p * math.expm1(p * log_ratio) / p)
+        except OverflowError:  # expm1(p L) past DBL_MAX: 1.5^p - a^p instead
+            term = sign_fact * ((1.5 ** p - a ** p) / p)
         total += term
         if p > 0 and abs(term) < 1e-17 * total:
             return _upper_gamma_continued_fraction(s, 1.5) + total
@@ -132,8 +137,9 @@ def _check_moment_args(alpha: float, d: int, u_norm: float) -> None:
         raise ValueError(f"singularity exponent must be >= 0, got {alpha}")
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if not u_norm > 0:
-        raise ValueError("offset must be nonzero (closed forms divide by |u|)")
+    if not (u_norm > 0 and 0 < 0.5 * u_norm * u_norm < math.inf):
+        raise ValueError("offset must be nonzero (closed forms divide by |u|), "
+                         f"u_norm^2/2 a positive finite double; got {u_norm}")
 
 
 def simplex_moment_integral(alpha: float, d: int, u_norm: float) -> float:

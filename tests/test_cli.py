@@ -188,6 +188,15 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: u_norms ")
         assert not os.path.exists(tmp_path / "kernel.csv")
 
+    def test_kernel_tiny_offset(self, tmp_path):
+        # the incomplete gamma's finite piece at a = 5e-17 reaches orders
+        # whose expm1 overflows; the exact value tends to its asymptotic
+        assert run_cli(["kernel", "--out", str(tmp_path),
+                        "--u-norms", "1e-8"]) == 0
+        _, header, rows = read_rows(os.path.join(tmp_path, "kernel.csv"))
+        ratio = float(rows[0][header.index("ratio")])
+        assert ratio == pytest.approx(1.0, abs=1e-12)
+
     def test_kernel_malformed_range_exits_2(self, tmp_path):
         assert run_cli(["kernel", "--out", str(tmp_path),
                         "--u-norms", "2^-2..nope"]) == 2
@@ -279,6 +288,7 @@ class TestCommands:
         # every integer size key is at least 1
         ("hermite", "--x-count", "0"), ("silt", "--quad-order", "0"),
         ("silt", "--grid-m", "0"), ("dynkin", "--quad3-order", "0"),
+        ("dynkin", "--quad3-order", "1"),  # one node per axis misses 1/6
         ("chaos", "--quad-levels", "0"), ("transport", "--quad-levels", "0"),
         ("capacity", "--tau-order", "0"), ("marginal", "--quad-levels", "0"),
         ("marginal", "--n", "0"), ("marginal", "--dim", "0"),
@@ -299,6 +309,8 @@ class TestCommands:
         # every 2^e of a dyadic range is finite and positive
         ("kernel", "--u-norms", "2^1024..2^1025"),
         ("capacity", "--u-norms", "2^-1080..2^-1075"),
+        # |u|^2/2, the closed forms' argument, is a finite double
+        ("kernel", "--u-norms", "1e155"),
         # a direction's length is finite before it is normalized
         ("silt", "--u-dir", "1e308,1e308")])
     def test_no_replicas_or_non_positive_norm_writes_nothing(
@@ -322,7 +334,8 @@ class TestCommands:
         assert _shared_rule(SimplexQuadrature.geometric_diagonal, 6, 2, 4) \
             is diagonal
         assert _shared_rule(simplex3_gauss_legendre, 6) is simplex3
-        for array in (diagonal.nodes, diagonal.weights) + simplex3:
+        for array in (diagonal.nodes, diagonal.weights, simplex3.nodes,
+                      simplex3.weights):
             with pytest.raises(ValueError):
                 array[0] = 0.5
 
@@ -446,6 +459,16 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "domain error: q underflows to 0 at every sample at |u|=40.0\n")
         assert not os.path.exists(tmp_path / "marginal.csv")
+
+    @pytest.mark.parametrize("u_norm", ["27", "30", "50"])
+    def test_capacity_far_offset_is_domain_error(self, tmp_path, capsys,
+                                                 u_norm):
+        # every pair weight of the truncated norm underflows to 0 there
+        assert run_cli(["capacity", "--out", str(tmp_path),
+                        "--u-norms", u_norm]) == 2
+        assert capsys.readouterr().err == ("domain error: the truncated norm "
+                                           f"underflows to 0 at |u|={u_norm}\n")
+        assert not os.path.exists(tmp_path / "capacity.csv")
 
     def test_capacity_guards(self, tmp_path):
         assert run_cli(["capacity", "--out", str(tmp_path),

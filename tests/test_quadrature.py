@@ -95,13 +95,15 @@ class TestSimplexQuadrature:
 
 class TestSimplex3:
     def test_volume(self):
-        nodes, w = simplex3_gauss_legendre(8)
+        rule = simplex3_gauss_legendre(8)
+        nodes, w = rule.nodes, rule.weights
         assert float(np.sum(w)) == pytest.approx(1 / 6, abs=1e-13)
         assert np.all((nodes[:, 0] < nodes[:, 1]) & (nodes[:, 1] < nodes[:, 2]))
 
     def test_first_coordinate_moment(self):
         # integral of t1 over the ordered 3-simplex = E[min of 3 uniforms]/3!
-        nodes, w = simplex3_gauss_legendre(8)
+        rule = simplex3_gauss_legendre(8)
+        nodes, w = rule.nodes, rule.weights
         assert float(w @ nodes[:, 0]) == pytest.approx(1 / 24, abs=1e-12)
 
 

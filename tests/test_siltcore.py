@@ -161,11 +161,33 @@ class TestInterpolationStencil:
             assert len(rows) == 2
         info = siltcore._rule_plan.cache_info()
         assert (info.misses, info.hits) == (1, 7)
-        nodes = SimplexQuadrature.gauss_legendre(16).nodes
+        quad = _shared_rule(SimplexQuadrature.gauss_legendre, 16)
         stencils, _ = siltcore._rule_plan(
-            nodes.tobytes(), 2, np.linspace(0.0, 1.0, 129).tobytes())
+            quad, np.linspace(0.0, 1.0, 129).tobytes())
         assert [len(idx) for idx, _ in stencils] == [
-            len(np.unique(c)) for c in nodes.T]
+            len(np.unique(c)) for c in quad.nodes.T]
+
+    def test_rules_copy_their_arrays_and_plan_once_each(self):
+        # a rule keeps read-only copies of its arrays, so a plan keyed on the
+        # rule object cannot go stale: the caller's arrays stay writable,
+        # and replicas of the k = 3 dynkin task build one plan per rule
+        nodes, weights = np.array([[0.2, 0.4]]), np.array([0.5])
+        rule = SimplexQuadrature(nodes, weights)
+        nodes[0, 0], weights[0] = 0.1, 0.25
+        assert rule.nodes.tolist() == [[0.2, 0.4]]
+        assert rule.weights.tolist() == [0.5]
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.3
+        siltcore._rule_plan.cache_clear()
+        config = task_config("dynkin", "--seed", "4", "--k", "3",
+                             "--grid-m", "128", "--eps-ladder", "0.4,0.2",
+                             "--quad-order", "8", "--quad3-order", "6")
+        for stream in range(4):
+            assert len(_dynkin_task(config, stream)) == 2
+        # per replica T_3 on the 3-simplex rule and T_2 on the triangle rule
+        info = siltcore._rule_plan.cache_info()
+        assert (info.misses, info.hits) == (2, 6)
 
 
 class TestSiltEpsilon:
@@ -581,21 +603,22 @@ class TestDynkin:
         p = sample_path(512, 2, 5)
         one = lambda s, t: np.ones_like(s)
         scales = np.array([0.4, 0.09, 0.01])
-        a = dynkin_T(p, 2, scales, one, quad=quad64)
+        a = dynkin_T(p, scales, one, quad64)
         b = silt_epsilon(p, scales, 0, quad64)
         assert a.tolist() == b.tolist()
 
-    @pytest.mark.parametrize("k, missing", [(2, "quad"), (3, "quad3")])
-    def test_order_needs_its_rule(self, quad64, k, missing):
-        # no default rule is built for a missing one
-        rules = dict(quad=quad64, quad3=simplex3_gauss_legendre(4))
-        del rules[missing]
-        with pytest.raises(ValueError, match=f"needs its rule {missing}$"):
-            dynkin_T(sample_path(64, 2, 1), k, 0.1, lambda *ts: 1.0, **rules)
+    def test_rules_are_order_2_then_order_3(self, quad64):
+        # the order is read off the rules: the order-2 rule, then for k = 3
+        # the order-3 rule; no other sequence is a sum
+        q3 = simplex3_gauss_legendre(4)
+        for rules in [(q3,), (quad64, quad64), (q3, quad64)]:
+            with pytest.raises(ValueError, match="rules must have orders"):
+                dynkin_renormalized_sum(sample_path(64, 2, 1), 0.1,
+                                        lambda *ts: 1.0, rules)
 
     def test_zero_path_order2(self, quad64):
         one = lambda s, t: np.ones_like(s)
-        got = dynkin_T(zero_path(2), 2, 0.2, one, quad=quad64)
+        got = dynkin_T(zero_path(2), 0.2, one, quad64)
         assert got == pytest.approx(
             0.5 * float(gaussian_mollifier(np.zeros((1, 2)), 0.2)[0]),
             rel=1e-14)
@@ -613,30 +636,29 @@ class TestDynkin:
                 return self.c * (1.0 + ts[0] * ts[-1])
 
         p, phi = sample_path(256, 2, 3), Scaled()
-        first = dynkin_T(p, 2, 0.1, phi, quad=quad64)
-        assert first == dynkin_T(p, 2, 0.1, lambda *ts: 1.0 + ts[0] * ts[-1],
-                                 quad=quad64)
-        assert math.isfinite(dynkin_renormalized_sum(p, 2, 0.1, phi,
-                                                     quad=quad64))
+        first = dynkin_T(p, 0.1, phi, quad64)
+        assert first == dynkin_T(p, 0.1, lambda *ts: 1.0 + ts[0] * ts[-1],
+                                 quad64)
+        assert math.isfinite(dynkin_renormalized_sum(p, 0.1, phi, (quad64,)))
         phi.c = 2.0
-        assert dynkin_T(p, 2, 0.1, phi, quad=quad64) == pytest.approx(
+        assert dynkin_T(p, 0.1, phi, quad64) == pytest.approx(
             2.0 * first, rel=1e-14)
 
     def test_scalar_only_symbol_is_refused(self, quad64):
         # the symbol is called once on arrays of node times, never per node
         p, phi = sample_path(64, 2, 1), lambda s, t: math.sin(s)
         with pytest.raises(TypeError):
-            dynkin_T(p, 2, 0.1, phi, quad=quad64)
+            dynkin_T(p, 0.1, phi, quad64)
         with pytest.raises(TypeError):
-            dynkin_renormalized_sum(p, 2, 0.1, phi, quad=quad64)
+            dynkin_renormalized_sum(p, 0.1, phi, (quad64,))
 
     def test_line_rule_built_once_and_read_only(self, quad64):
         # the l = 1 term's rule is cached per process; its symbol is not
         _shared_rule.cache_clear()
         x, w = np.polynomial.legendre.leggauss(48)
         phi = lambda *ts: 1.0 + ts[0]
-        sums = [dynkin_renormalized_sum(sample_path(64, 2, 5, stream=i), 2,
-                                        0.1, phi, quad=quad64)
+        sums = [dynkin_renormalized_sum(sample_path(64, 2, 5, stream=i),
+                                        0.1, phi, (quad64,))
                 for i in range(3)]
         assert _shared_rule.cache_info().misses == 1
         rule = _shared_rule(_unit_gauss_legendre, 48)
@@ -648,15 +670,17 @@ class TestDynkin:
                 arr[0] = 0.5
         doubled = lambda *ts: 2.0 * phi(*ts)
         assert dynkin_renormalized_sum(
-            sample_path(64, 2, 5, stream=2), 2, 0.1, doubled,
-            quad=quad64) == pytest.approx(2.0 * sums[2], rel=1e-14)
+            sample_path(64, 2, 5, stream=2), 0.1, doubled,
+            (quad64,)) == pytest.approx(2.0 * sums[2], rel=1e-14)
 
     def test_domain_errors(self, quad64):
         one = lambda *ts: 1.0
+        quad4 = SimplexQuadrature(np.array([[0.1, 0.2, 0.3, 0.4]]),
+                                  np.array([1.0 / 24]))
         with pytest.raises(ValueError):
-            dynkin_T(sample_path(64, 3, 1), 2, 0.1, one, quad=quad64)
+            dynkin_T(sample_path(64, 3, 1), 0.1, one, quad64)
         with pytest.raises(ValueError):
-            dynkin_T(sample_path(64, 2, 1), 4, 0.1, one, quad=quad64)
+            dynkin_T(sample_path(64, 2, 1), 0.1, one, quad4)
 
     def test_scale_array_matches_scalar_calls(self, quad64):
         # one interpolation per order serves every scale, with the same bits
@@ -665,30 +689,29 @@ class TestDynkin:
         quad3 = simplex3_gauss_legendre(10)
         ladder = [0.4, 0.2, 0.1]
         phi = lambda *ts: 1.0 + ts[0] * ts[-1]
-        rules = dict(quad=quad64, quad3=quad3)
-        for k in (2, 3):
-            t_vals = dynkin_T(p, k, np.array(ladder), phi, **rules)
-            singles = [dynkin_T(p, k, eps, phi, **rules) for eps in ladder]
+        for rules in [(quad64,), (quad64, quad3)]:
+            t_vals = dynkin_T(p, np.array(ladder), phi, rules[-1])
+            singles = [dynkin_T(p, eps, phi, rules[-1]) for eps in ladder]
             assert isinstance(t_vals, np.ndarray) and t_vals.shape == (3,)
             assert all(type(v) is float for v in singles)
             assert t_vals.tolist() == singles
-            sums = [dynkin_renormalized_sum(p, k, eps, phi, **rules)
+            sums = [dynkin_renormalized_sum(p, eps, phi, rules)
                     for eps in ladder]
             assert all(type(v) is float for v in sums)
             assert dynkin_renormalized_sum(
-                p, k, np.array(ladder), phi, **rules).tolist() == sums
+                p, np.array(ladder), phi, rules).tolist() == sums
             assert dynkin_renormalized_sum(
-                p, k, np.array(ladder), phi, t_top=t_vals,
-                **rules).tolist() == sums
+                p, np.array(ladder), phi, rules,
+                t_top=t_vals).tolist() == sums
 
     def test_scale_array_domain_errors(self, quad64):
         one = lambda *ts: np.ones_like(ts[0])
         p = sample_path(64, 2, 1)
         for scales in (np.array([0.1, -0.1]), np.full((2, 2), 0.1)):
             with pytest.raises(ValueError):
-                dynkin_T(p, 2, scales, one, quad=quad64)
+                dynkin_T(p, scales, one, quad64)
             with pytest.raises(ValueError):
-                dynkin_renormalized_sum(p, 2, scales, one, quad=quad64)
+                dynkin_renormalized_sum(p, scales, one, (quad64,))
 
     def test_renormalized_order2_mean(self):
         quad = SimplexQuadrature.gauss_legendre(96)
@@ -697,7 +720,7 @@ class TestDynkin:
             expected = centering_constant_2d(eps) \
                 + math.log(eps) / (2 * math.pi)
             vals = [dynkin_renormalized_sum(sample_path(2048, 2, 7, stream=i),
-                                            2, eps, one, quad=quad)
+                                            eps, one, (quad,))
                     for i in range(80)]
             mc = float(np.mean(vals))
             se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
@@ -724,7 +747,7 @@ class TestDynkin:
         one = lambda *ts: np.ones_like(ts[0])
         for eps in (0.1, 0.05):
             vals = [dynkin_renormalized_sum(sample_path(4096, 2, 91, stream=i),
-                                            3, eps, one, quad=quad, quad3=quad3)
+                                            eps, one, (quad, quad3))
                     for i in range(60)]
             mc = float(np.mean(vals))
             se = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
@@ -770,9 +793,9 @@ class TestInterpolationsPerTask:
         # times through one stencil per column; T_k is evaluated once for
         # both the t_value and the renormalized sum
         stencils = self.count_interpolations(monkeypatch)
-        quad, (nodes3, _) = SimplexQuadrature.gauss_legendre(8), \
+        quad, quad3 = SimplexQuadrature.gauss_legendre(8), \
             simplex3_gauss_legendre(6)
-        columns = list(quad.nodes.T) + (list(nodes3.T) if k == 3 else [])
+        columns = list(quad.nodes.T) + (list(quad3.nodes.T) if k == 3 else [])
         for ladder in [(0.4,), (0.4, 0.2, 0.1, 0.05)]:
             stencils.clear()
             config = task_config(
@@ -811,9 +834,12 @@ class TestPlansAgainstPerNodeOracles:
     def rules3(self):
         rng = np.random.default_rng(5)
         nodes = np.sort(rng.random((600, 3)), axis=1)
+        doubled = SimplexQuadrature(*doubled_rule(*astuple(
+            simplex3_gauss_legendre(6))))
         return {"repeated times": simplex3_gauss_legendre(10),
-                "distinct times": (nodes, np.full(600, 1.0 / 3600)),
-                "repeated nodes": doubled_rule(*simplex3_gauss_legendre(6))}
+                "distinct times": SimplexQuadrature(
+                    nodes, np.full(600, 1.0 / 3600)),
+                "repeated nodes": doubled}
 
     @pytest.mark.parametrize("kind", ["repeated times", "distinct times",
                                       "repeated nodes"])
@@ -835,17 +861,12 @@ class TestPlansAgainstPerNodeOracles:
     def test_dynkin_T(self, rules, rules3, kind, k):
         ladder = [0.4, 0.1]
         phi = lambda *ts: 1.0 + ts[0] * ts[-1]
-        if k == 2:
-            rule = dict(quad=rules[kind])
-            nodes, weights = rules[kind].nodes, rules[kind].weights
-        else:
-            rule = dict(quad3=rules3[kind])
-            nodes, weights = rules3[kind]
+        rule = rules[kind] if k == 2 else rules3[kind]
         for stream in range(2):
             path = sample_path(256, 2, 17, stream=stream)
-            got = dynkin_T(path, k, np.array(ladder), phi, **rule)
+            got = dynkin_T(path, np.array(ladder), phi, rule)
             assert got.tolist() == dynkin_T_per_node(
-                path, ladder, phi, nodes, weights)
+                path, ladder, phi, rule.nodes, rule.weights)
 
     @pytest.mark.parametrize("kind", ["repeated times", "distinct times",
                                       "repeated nodes"])
@@ -878,12 +899,11 @@ class TestPlansAgainstPerNodeOracles:
 
     def test_cached_arrays_read_only(self, quad64, quad_geo):
         times = sample_path(64, 2, 1).times.tobytes()
-        stencils, steps = siltcore._rule_plan(quad64.nodes.tobytes(), 2, times)
-        stencils3, steps3 = siltcore._rule_plan(
-            simplex3_gauss_legendre(6)[0].tobytes(), 3, times)
-        nodes, weights = quad_geo.nodes.tobytes(), quad_geo.weights.tobytes()
+        stencils, steps = siltcore._rule_plan(quad64, times)
+        stencils3, steps3 = siltcore._rule_plan(simplex3_gauss_legendre(6),
+                                                times)
         base, factors, zero_sums = siltcore._chaos_plan(
-            nodes, weights, np.array([[0.3, 0.1]]).tobytes(), 2, (2, 1))
+            quad_geo, np.array([[0.3, 0.1]]).tobytes(), 2, (2, 1))
         assert zero_sums is None
         arrays = [arr for plan in (stencils, steps, stencils3, steps3)
                   for part in plan for arr in part] + [base] + [

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +10,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
+import siltkit
 from siltkit.specfun import (
     calibrate_log_branch_constant,
     calibrate_szego_constant,
@@ -146,10 +150,36 @@ class TestUpperIncompleteGamma:
         # integer and half-integer s are every call-site form; tiny s sits
         # just off the s = 0 pole of the finite piece's first term (down to
         # subnormal s, where expm1(s L) / s loses digits), and s next to a
-        # negative integer keeps full precision too
-        for a in (1e-4, 0.1, 1.0, 1.49, 1.5, 10.0):
+        # negative integer keeps full precision too.  At a <= 1e-20 the
+        # finite piece reaches orders whose expm1 overflows; a value past
+        # the double range raises OverflowError
+        for a in (1e-300, 1e-100, 1e-20, 1e-4, 0.1, 1.0, 1.49, 1.5, 10.0):
+            ref = mp.gammainc(mp.mpf(s), mp.mpf(a), mp.inf)
+            if ref > sys.float_info.max:
+                with pytest.raises(OverflowError):
+                    upper_incomplete_gamma(s, a)
+                continue
+            assert upper_incomplete_gamma(s, a) == pytest.approx(float(ref),
+                                                                 rel=1e-13)
+
+    def test_below_the_reciprocal_of_dbl_max(self):
+        # at a < 1.5/DBL_MAX = 8.3e-309, 1.5/a overflows; in a subprocess
+        # with a timeout, so a loop that never ends fails instead of hanging
+        pairs = [(s, a) for s in (0.0, 1e-10, 0.25, 0.5, -0.5)
+                 for a in (5e-309, 5e-324)]
+        code = ("import sys\nfrom siltkit.specfun import upper_incomplete_gamma"
+                f"\nfor s, a in {pairs!r}:\n"
+                "    print(repr(upper_incomplete_gamma(s, a)))")
+        src = os.path.dirname(os.path.dirname(siltkit.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        got = [float(v) for v in proc.stdout.split()]
+        assert len(got) == len(pairs)
+        for (s, a), value in zip(pairs, got):
             ref = float(mp.gammainc(mp.mpf(s), mp.mpf(a), mp.inf))
-            assert upper_incomplete_gamma(s, a) == pytest.approx(ref, rel=1e-13)
+            assert value == pytest.approx(ref, rel=1e-13)
 
     def test_near_integer_ladder_step_count(self):
         # float drift in s must not change the number of ladder steps
@@ -164,6 +194,14 @@ class TestSimplexMoment:
         for moment in (simplex_moment_integral, simplex_moment_asymptotic):
             with pytest.raises(ValueError, match="offset must be nonzero"):
                 moment(0.0, 4, 0.0)
+
+    @pytest.mark.parametrize("u_norm", [1e155, 1e-163])
+    def test_rejects_offsets_outside_double_range(self, u_norm):
+        # a = |u|^2/2 overflows to inf at 1e155 and rounds to 0 at 1e-163
+        for moment in (simplex_moment_integral, simplex_moment_asymptotic):
+            with pytest.raises(ValueError, match="u_norm") as info:
+                moment(0.0, 4, u_norm)
+            assert str(info.value).endswith(f"got {u_norm}")
 
     def test_d4_reduction(self):
         # hand reduction (exp(-a) - a E1(a)) / (2 pi^2 |u|^2) at alpha=0, d=4
