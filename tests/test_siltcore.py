@@ -607,14 +607,19 @@ class TestDynkin:
         b = silt_epsilon(p, scales, 0, quad64)
         assert a.tolist() == b.tolist()
 
-    def test_rules_are_order_2_then_order_3(self, quad64):
-        # the order is read off the rules: the order-2 rule, then for k = 3
-        # the order-3 rule; no other sequence is a sum
-        q3 = simplex3_gauss_legendre(4)
-        for rules in [(q3,), (quad64, quad64), (q3, quad64)]:
-            with pytest.raises(ValueError, match="rules must have orders"):
-                dynkin_renormalized_sum(sample_path(64, 2, 1), 0.1,
-                                        lambda *ts: 1.0, rules)
+    @pytest.mark.parametrize("k, missing", [(2, "quad"), (3, "quad3"),
+                                            (3, "quad")])
+    def test_order_needs_its_rule(self, quad64, k, missing):
+        # the order-k sum takes the order-2 rule, then for k = 3 the order-3
+        # rule; with one missing and the other rule in its slot, the orders
+        # read off the rules are refused
+        rules = dict(quad=quad64, quad3=simplex3_gauss_legendre(4))
+        other = dict(quad="quad3", quad3="quad")
+        seq = tuple(rules[other[name] if name == missing else name]
+                    for name in ["quad", "quad3"][:k - 1])
+        with pytest.raises(ValueError, match="rules must have orders"):
+            dynkin_renormalized_sum(sample_path(64, 2, 1), 0.1,
+                                    lambda *ts: 1.0, seq)
 
     def test_zero_path_order2(self, quad64):
         one = lambda s, t: np.ones_like(s)
