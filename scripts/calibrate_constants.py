@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Print the empirically calibrated envelope constants.
+"""Print the grid-search Hermite-envelope constants.
 
-The Hermite envelope bounds carry constants that are only asserted to exist;
-this script reports the grid-search values the package uses (before the 1.05
-safety margin applied in the chaos-term envelope).
+The Szego-type constant, with a 1.05 margin on top, serves ``hermite --c
+auto`` only.  The chaos-term envelope (``siltcore.chaos_term_bound``) rests
+on Indritz's inequality and a Cauchy estimate, and uses no calibrated
+constant.  The log-branch constant c0 is printed for reference: no envelope
+uses it, and it stays in ``specfun`` only because perfbench's tracer binds
+it.
 """
 
 import math
@@ -21,8 +24,9 @@ def main():
         print(f"szego-type constant at alpha={alpha}: c = {c:.6f}  "
               f"(|H_n(x)| e^(-{alpha} x^2) <= c sqrt(n!) (n or 1)^-{power:.4f})")
     c0 = calibrate_log_branch_constant()
-    print(f"log-branch constant: c0 = {c0:.6f}  "
-          f"(planar order-0 term <= c0 log(1/|u|); 1/pi = {1 / math.pi:.6f})")
+    print(f"log-branch constant (unused): c0 = {c0:.6f}  "
+          f"(planar order-0 mass <= c0 log(1/|u|) on |u| = 2^-1..2^-16; "
+          f"1/pi = {1 / math.pi:.6f})")
 
 
 if __name__ == "__main__":

@@ -386,7 +386,7 @@ def _chaos_task(config: RunConfig, stream: int) -> list:
     out = []
     for idx in p.multi_index:
         terms = chaos_term(path, idx, offsets, quad)
-        bounds = chaos_term_bound(path, idx, offsets)
+        bounds = chaos_term_bound(path, idx, offsets, quad)
         for r, term, bound in zip(p.u_norms, terms.tolist(), bounds.tolist()):
             log_abs = math.log(abs(term)) if term != 0 else -math.inf
             out.append((stream, idx, r, log_abs, bound, bound - log_abs))
@@ -549,7 +549,9 @@ COMMANDS = {
         "dim": (_size, "2"), "grid_m": (_size, "2048"),
         "replicas": (_size, "100"),
         "eps_ladder": (parse_eps_ladder, "0.2,0.1,0.05,0.025"),
-        "u_norm": (number(float, lo=0), "0"), "u_dir": (parse_direction, "1,0"),
+        "u_norm": (lambda text: 0.0 if _float(text) == 0
+                   else parse_norm_list(text)[0], "0"),  # as u_norms, or 0
+        "u_dir": (parse_direction, "1,0"),
         "quad_order": (_size, "128")}),
     "chaos": (cmd_chaos, {
         "dim": (_size, "4"), "grid_m": (_size, "1024"),

@@ -26,12 +26,7 @@ import numpy as np
 from .quadrature import SimplexQuadrature, _read_only, _shared_rule, \
     _unit_gauss_legendre
 from .rng import stream_generator
-from .specfun import (
-    calibrate_log_branch_constant,
-    calibrate_szego_constant,
-    log_gaussian_kernel_batch,
-    normalized_hermite_log_sign,
-)
+from .specfun import log_gaussian_kernel_batch, normalized_hermite_log_sign
 
 __all__ = [
     "Path",
@@ -260,7 +255,7 @@ def chaos_term(path: Path, idx, u, quad: SimplexQuadrature):
     """
     idx = _coerce_index(idx, path.d)
     offsets = _as_offset_rows(u, path.d)
-    log_mag, offset_factors, zero_sums = _chaos_plan(
+    log_mag, offset_factors, zero_sums, _ = _chaos_plan(
         quad, offsets.tobytes(), path.d, idx)
     if offset_factors:
         (s, t), plan = quad.nodes.T, _rule_plan(quad, path.times.tobytes())
@@ -284,12 +279,28 @@ def _node_sums(sign, log_mag) -> list:
             for sg, lm, peak in zip(sign, log_mag, np.max(log_mag, axis=1))]
 
 
+def _log_node_sums(log_mag) -> list:
+    """Per row, the log of the node sum of exp(log_mag): the log of
+    _node_sums' value where that is a positive double, so that an equal sum
+    has equal bits, else the peak plus the log of the peak-scaled sum."""
+    logs = []
+    for lm, peak in zip(log_mag, np.max(log_mag, axis=1).tolist()):
+        # a peak of -inf: every term is 0, and the log below is -inf; above
+        # 709.78, math.exp overflows
+        scaled = math.fsum(np.exp(lm - peak).tolist()) if peak > -math.inf else 1.0
+        total = math.exp(peak) * scaled if peak < 709.0 else math.inf
+        logs.append(math.log(total) if 0 < total < math.inf
+                    else peak + math.log(scaled))
+    return logs
+
+
 @lru_cache(maxsize=16)
 def _chaos_plan(quad, offsets: bytes, d: int, idx: tuple) -> tuple:
     """chaos_term's rule- and offset-only parts: log(kernel * weight) per
     (offset, node); (j, n_j, sign, log|H_n_j/sqrt(n_j!)|) of u_j/sqrt(t-s)
-    for each n_j > 0; and, at the all-zero index, whose terms read no path,
-    the node sum per offset, else None."""
+    for each n_j > 0; at the all-zero index, whose terms read no path, the
+    node sum per offset, else None; and chaos_term_bound's offset part per
+    offset."""
     s, t = quad.nodes.T
     offsets = np.frombuffer(offsets).reshape(-1, d)
     # a dot per row, as for one offset: an array call keeps the scalar bits
@@ -300,7 +311,14 @@ def _chaos_plan(quad, offsets: bytes, d: int, idx: tuple) -> tuple:
     factors = tuple((j, n, *_read_only(*normalized_hermite_log_sign(
         n, offsets[:, j, None] / np.sqrt(t - s)))) for j, n in enumerate(idx) if n)
     zero_sums = None if factors else tuple(_node_sums(np.ones_like(base), base))
-    return _read_only(base)[0], factors, zero_sums
+    # p(u) exp(sum_{n_j>0} u_j^2/(4x)) = p(rho) with rho^2 = sum_j c_j u_j^2,
+    # c_j = 1/2 where n_j > 0, else 1: rho = |u| at the all-zero index
+    c = np.array([0.5 if n else 1.0 for n in idx])
+    rho2 = np.array([float(np.dot(v * c, v)) for v in offsets])[:, None]
+    envelope = log_gaussian_kernel_batch(rho2, d, t - s) \
+        + np.log(quad.weights) - 0.5 * sum(idx) * np.log(t - s)
+    return _read_only(base)[0], factors, zero_sums, \
+        tuple(_log_node_sums(envelope))
 
 
 def peak_exp_sum(sign, log_mag, peak) -> float:
@@ -310,49 +328,28 @@ def peak_exp_sum(sign, log_mag, peak) -> float:
     return math.exp(peak) * math.fsum(terms[terms != 0.0].tolist())
 
 
-def chaos_term_bound(path: Path, idx, u):
-    """Deterministic log-envelope for |chaos_term| at this path, index, offset:
-    a float, or an array for a 2-d array of offsets (one row each).
+def chaos_term_bound(path: Path, idx, u, quad: SimplexQuadrature):
+    """Deterministic log-envelope for |chaos_term| at this path, index, offset
+    and rule: a float, or an array for a 2-d array of offsets (one row each).
 
-    Power branch (k + d > 2, where the Gamma below is positive): chains the Szego
-    envelope at exponent 1/4, with 1.05 times calibrate_szego_constant, over
-    the offset factors, the Cauchy-integral envelope over the increment
-    factors (which contributes exp(2 Z_j) with Z_j the running maximum of
-    |w_j|), and the exact bound
+    At each node, x = t - s <= 1, it bounds the offset factors by Indritz's
+    inequality |H_n(y)|/sqrt(n!) <= exp(y^2/4) (Proc. AMS 12, 1961) and the
+    increment factors by the Cauchy estimate on the circle of radius
+    sqrt(x), sqrt(n!) x^(-n/2) exp(2 Z_j + 1/2), Z_j = max |w_j| on the grid;
+    summed on the rule's weights, as chaos_term is (k = |n|):
 
-        I(k/2, d, u/sqrt(2)) <= 2^(k/2-1) Gamma((k+d)/2 - 1)
-                                / (pi^(d/2) (|u|/sqrt(2))^(k+d-2))
+        log sum_i w_i p_{x_i}(u) exp(sum_{n_j>0} u_j^2/(4 x_i)) x_i^(-k/2)
+            + sum_{n_j>0} (lgamma(n_j + 1)/2 + 1/2 + 2 Z_j).
 
-    on the remaining simplex moment integral.  Logarithmic branch (d = 2,
-    k = 0): c0 * log(1/|u|) with c0 from calibrate_log_branch_constant.
-    Only the |u| term depends on the offset, so an offset array shares the
-    rest.
+    The chaos plan sums the first part, which reads no path; at the all-zero
+    index it is the log of the term itself.
     """
     idx = _coerce_index(idx, path.d)
-    offsets = _as_offset_rows(u, path.d)
-    # a norm per row, as for one offset: an array call keeps the scalar bits
-    norms = [float(np.linalg.norm(v)) for v in offsets]
-    if 0.0 in norms:
-        raise ValueError("offset must be nonzero")
-    d = path.d
-    k = sum(idx)
-    if d == 2 and k == 0:
-        if any(r >= 1 for r in norms):
-            raise ValueError("log-branch envelope needs |u| < 1")
-        c0 = calibrate_log_branch_constant()
-        values = [math.log(c0) + math.log(math.log(1.0 / r)) for r in norms]
-    elif k + d <= 2:
-        raise ValueError(f"power-branch envelope needs k + d > 2, got k={k}, d={d}")
-    else:
-        szego_c = 1.05 * calibrate_szego_constant(0.25, 200)
-        z_sum = float(np.sum(path.max_abs()))
-        log_c = (k + 0.5 * d - 2.0) * math.log(2.0) \
-            + math.lgamma(0.5 * (k + d) - 1.0) - 0.5 * d * math.log(math.pi)
-        for n in idx:
-            log_c += math.log(szego_c) + 0.5 + 0.5 * math.lgamma(n + 1) \
-                - math.log(max(n, 1)) / 12.0
-        values = [log_c + 2.0 * z_sum - (k + d - 2.0) * math.log(r)
-                  for r in norms]
+    z = path.max_abs().tolist()
+    log_path = sum(0.5 * math.lgamma(n + 1) + 0.5 + 2.0 * z[j]
+                   for j, n in enumerate(idx) if n)
+    offsets = _as_offset_rows(u, path.d).tobytes()
+    values = [v + log_path for v in _chaos_plan(quad, offsets, path.d, idx)[3]]
     return values[0] if np.ndim(u) < 2 else np.array(values)
 
 

@@ -280,9 +280,9 @@ def calibrate_szego_constant(alpha: float = 0.25, n_max: int = 200) -> float:
     """Grid-search sup of |H_n(x)| exp(-alpha x^2) (n or 1)^((8a-1)/12) / sqrt(n!).
 
     The grid is x = 0, 0.01, ..., 2 sqrt(n_max) + 10.  Any c at least this
-    large makes the szego_bound envelope hold on the grid; callers add their
-    own safety margin for off-grid arguments.  Seeding the normalized
-    recurrence with exp(-alpha x^2) keeps every row O(1).
+    large makes the szego_bound envelope hold on the grid; its one caller,
+    ``hermite --c auto``, adds a 1.05 margin for off-grid arguments.  Seeding
+    the normalized recurrence with exp(-alpha x^2) keeps every row O(1).
     """
     x_max = 2.0 * math.sqrt(n_max) + 10.0
     x = np.arange(0.0, x_max + 0.01, 0.01)
@@ -300,8 +300,8 @@ def calibrate_log_branch_constant() -> float:
 
     m(u, 2) is the simplex moment integral at alpha = 0, d = 2, whose
     small-``u`` growth is (1/pi) log(1/|u|); the sup over |u| = 2^-1..2^-16
-    (times a 1.05 margin) gives a working constant for the logarithmic branch
-    of the chaos-term envelope.
+    is taken times a 1.05 margin.  No envelope uses it (chaos_term_bound has
+    no calibrated constant); it is kept because perfbench's tracer binds it.
     """
     best = 0.0
     for j in range(1, 17):

@@ -155,7 +155,7 @@ def test_05_chaos_bound_and_slopes():
             for r in norms:
                 u = r * direction
                 term = chaos_term(path, idx, u, quad)
-                bound = chaos_term_bound(path, idx, u)
+                bound = chaos_term_bound(path, idx, u, quad)
                 log_abs = math.log(abs(term)) if term != 0 else -math.inf
                 total += 1
                 if log_abs > bound:

@@ -272,8 +272,10 @@ class TestCommands:
         _, _, rows = read_rows(os.path.join(out, "silt.csv"))
         assert all(r[-1] == "renorm3d" for r in rows)
 
-    @pytest.mark.parametrize("flag,value", [("--u-norm", "-0.3"),
-                                            ("--eps-ladder", "0.2,0.1,0.1")])
+    @pytest.mark.parametrize("flag,value", [
+        ("--u-norm", "-0.3"), ("--eps-ladder", "0.2,0.1,0.1"),
+        # |u|^2/2 positive and finite, as for the u_norms lists
+        ("--u-norm", "1e200"), ("--u-norm", "1e-200")])
     def test_silt_domain_errors_write_nothing(self, tmp_path, capsys, flag,
                                               value):
         assert run_cli(["silt", "--out", str(tmp_path), flag, value]) == 2
@@ -360,27 +362,28 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: paths ")
         assert not os.path.exists(tmp_path / "chaos.csv")
 
-    def test_chaos_without_power_envelope_is_domain_error(self, tmp_path,
-                                                          capsys):
-        # k + d = 2 off the d = 2 log branch: Gamma((k+d)/2 - 1) has a pole
-        assert run_cli(["chaos", "--out", str(tmp_path), "--dim", "1",
-                        "--u-dir", "1", "--multi-index", "1", "--paths", "1",
-                        "--grid-m", "64"]) == 2
-        assert "k + d > 2" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "chaos.csv")
+    def test_chaos_line_order_one_has_an_envelope(self, tmp_path):
+        # k + d = 2 at d = 1: the envelope has no Gamma pole to refuse
+        out = str(tmp_path)
+        assert run_cli(["chaos", "--out", out, "--dim", "1", "--u-dir", "1",
+                        "--multi-index", "1", "--paths", "1",
+                        "--grid-m", "64"]) == 0
+        _, _, rows = read_rows(os.path.join(out, "chaos.csv"))
+        slack = [float(r[6]) for r in rows if r[0] == "point"]
+        assert len(slack) == 8 and min(slack) > 0
 
-    def test_chaos_log_branch_d2(self, tmp_path):
+    def test_chaos_planar_zero_index_up_to_unit_offset(self, tmp_path):
+        # the calibrated log branch wrote slack +0.39, -0.37 and -2.47 here;
+        # at the all-zero index the envelope is the term itself
         out = str(tmp_path)
         assert run_cli(["chaos", "--out", out, "--dim", "2", "--paths", "2",
-                        "--grid-m", "128", "--multi-index", "0,0",
-                        "--u-dir", "1,1", "--u-norms", "2^-3..2^-5"]) == 0
+                        "--multi-index", "0,0", "--u-dir", "1,0",
+                        "--u-norms", "0.5,0.9,0.99"]) == 0
         _, _, rows = read_rows(os.path.join(out, "chaos.csv"))
-        from siltkit.specfun import calibrate_log_branch_constant
-        c0 = calibrate_log_branch_constant()
-        for r in rows:
-            if r[0] == "point":
-                expected = math.log(c0 * math.log(1.0 / float(r[3])))
-                assert float(r[5]) == pytest.approx(expected, rel=1e-10)
+        points = [r for r in rows if r[0] == "point"]
+        assert len(points) == 6
+        for r in points:
+            assert r[5] == r[4] and float(r[6]) == 0.0
 
     def test_dynkin(self, tmp_path):
         out = str(tmp_path)
@@ -654,12 +657,11 @@ class TestParallelMap:
             assert "fail_on_five" in "".join(caught.value.__notes__)
 
     def test_task_value_error_exits_2(self, tmp_path, capsys):
-        # the envelope's domain error is raised inside each path task
-        assert run_cli(["chaos", "--out", str(tmp_path), "--dim", "1",
-                        "--u-dir", "1", "--multi-index", "1", "--paths", "4",
-                        "--grid-m", "64", "--workers", "2"]) == 2
-        assert "k + d > 2" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "chaos.csv")
+        # the truncated norm's domain error is raised inside each offset task
+        assert run_cli(["capacity", "--out", str(tmp_path), "--u-norms",
+                        "27,30,50,60", "--workers", "2"]) == 2
+        assert "underflows to 0" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "capacity.csv")
 
     def test_child_exit_without_result_raises(self):
         with pytest.raises(RuntimeError, match="left no result"):

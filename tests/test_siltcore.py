@@ -498,47 +498,52 @@ class TestChaosTerm:
 
 
 class TestChaosTermBound:
-    def test_log_branch_trivial(self):
-        p = sample_path(64, 2, 3)
-        u = axis_offset(math.exp(-1), 2)
-        from siltkit.specfun import calibrate_log_branch_constant
-        expected = math.log(calibrate_log_branch_constant())
-        assert chaos_term_bound(p, (0, 0), u) == pytest.approx(expected,
-                                                               abs=1e-12)
+    def test_zero_index_is_the_term_itself(self, quad_geo):
+        # no factor to bound: the envelope is the log of the term, bit for
+        # bit, planar offsets past |u| = 1 included
+        for d in (1, 2, 4):
+            p = sample_path(64, d, 3)
+            offsets = np.array([math.exp(-1), 0.5, 0.99, 1.0, 4.0])[:, None] \
+                * np.ones(d) / math.sqrt(d)
+            terms = chaos_term(p, (0,) * d, offsets, quad_geo)
+            assert chaos_term_bound(p, (0,) * d, offsets, quad_geo).tolist() \
+                == [math.log(v) for v in terms.tolist()]
 
     def test_monotone_in_path_maxima(self, quad_geo):
         p = sample_path(128, 4, 5)
         bigger = Path(times=p.times, values=2.0 * p.values, seed=p.seed)
         u = axis_offset(0.1, 4)
         idx = (1, 1, 0, 0)
-        assert chaos_term_bound(bigger, idx, u) > chaos_term_bound(p, idx, u)
+        assert chaos_term_bound(bigger, idx, u, quad_geo) > \
+            chaos_term_bound(p, idx, u, quad_geo)
 
-    def test_offset_array_matches_scalar_calls(self):
+    def test_offset_array_matches_scalar_calls(self, quad_geo):
         offsets = np.array([[0.3, 0.1, 0.0, 0.05], [0.05, 0.0, 0.0, 0.0],
                             [0.4, -0.2, 0.1, 0.3]])
         p = sample_path(128, 4, 7)
         for idx in [(0, 0, 0, 0), (2, 1, 0, 0), (1, 0, 3, 1)]:
-            values = chaos_term_bound(p, idx, offsets)
+            values = chaos_term_bound(p, idx, offsets, quad_geo)
             assert isinstance(values, np.ndarray) and values.shape == (3,)
-            singles = [chaos_term_bound(p, idx, u) for u in offsets]
+            singles = [chaos_term_bound(p, idx, u, quad_geo) for u in offsets]
             assert all(type(v) is float for v in singles)
             assert values.tolist() == singles
-        planar = sample_path(64, 2, 3)  # the logarithmic branch
+        planar = sample_path(64, 2, 3)
         offsets = np.array([[0.3, 0.1], [0.0, 0.02]])
-        assert chaos_term_bound(planar, (0, 0), offsets).tolist() == [
-            chaos_term_bound(planar, (0, 0), u) for u in offsets]
-        # an empty sweep has no rows to bound, in either branch
+        assert chaos_term_bound(planar, (0, 0), offsets, quad_geo).tolist() \
+            == [chaos_term_bound(planar, (0, 0), u, quad_geo) for u in offsets]
+        # an empty sweep has no rows to bound, at either index
         for idx in [(0, 0), (1, 0)]:
-            assert chaos_term_bound(planar, idx, np.zeros((0, 2))).shape == (0,)
+            assert chaos_term_bound(planar, idx, np.zeros((0, 2)),
+                                    quad_geo).shape == (0,)
 
-    def test_offset_array_domain_errors(self):
+    def test_offset_array_domain_errors(self, quad_geo):
         p = sample_path(64, 2, 1)
+        for idx in [(1, 0), (0, 0)]:  # a zero offset, with and without factors
+            with pytest.raises(ValueError):
+                chaos_term_bound(p, idx, np.array([[0.2, 0.1], [0.0, 0.0]]),
+                                 quad_geo)
         with pytest.raises(ValueError):
-            chaos_term_bound(p, (1, 0), np.array([[0.2, 0.1], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            chaos_term_bound(p, (0, 0), np.array([[0.2, 0.1], [1.0, 0.5]]))
-        with pytest.raises(ValueError):
-            chaos_term_bound(p, (1, 0), np.ones((2, 3)))
+            chaos_term_bound(p, (1, 0), np.ones((2, 3)), quad_geo)
 
     def test_no_violations_and_slope(self, quad_geo):
         direction = np.ones(4) / 2.0
@@ -552,13 +557,58 @@ class TestChaosTermBound:
                 for r in norms:
                     u = r * direction
                     term = chaos_term(p, idx, u, quad_geo)
-                    bound = chaos_term_bound(p, idx, u)
+                    bound = chaos_term_bound(p, idx, u, quad_geo)
                     log_abs = math.log(abs(term)) if term != 0 else -math.inf
                     assert log_abs <= bound
                     logs.append(log_abs)
                 if all(math.isfinite(v) for v in logs):
                     slope = np.polyfit(np.log(norms), logs, 1)[0]
                     assert slope >= -(sum(idx) + 4 - 2) - 0.1
+
+    def test_slack_non_negative_over_a_sweep(self):
+        # d = 1..4, axis and diagonal directions, |u| = 2^-20..2^3, orders to
+        # 300 and 5000, coarse and default rules: the envelope holds on every
+        # row and is the term itself at the all-zero index
+        norms = np.array([2.0 ** e for e in range(-20, 4)])[:, None]
+        for levels in (8, 36):
+            quad = SimplexQuadrature.geometric_diagonal(levels)
+            for d in (1, 2, 3, 4):
+                p = sample_path(256, d, 17)
+                rest = (0,) * (d - 1)
+                indices = [(0,) * d, (1,) + rest, (2,) * d, (300,) + rest]
+                if d == 4:
+                    indices += [(3, 2, 1, 0), rest + (5000,)]
+                for direction in (np.eye(d)[0], np.ones(d) / math.sqrt(d)):
+                    offsets = norms * direction
+                    for idx in indices:
+                        terms = chaos_term(p, idx, offsets, quad)
+                        bounds = chaos_term_bound(p, idx, offsets, quad)
+                        slack = [b - (math.log(abs(v)) if v else -math.inf)
+                                 for v, b in zip(terms.tolist(), bounds)]
+                        assert all(v >= 0 for v in slack), (levels, d, idx)
+                        if not any(idx):
+                            assert slack == [0.0] * len(slack)
+
+    def test_offset_part_matches_simplex_moment(self, quad_geo):
+        # on a zero path Z_j = 0, so the bound less sum_{n_j>0} (lgamma(n_j +
+        # 1)/2 + 1/2) is the rule's sum of x^(-k/2) p_x(rho), rho^2 = |u|^2 -
+        # sum_{n_j>0} u_j^2/2: the simplex moment I(k/2, d, rho) on the rule
+        for d in (1, 2, 3, 4):
+            for idx in [(0,) * d, (1,) + (0,) * (d - 1), (2,) * d]:
+                k = sum(idx)
+                path_part = sum(0.5 * math.lgamma(n + 1) + 0.5
+                                for n in idx if n)
+                weights = np.array([0.5 if n else 1.0 for n in idx])
+                for direction in (np.eye(d)[0], np.ones(d) / math.sqrt(d)):
+                    offsets = np.array([2.0 ** -j for j in range(1, 11)])[
+                        :, None] * direction
+                    bounds = chaos_term_bound(zero_path(d), idx, offsets,
+                                              quad_geo)
+                    for u, bound in zip(offsets, bounds):
+                        rho = math.sqrt(float(np.sum(weights * u * u)))
+                        exact = simplex_moment_integral(0.5 * k, d, rho)
+                        assert bound - path_part == pytest.approx(
+                            math.log(exact), abs=1e-5), (d, idx, u)
 
 
 class TestDynkin:
@@ -907,7 +957,7 @@ class TestPlansAgainstPerNodeOracles:
         stencils, steps = siltcore._rule_plan(quad64, times)
         stencils3, steps3 = siltcore._rule_plan(simplex3_gauss_legendre(6),
                                                 times)
-        base, factors, zero_sums = siltcore._chaos_plan(
+        base, factors, zero_sums, _ = siltcore._chaos_plan(
             quad_geo, np.array([[0.3, 0.1]]).tobytes(), 2, (2, 1))
         assert zero_sums is None
         arrays = [arr for plan in (stencils, steps, stencils3, steps3)
@@ -1013,13 +1063,13 @@ class TestPathIO:
         with pytest.raises(ValueError):
             path_from_binary(buf)
 
-    def test_multi_index_type(self):
+    def test_multi_index_type(self, quad_geo):
         # a multi-index is any sequence of non-negative integers, one per
         # coordinate of the path
         p = sample_path(64, 3, 1)
         u = axis_offset(0.3, 3)
-        assert chaos_term_bound(p, np.array([2, 0, 1]), u) == \
-            chaos_term_bound(p, (2, 0, 1), u)
+        assert chaos_term_bound(p, np.array([2, 0, 1]), u, quad_geo) == \
+            chaos_term_bound(p, (2, 0, 1), u, quad_geo)
         for bad in [(-1, 0, 1), (1, 0)]:
             with pytest.raises(ValueError):
-                chaos_term_bound(p, bad, u)
+                chaos_term_bound(p, bad, u, quad_geo)
