@@ -38,7 +38,7 @@ from . import __version__
 from .marginals import TimeGrid, marginal_density_q_batch, sample_mu_n
 from .quadrature import ConvergenceError, SimplexQuadrature, _shared_rule, \
     simplex3_gauss_legendre
-from .sobolev import SobolevSpec, capacity_lower_bound
+from .sobolev import capacity_lower_bound
 from .specfun import (
     _normalized_hermite_rows,
     calibrate_szego_constant,
@@ -56,7 +56,6 @@ from .siltcore import (
     silt_epsilon,
 )
 from .transport import (
-    TransportPlanSpec,
     empirical_w2,
     talagrand_bound,
     theta_relative_entropy,
@@ -93,7 +92,9 @@ def number(kind, lo=-math.inf, hi=math.inf):
 _float, _size = number(float), number(int, lo=1)
 _positive = number(float, lo=math.ulp(0.0))
 _levels = number(int, lo=1, hi=50)  # level 51 puts a rule node on s = t
-_exponent = number(int, lo=-536, hi=512)  # (2^e)^2/2 finite and positive
+_exponent = number(int, lo=-511, hi=511)  # (2^e)^2 a normal double
+_abscissa = number(float, lo=-1e150, hi=1e150)  # Hermite rows stay finite
+_scale = number(float, lo=sys.float_info.min)  # 2^-1022: (1+eps)/eps finite
 
 
 def comma_list(convert):
@@ -102,21 +103,21 @@ def comma_list(convert):
 
 
 def parse_norm_list(text: str) -> list:
-    """Offset-norm sweeps: '2^-2..2^-7' (dyadic, exponents -536..512) or
-    '0.5,0.25'; one or more norms, |u|^2/2 positive and finite at each."""
+    """Offset-norm sweeps: '2^-2..2^-7' (dyadic, exponents -511..511) or
+    '0.5,0.25'; one or more norms, each |u| > 0 with |u|^2 a normal double."""
     if ".." not in text:
         norms = [_float(v) for v in text.split(",") if v.strip()]
-        if not (norms and all(r > 0 and 0 < 0.5 * r * r < math.inf
+        if not (norms and all(r > 0 and sys.float_info.min <= r * r < math.inf
                               for r in norms)):
-            raise UsageError("must be one or more norms |u| with |u|^2/2 "
-                             f"positive and finite, got {text!r}")
+            raise UsageError("must be one or more norms |u| with |u|^2 a "
+                             f"positive, normal, finite double, got {text!r}")
         return norms
     try:
         a, b = (_exponent(e.strip()[2:]) for e in text.split("..", 1)
                 if e.strip().startswith("2^"))
     except ValueError as exc:
         raise UsageError("must be a dyadic range like 2^-2..2^-7 with integer "
-                         f"exponents in [-536, 512], got {text!r}") from exc
+                         f"exponents in [-511, 511], got {text!r}") from exc
     step = 1 if b >= a else -1
     return [2.0 ** e for e in range(a, b + step, step)]
 
@@ -142,10 +143,10 @@ def parse_direction(text: str) -> np.ndarray:
 
 
 def parse_eps_ladder(text: str) -> tuple:
-    """Mollification scales, largest first; positive and distinct."""
-    ladder = sorted(comma_list(_float)(text), reverse=True)
-    if not (ladder[-1] > 0 and len(set(ladder)) == len(ladder)):
-        raise UsageError(f"must be positive and distinct, got {text!r}")
+    """Mollification scales, largest first; distinct, each a normal double."""
+    ladder = sorted(comma_list(_scale)(text), reverse=True)
+    if len(set(ladder)) != len(ladder):
+        raise UsageError(f"must be distinct, got {text!r}")
     return tuple(ladder)
 
 
@@ -321,6 +322,8 @@ def cmd_kernel(config: RunConfig) -> str:
 
 def cmd_hermite(config: RunConfig) -> str:
     p = config.values
+    if p.x_min > p.x_max:
+        raise UsageError(f"x_min must not exceed x_max, got {p.x_min} > {p.x_max}")
     c = 1.05 * calibrate_szego_constant(p.alpha, max(p.n_max, 50)) \
         if p.c is None else p.c
     xs = np.linspace(p.x_min, p.x_max, p.x_count)
@@ -387,7 +390,12 @@ def _chaos_task(config: RunConfig, stream: int) -> list:
     for idx in p.multi_index:
         terms = chaos_term(path, idx, offsets, quad)
         bounds = chaos_term_bound(path, idx, offsets, quad)
+        # an odd n_j on a zero u_j makes the term exactly 0, as He_odd(0) = 0
+        parity_zero = any(n % 2 and c == 0 for n, c in zip(idx, p.u_dir))
         for r, term, bound in zip(p.u_norms, terms.tolist(), bounds.tolist()):
+            if term == 0 and not parity_zero:
+                raise ValueError(f"the chaos term of multi-index {idx} "
+                                 f"underflows to 0 at |u|={r:.3g}")
             log_abs = math.log(abs(term)) if term != 0 else -math.inf
             out.append((stream, idx, r, log_abs, bound, bound - log_abs))
     return out
@@ -483,8 +491,6 @@ def cmd_transport(config: RunConfig) -> str:
     if d * n > 16:
         raise UsageError(f"flattened dimension d*n capped at 16, got {d * n}")
     quad = _shared_rule(SimplexQuadrature.geometric_diagonal, p.quad_levels)
-    plan = TransportPlanSpec(regularization=p.reg, max_iterations=p.max_iter,
-                             tolerance=p.tol)
     rows = []
     for r in p.u_norms:
         u = r * p.u_dir
@@ -492,7 +498,7 @@ def cmd_transport(config: RunConfig) -> str:
         bound = talagrand_bound(u, d, n)
         points = weighted_theta_samples(u, d, n, config.seed, p.count, quad)
         entropy = theta_relative_entropy(u, points, quad)
-        w2 = empirical_w2(points, config.seed, plan,
+        w2 = empirical_w2(points, config.seed, p.reg, p.max_iter, p.tol,
                           partial(parallel_map, workers=config.workers))
         rows.append((d, n, r, m_exact, bound.kappa_n, bound.entropy, bound.value,
                      entropy.value, entropy.stderr, w2.value, w2.stderr,
@@ -509,19 +515,18 @@ def cmd_capacity(config: RunConfig) -> str:
     if not p.gamma < 0.5 * (4 - p.dim):
         raise UsageError(f"need gamma < (4-d)/2 = {0.5 * (4 - p.dim)}, "
                          f"got {p.gamma}")
-    specs = [SobolevSpec(gamma=p.gamma, K=p.k_max, u=r * p.u_dir, d=p.dim,
-                         tau_levels=p.tau_levels, tau_order=p.tau_order)
-             for r in p.u_norms]
+    bound_at = partial(capacity_lower_bound, gamma=p.gamma, K=p.k_max,
+                       tau_levels=p.tau_levels, tau_order=p.tau_order)
     rows = []
     points = []
-    for r, res in zip(p.u_norms, parallel_map(capacity_lower_bound, specs,
-                                              config.workers)):
-        rows.append(("point", p.dim, p.gamma, r, res.K_used, res.mass,
-                     res.norm_sq, res.value, res.tail_ratio))
+    for r, (bound, mass, norm) in zip(p.u_norms, parallel_map(
+            bound_at, [r * p.u_dir for r in p.u_norms], config.workers)):
+        rows.append(("point", p.dim, p.gamma, r, norm.K_used, mass, norm.value,
+                     bound, norm.tail_ratio))
         # the bound tends to 1 like 1 - c|u|^2, so the informative slope is
         # that of log(1/bound - 1)
-        if res.value < 1.0:
-            points.append((math.log(r), math.log(1.0 / res.value - 1.0)))
+        if bound < 1.0:
+            points.append((math.log(r), math.log(1.0 / bound - 1.0)))
     if len(points) >= 3:
         slope = float(np.polyfit(*zip(*points), 1)[0])
         rows.append(("slope_fit", p.dim, p.gamma, 0.0, 0, 0.0, 0.0, slope, 0.0))
@@ -541,8 +546,8 @@ COMMANDS = {
         "dim": (comma_list(_size), "4"),
         "u_norms": (parse_norm_list, "2^-1..2^-10")}),
     "hermite": (cmd_hermite, {
-        "n_max": (number(int, lo=0), "30"), "x_min": (_float, "-8"),
-        "x_max": (_float, "8"), "x_count": (_size, "81"),
+        "n_max": (number(int, lo=0), "30"), "x_min": (_abscissa, "-8"),
+        "x_max": (_abscissa, "8"), "x_count": (_size, "81"),
         "alpha": (number(float, lo=0.25, hi=0.5), "0.25"),
         "c": (lambda text: None if text == "auto" else _positive(text), "auto")}),
     "silt": (cmd_silt, {

@@ -38,9 +38,7 @@ from .specfun import log_gaussian_kernel_batch, normalized_hermite_all, \
     simplex_moment_integral
 
 __all__ = [
-    "SobolevSpec",
     "SobolevNormResult",
-    "CapacityResult",
     "sobolev_norm_sq_truncated",
     "capacity_lower_bound",
 ]
@@ -50,48 +48,9 @@ _CHUNK_PAIRS = 30000
 
 
 @dataclass(frozen=True)
-class SobolevSpec:
-    """Norm-truncation parameters: index gamma < (4-d)/2, order cap, offset,
-    and the geometric gap rule (tau_levels panels of tau_order nodes) on which
-    the collapsed integral is evaluated."""
-
-    gamma: float
-    K: int
-    u: np.ndarray
-    d: int
-    tau_levels: int = 34
-    tau_order: int = 6
-
-    def __post_init__(self):
-        u = np.atleast_1d(np.asarray(self.u, dtype=float))
-        object.__setattr__(self, "u", u)
-        if self.d < 4:
-            raise ValueError(f"the norm machinery assumes d >= 4, got d={self.d}")
-        if not self.gamma < 0.5 * (4 - self.d):
-            raise ValueError(
-                f"need gamma < (4-d)/2 = {0.5 * (4 - self.d)}, got {self.gamma}"
-            )
-        if self.K < 0:
-            raise ValueError("truncation order must be >= 0")
-        if u.shape != (self.d,):
-            raise ValueError(f"offset has shape {u.shape}, expected ({self.d},)")
-        if not np.linalg.norm(u) > 0:
-            raise ValueError("offset must be nonzero")
-
-
-@dataclass(frozen=True)
 class SobolevNormResult:
     value: float
     terms: np.ndarray
-    K_used: int
-    tail_ratio: float
-
-
-@dataclass(frozen=True)
-class CapacityResult:
-    value: float
-    mass: float
-    norm_sq: float
     K_used: int
     tail_ratio: float
 
@@ -149,7 +108,8 @@ def _shift_integrals(t1: np.ndarray, t2: np.ndarray, K: int) -> np.ndarray:
     return out.T
 
 
-def _norm_orders_collapsed(spec: SobolevSpec) -> np.ndarray:
+def _norm_orders_collapsed(u: np.ndarray, K: int, tau_levels: int,
+                           tau_order: int) -> np.ndarray:
     """Raw per-order integrals, exact in the shift variables.
 
     Writing the two intervals as [a, a+tau1] and [a+eta, a+eta+tau2], the
@@ -161,19 +121,18 @@ def _norm_orders_collapsed(spec: SobolevSpec) -> np.ndarray:
     over the gaps (tau1, tau2), done on geometric panels.  The order-0 term
     factorizes exactly into the squared one-dimensional mass integral.
     """
-    K = spec.K
-    r2 = float(np.dot(spec.u, spec.u))
-    tau, w_tau = geometric_panels(spec.tau_levels, spec.tau_order)
-    log_wp = np.log(w_tau) + log_gaussian_kernel_batch(r2, spec.d, tau)
+    r2 = float(np.dot(u, u))
+    tau, w_tau = geometric_panels(tau_levels, tau_order)
+    log_wp = np.log(w_tau) + log_gaussian_kernel_batch(r2, len(u), tau)
     keep = log_wp > -800.0
     tau, log_wp = tau[keep], log_wp[keep]
     n_tau = len(tau)
-    tables = [normalized_hermite_all(K, spec.u[i] / np.sqrt(tau))
-              for i in np.nonzero(spec.u)[0]]
+    tables = [normalized_hermite_all(K, u[i] / np.sqrt(tau))
+              for i in np.nonzero(u)[0]]
     # the zero-offset coordinates give every pair the same row, so the first
     # convolution is g @ T with T[i, k] = row[k - i] for k >= i, else 0
     lag = np.abs(np.subtract.outer(np.arange(K + 1), np.arange(K + 1)))
-    zero_toeplitz = np.triu(_zero_coordinate_factor(spec.u, K)[lag])
+    zero_toeplitz = np.triu(_zero_coordinate_factor(u, K)[lag])
     # order-0: exact factorization through the 1-d mass quadrature
     with np.errstate(under="ignore"):
         mass_1d = float(np.dot(np.exp(log_wp), 1.0 - tau))
@@ -194,7 +153,8 @@ def _norm_orders_collapsed(spec: SobolevSpec) -> np.ndarray:
     return acc
 
 
-def sobolev_norm_sq_truncated(spec: SobolevSpec) -> SobolevNormResult:
+def sobolev_norm_sq_truncated(u, gamma: float, K: int, tau_levels: int = 34,
+                              tau_order: int = 6) -> SobolevNormResult:
     """Truncated squared norm with per-order terms and truncation diagnostics.
 
     The reported value sums orders until either the cap K or the first order
@@ -202,29 +162,45 @@ def sobolev_norm_sq_truncated(spec: SobolevSpec) -> SobolevNormResult:
     last included summand relative to the total, or the first dropped one
     when only order 0 is included (order 0 against itself would read 1).
     """
-    acc = _norm_orders_collapsed(spec)
-    orders = np.arange(spec.K + 1)
-    terms = (orders + 1.0) ** spec.gamma * acc
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1:
+        raise ValueError(f"offset must be 1-d, got shape {u.shape}")
+    d = len(u)
+    if d < 4:
+        raise ValueError(f"the norm machinery assumes d >= 4, got d={d}")
+    if not gamma < 0.5 * (4 - d):
+        raise ValueError(f"need gamma < (4-d)/2 = {0.5 * (4 - d)}, got {gamma}")
+    if K < 0:
+        raise ValueError("truncation order must be >= 0")
+    if not np.linalg.norm(u) > 0:
+        raise ValueError("offset must be nonzero")
+    acc = _norm_orders_collapsed(u, K, tau_levels, tau_order)
+    terms = (np.arange(K + 1) + 1.0) ** gamma * acc
     total = terms[0]
     k_used = 0
-    for k in range(1, spec.K + 1):
+    for k in range(1, K + 1):
         if abs(terms[k]) < _TAIL_CUTOFF * abs(total):
             break
         total += terms[k]
         k_used = k
-    last = 1 if k_used == 0 and spec.K > 0 else k_used
+    last = 1 if k_used == 0 and K > 0 else k_used
     tail_ratio = abs(terms[last]) / abs(total) if total != 0 else math.inf
     return SobolevNormResult(value=float(total), terms=terms, K_used=k_used,
                              tail_ratio=float(tail_ratio))
 
 
-def capacity_lower_bound(spec: SobolevSpec) -> CapacityResult:
-    """mass^2 / truncated norm^2: capacity lower bound for the support."""
-    u_norm = float(np.linalg.norm(spec.u))
-    mass = simplex_moment_integral(0.0, spec.d, u_norm)
-    norm = sobolev_norm_sq_truncated(spec)
+def capacity_lower_bound(u, gamma: float, K: int, tau_levels: int = 34,
+                         tau_order: int = 6) -> tuple:
+    """(mass^2 / truncated norm^2, mass m, the norm's result): the capacity
+    lower bound for the support.  Raises ValueError where the norm underflows
+    or its gap rule's mass, sqrt(order-0 term), is off m by over 1e-6 m."""
+    norm = sobolev_norm_sq_truncated(u, gamma, K, tau_levels, tau_order)
+    u_norm = float(np.linalg.norm(u))
+    mass = simplex_moment_integral(0.0, len(u), u_norm)
     if not norm.value > 0:  # every pair weight underflows at far offsets
         raise ValueError(f"the truncated norm underflows to 0 at |u|={u_norm:.3g}")
-    return CapacityResult(value=mass * mass / norm.value, mass=mass,
-                          norm_sq=norm.value, K_used=norm.K_used,
-                          tail_ratio=norm.tail_ratio)
+    rule_mass = math.sqrt(norm.terms[0])
+    if not abs(rule_mass - mass) <= 1e-6 * mass:
+        raise ValueError(f"the gap rule of tau_levels={tau_levels} has mass "
+                         f"{rule_mass:.9g}, not m = {mass:.9g}, at |u|={u_norm:.3g}")
+    return mass * mass / norm.value, mass, norm

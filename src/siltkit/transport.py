@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .specfun import log_gaussian_kernel_batch, simplex_moment_integral
 
 __all__ = [
     "ConvergenceError",
-    "TransportPlanSpec",
     "TalagrandBound",
     "EntropyEstimate",
     "W2Estimate",
@@ -69,23 +67,6 @@ _SIGMA2_LEVELS = 40
 _SIGMA2_RADIAL_ORDER = 8
 _SIGMA2_ANGLE_ORDER = 16
 _SINKHORN_ABSORB_EVERY = 20
-
-
-@dataclass(frozen=True)
-class TransportPlanSpec:
-    """Entropic-transport solver parameters."""
-
-    regularization: float = 0.25
-    max_iterations: int = 20000
-    tolerance: float = 1e-9
-
-    def __post_init__(self):
-        if not self.regularization > 0:
-            raise ValueError("regularization must be positive")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -285,9 +266,9 @@ def sinkhorn_log(cost: np.ndarray, reg: float, max_iterations: int,
     P = diag(u) K diag(v), is tested after every sweep.
 
     Returns (<P, C> = u . ((K * C) v) at the final scalings, the violation,
-    sweeps); raises ValueError for a cost with non-finite entries, and
-    ConvergenceError when the violation is not pushed under the tolerance
-    within the budget.
+    sweeps); raises ValueError for a cost with non-finite entries, reg <= 0,
+    tolerance <= 0 or max_iterations < 1, and ConvergenceError when the
+    violation is not pushed under the tolerance within the budget.
     """
     u, kernel, v, err, it = _sinkhorn_scalings(cost, reg, max_iterations,
                                                tolerance)
@@ -300,6 +281,12 @@ def _sinkhorn_scalings(cost, reg, max_iterations, tolerance):
     K = exp((f + g - cost) / reg) at the last absorption's potentials."""
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix has non-finite entries")
+    if not reg > 0:
+        raise ValueError("regularization must be positive")
+    if not tolerance > 0:
+        raise ValueError("tolerance must be positive")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     (n, m), tiny, it = cost.shape, 1e-300, 0
     a, f = np.full(n, 1.0 / n), np.zeros(n)
     b, g = np.full(m, 1.0 / m), np.zeros(m)
@@ -366,12 +353,11 @@ def _sinkhorn_scalings(cost, reg, max_iterations, tolerance):
     return u, kernel, v, err, it
 
 
-def _solve(plan: TransportPlanSpec, task):
-    """sinkhorn_log for task (x, y, reg) on a cost matrix built here (so a
-    forked worker builds its own); a ConvergenceError is returned."""
+def _solve(task):
+    """sinkhorn_log of task (x, y, reg, max_iterations, tolerance) on a cost
+    built here, so a forked worker builds its own; returns a ConvergenceError."""
     try:
-        return sinkhorn_log(_squared_distances(*task[:2]), task[2],
-                            plan.max_iterations, plan.tolerance)
+        return sinkhorn_log(_squared_distances(*task[:2]), *task[2:])
     except ConvergenceError as exc:
         return exc
 
@@ -386,18 +372,20 @@ def _debiased(solves):
     return 2.0 * c1 - c2, max(err1, err2), it1 + it2
 
 
-def entropic_w2(x: np.ndarray, y: np.ndarray, plan: TransportPlanSpec):
+def entropic_w2(x: np.ndarray, y: np.ndarray, reg: float,
+                max_iterations: int = 20000, tolerance: float = 1e-9):
     """Debiased squared-Wasserstein estimate between two point clouds.
 
-    Runs the solver at the plan's regularization eps and at 2 eps and
+    Runs ``sinkhorn_log`` at the regularization eps = reg and at 2 eps and
     extrapolates linearly to eps = 0:  2 cost(eps) - cost(2 eps).
     """
     x, y = np.asarray(x, float), np.asarray(y, float)
-    return _debiased([_solve(plan, (x, y, scale * plan.regularization))
+    return _debiased([_solve((x, y, scale * reg, max_iterations, tolerance))
                       for scale in (1.0, 2.0)])
 
 
-def empirical_w2(points: np.ndarray, seed: int, plan: TransportPlanSpec,
+def empirical_w2(points: np.ndarray, seed: int, reg: float,
+                 max_iterations: int = 20000, tolerance: float = 1e-9,
                  mapper=map) -> W2Estimate:
     """Squared Wasserstein distance between the normalized marginal
     intersection measure and the Brownian marginal, from samples.
@@ -418,8 +406,9 @@ def empirical_w2(points: np.ndarray, seed: int, plan: TransportPlanSpec,
     mu_cloud = sample_mu_n(n, d, seed, count, stream=_STREAM_REFERENCE)
     mu_cloud = mu_cloud.reshape(count, n * d)
     full, a, b = slice(None), slice(count // 2), slice(count // 2, None)
-    solves = list(mapper(partial(_solve, plan), [
-        (theta_cloud[s], mu_cloud[s], scale * plan.regularization) for s, scale
+    solves = list(mapper(_solve, [
+        (theta_cloud[s], mu_cloud[s], scale * reg, max_iterations, tolerance)
+        for s, scale
         in ((full, 1.0), (full, 2.0), (a, 1.0), (b, 1.0), (b, 2.0), (a, 2.0))]))
     value, err, iters = _debiased(solves[:2])
     w_a = _debiased([solves[2], solves[5]])[0]

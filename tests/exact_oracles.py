@@ -111,9 +111,9 @@ def single_index_second_moment(idx, u, levels=34, order=6):
 SELF_PAIR_RHO = 1.0 - 1e-9
 
 
-def tensor_norm_sq(spec, quad):
-    """Sum over k <= spec.K of (k+1)^gamma times the order-k integral, by the
-    tensor product of the triangle rule ``quad`` with itself.
+def tensor_norm_sq(u, gamma, K, quad):
+    """Sum over k <= K of (k+1)^gamma times the order-k integral at offset u,
+    by the tensor product of the triangle rule ``quad`` with itself.
 
     Nodes whose kernel log-weight is below -800 are dropped outright: their
     pairs cannot contribute above e-1000 of the norm scale, while their huge
@@ -126,10 +126,9 @@ def tensor_norm_sq(spec, quad):
     from siltkit.sobolev import _convolve_orders, _zero_coordinate_factor
     from siltkit.specfun import log_gaussian_kernel_batch, normalized_hermite_all
 
-    K, u = spec.K, spec.u
     tau = quad.nodes[:, 1] - quad.nodes[:, 0]
     log_wp = np.log(quad.weights) + log_gaussian_kernel_batch(
-        float(np.dot(u, u)), spec.d, tau)
+        float(np.dot(u, u)), len(u), tau)
     keep = log_wp > -800.0
     tau, log_wp, nodes = tau[keep], log_wp[keep], quad.nodes[keep]
     tables = [normalized_hermite_all(K, u[i] / np.sqrt(tau))
@@ -154,7 +153,7 @@ def tensor_norm_sq(spec, quad):
             w_eff = pair_w if k == 0 else pair_w * off_diagonal
             acc[k] += float(np.dot(w_eff * rho_pow, s_coef[:, k]))
             rho_pow = rho_pow * rho
-    return float(np.sum((np.arange(K + 1) + 1.0) ** spec.gamma * acc))
+    return float(np.sum((np.arange(K + 1) + 1.0) ** gamma * acc))
 
 
 # Marginal density q by direct contraction: the form siltkit.marginals used
@@ -199,7 +198,7 @@ def _overlap(s1, t1, s2, t2):
     return np.clip(np.minimum(t1, t2) - np.maximum(s1, s2), 0.0, None)
 
 
-def collapsed_orders_gauss_eta(spec):
+def collapsed_orders_gauss_eta(u, K, tau_levels=34, tau_order=6):
     """Raw per-order integrals of ``siltkit.sobolev._norm_orders_collapsed``,
     with the shift variable eta integrated by a Gauss rule per linear piece
     that is exact for polynomials of degree K+1."""
@@ -208,17 +207,16 @@ def collapsed_orders_gauss_eta(spec):
         _zero_coordinate_factor
     from siltkit.specfun import log_gaussian_kernel_batch, normalized_hermite_all
 
-    K = spec.K
-    r2 = float(np.dot(spec.u, spec.u))
-    tau, w_tau = geometric_panels(spec.tau_levels, spec.tau_order)
-    log_wp = np.log(w_tau) + log_gaussian_kernel_batch(r2, spec.d, tau)
+    r2 = float(np.dot(u, u))
+    tau, w_tau = geometric_panels(tau_levels, tau_order)
+    log_wp = np.log(w_tau) + log_gaussian_kernel_batch(r2, len(u), tau)
     keep = log_wp > -800.0
     tau, log_wp = tau[keep], log_wp[keep]
     n_tau = len(tau)
     tables = {}
-    for i in np.nonzero(spec.u)[0]:
-        tables[int(i)] = normalized_hermite_all(K, spec.u[i] / np.sqrt(tau))
-    zero_factor = _zero_coordinate_factor(spec.u, K)
+    for i in np.nonzero(u)[0]:
+        tables[int(i)] = normalized_hermite_all(K, u[i] / np.sqrt(tau))
+    zero_factor = _zero_coordinate_factor(u, K)
     active = sorted(tables.keys())
     # order-0: exact factorization through the 1-d mass quadrature
     with np.errstate(under="ignore"):
@@ -274,7 +272,7 @@ def collapsed_orders_gauss_eta(spec):
 # became one Toeplitz GEMM.  It shares everything else with the library, so
 # it checks the GEMM alone.
 
-def collapsed_orders_convolution_loop(spec):
+def collapsed_orders_convolution_loop(u, K, tau_levels=34, tau_order=6):
     """Raw per-order integrals of ``siltkit.sobolev._norm_orders_collapsed``,
     with the zero-offset factor tiled per pair and every nonzero coordinate
     folded in by ``_convolve_orders``."""
@@ -283,16 +281,15 @@ def collapsed_orders_convolution_loop(spec):
         _shift_integrals, _zero_coordinate_factor
     from siltkit.specfun import log_gaussian_kernel_batch, normalized_hermite_all
 
-    K = spec.K
-    r2 = float(np.dot(spec.u, spec.u))
-    tau, w_tau = geometric_panels(spec.tau_levels, spec.tau_order)
-    log_wp = np.log(w_tau) + log_gaussian_kernel_batch(r2, spec.d, tau)
+    r2 = float(np.dot(u, u))
+    tau, w_tau = geometric_panels(tau_levels, tau_order)
+    log_wp = np.log(w_tau) + log_gaussian_kernel_batch(r2, len(u), tau)
     keep = log_wp > -800.0
     tau, log_wp = tau[keep], log_wp[keep]
     n_tau = len(tau)
-    tables = [normalized_hermite_all(K, spec.u[i] / np.sqrt(tau))
-              for i in np.nonzero(spec.u)[0]]
-    zero_factor = _zero_coordinate_factor(spec.u, K)
+    tables = [normalized_hermite_all(K, u[i] / np.sqrt(tau))
+              for i in np.nonzero(u)[0]]
+    zero_factor = _zero_coordinate_factor(u, K)
     with np.errstate(under="ignore"):
         mass_1d = float(np.dot(np.exp(log_wp), 1.0 - tau))
     acc = np.zeros(K + 1)
@@ -315,7 +312,7 @@ def collapsed_orders_convolution_loop(spec):
 # weight 2.  It shares everything else with the library, so it checks the
 # pair folding alone.
 
-def collapsed_orders_ordered_pairs(spec):
+def collapsed_orders_ordered_pairs(u, K, tau_levels=34, tau_order=6):
     """Raw per-order integrals of ``siltkit.sobolev._norm_orders_collapsed``,
     with the pairs (i, j) and (j, i) summed separately."""
     from siltkit.quadrature import geometric_panels
@@ -323,19 +320,18 @@ def collapsed_orders_ordered_pairs(spec):
         _shift_integrals, _zero_coordinate_factor
     from siltkit.specfun import log_gaussian_kernel_batch, normalized_hermite_all
 
-    K = spec.K
-    r2 = float(np.dot(spec.u, spec.u))
-    tau, w_tau = geometric_panels(spec.tau_levels, spec.tau_order)
-    log_wp = np.log(w_tau) + log_gaussian_kernel_batch(r2, spec.d, tau)
+    r2 = float(np.dot(u, u))
+    tau, w_tau = geometric_panels(tau_levels, tau_order)
+    log_wp = np.log(w_tau) + log_gaussian_kernel_batch(r2, len(u), tau)
     keep = log_wp > -800.0
     tau, log_wp = tau[keep], log_wp[keep]
     n_tau = len(tau)
-    tables = [normalized_hermite_all(K, spec.u[i] / np.sqrt(tau))
-              for i in np.nonzero(spec.u)[0]]
+    tables = [normalized_hermite_all(K, u[i] / np.sqrt(tau))
+              for i in np.nonzero(u)[0]]
     # the zero-offset coordinates give every pair the same row, so the first
     # convolution is g @ T with T[i, k] = row[k - i] for k >= i, else 0
     lag = np.abs(np.subtract.outer(np.arange(K + 1), np.arange(K + 1)))
-    zero_toeplitz = np.triu(_zero_coordinate_factor(spec.u, K)[lag])
+    zero_toeplitz = np.triu(_zero_coordinate_factor(u, K)[lag])
     # order-0: exact factorization through the 1-d mass quadrature
     with np.errstate(under="ignore"):
         mass_1d = float(np.dot(np.exp(log_wp), 1.0 - tau))

@@ -27,8 +27,7 @@ from siltkit.quadrature import SimplexQuadrature
 from siltkit.rng import stream_generator
 from siltkit.siltcore import chaos_term, chaos_term_bound, dynkin_B, \
     sample_path
-from siltkit.sobolev import SobolevSpec, capacity_lower_bound, \
-    sobolev_norm_sq_truncated
+from siltkit.sobolev import capacity_lower_bound, sobolev_norm_sq_truncated
 from siltkit.specfun import (
     hermite_eval,
     normalized_hermite_log_sign,
@@ -36,7 +35,6 @@ from siltkit.specfun import (
     simplex_moment_integral,
 )
 from siltkit.transport import (
-    TransportPlanSpec,
     empirical_w2,
     entropic_w2,
     entropy_bound,
@@ -290,18 +288,16 @@ def test_11_entropy_chain(quad64):
 
 @criterion(12, "transport chain: OT calibration, then W2 below the bound", 600)
 def test_12_wasserstein_chain(quad64):
-    plan = TransportPlanSpec(regularization=0.25, max_iterations=20000,
-                             tolerance=1e-9)
     gen = stream_generator(1212, 0)
     shift = np.array([0.7, 0.4])
     x = gen.standard_normal((2000, 2))
     y = gen.standard_normal((2000, 2)) + shift
-    calibration, _, _ = entropic_w2(x, y, plan)
+    calibration, _, _ = entropic_w2(x, y, 0.25)
     target = float(shift @ shift)
     assert abs(calibration - target) <= 0.10 * target
     u = axis_offset(0.3, 4)
     estimate = empirical_w2(
-        weighted_theta_samples(u, 4, 2, 1212, 2000, quad64), 1212, plan)
+        weighted_theta_samples(u, 4, 2, 1212, 2000, quad64), 1212, 0.25)
     bound = talagrand_bound(u, 4, 2)
     if bound.vacuous:
         print(f"  vacuous bound reported: {bound.value:.4f}")
@@ -336,13 +332,12 @@ def test_13_capacity_shape():
     norms = [2.0 ** -j for j in range(2, 8)]
     values = []
     for r in norms:
-        spec = SobolevSpec(gamma=-0.5, K=64, u=axis_offset(r, 4), d=4)
-        result = capacity_lower_bound(spec)
-        assert result.tail_ratio < 1e-3, (r, result.tail_ratio)
-        assert result.value < 1.0, (r, result.value)
-        assert result.norm_sq >= result.mass ** 2 * (1.0 - 1e-8), (
-            r, result.norm_sq, result.mass ** 2)
-        values.append(result.value)
+        bound, mass, norm = capacity_lower_bound(axis_offset(r, 4), -0.5, 64)
+        assert norm.tail_ratio < 1e-3, (r, norm.tail_ratio)
+        assert bound < 1.0, (r, bound)
+        assert norm.value >= mass ** 2 * (1.0 - 1e-8), (
+            r, norm.value, mass ** 2)
+        values.append(bound)
     values = np.array(values)
     slope = float(np.polyfit(np.log(norms), np.log(1.0 / values - 1.0), 1)[0])
     assert abs(slope - 2.0) <= 0.1, (

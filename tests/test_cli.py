@@ -274,7 +274,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("flag,value", [
         ("--u-norm", "-0.3"), ("--eps-ladder", "0.2,0.1,0.1"),
-        # |u|^2/2 positive and finite, as for the u_norms lists
+        # |u|^2 a normal finite double, as for the u_norms lists
         ("--u-norm", "1e200"), ("--u-norm", "1e-200")])
     def test_silt_domain_errors_write_nothing(self, tmp_path, capsys, flag,
                                               value):
@@ -313,6 +313,15 @@ class TestCommands:
         ("capacity", "--u-norms", "2^-1080..2^-1075"),
         # |u|^2/2, the closed forms' argument, is a finite double
         ("kernel", "--u-norms", "1e155"),
+        # |u|^2, which silt and chaos form, is a normal finite double
+        ("silt", "--u-norm", "1.5e154"), ("silt", "--u-norm", "1e-160"),
+        ("chaos", "--u-norms", "1.5e154"), ("chaos", "--u-norms", "2^510..2^512"),
+        # each scale of a ladder is a normal double
+        ("silt", "--eps-ladder", "0.1,1e-310"),
+        ("dynkin", "--eps-ladder", "0.4,1e-310"),
+        # the Hermite abscissae keep every rescaled row finite, and ascend
+        ("hermite", "--x-min", "1e308"), ("hermite", "--x-max", "2e150"),
+        ("hermite", "--x-min", "9"),
         # a direction's length is finite before it is normalized
         ("silt", "--u-dir", "1e308,1e308")])
     def test_no_replicas_or_non_positive_norm_writes_nothing(
@@ -384,6 +393,30 @@ class TestCommands:
         assert len(points) == 6
         for r in points:
             assert r[5] == r[4] and float(r[6]) == 0.0
+
+    def test_chaos_underflowing_term_is_domain_error(self, tmp_path, capsys):
+        # every term underflows to 0 at |u| = 64; the envelope there is finite
+        assert run_cli(["chaos", "--out", str(tmp_path), "--u-norms",
+                        "2^4..2^6", "--paths", "2", "--grid-m", "64"]) == 2
+        assert capsys.readouterr().err == (
+            "domain error: the chaos term of multi-index (0, 0, 0, 0) "
+            "underflows to 0 at |u|=64\n")
+        assert not os.path.exists(tmp_path / "chaos.csv")
+
+    def test_chaos_odd_index_on_zero_coordinate_is_exact_zero(self, tmp_path):
+        # He_1(0) = 0: an odd n_2 on the zero u_2 makes the term exactly 0 at
+        # every offset, which is written as -inf and left out of the slope fit
+        out = str(tmp_path)
+        assert run_cli(["chaos", "--out", out, "--u-dir", "1,0,0,0",
+                        "--u-norms", "2^-2..2^-5", "--paths", "1",
+                        "--grid-m", "64"]) == 0
+        _, _, rows = read_rows(os.path.join(out, "chaos.csv"))
+        for r in rows:
+            if r[0] == "point" and r[2] in ("1 1 0 0", "2 1 0 0"):
+                assert (r[4], r[6]) == ("-inf", "inf") and math.isfinite(
+                    float(r[5]))
+        assert [r[2] for r in rows if r[0] == "slope"] == ["0 0 0 0",
+                                                           "1 0 0 0"]
 
     def test_dynkin(self, tmp_path):
         out = str(tmp_path)
@@ -473,6 +506,19 @@ class TestCommands:
                                            f"underflows to 0 at |u|={u_norm}\n")
         assert not os.path.exists(tmp_path / "capacity.csv")
 
+    @pytest.mark.parametrize("u_norm", ["1e-5", "1e-7", "1e-100", "1e-150",
+                                        "10"])
+    def test_capacity_unresolved_mass_is_domain_error(self, tmp_path, capsys,
+                                                      u_norm):
+        # the gap rule's mass is off m by over 1e-6 relative, so the order-0
+        # term no longer caps the bound at 1 (it wrote 1.0027 at 1e-5, 18844
+        # at 1e-7 and inf at 1e-100 and 1e-150)
+        assert run_cli(["capacity", "--out", str(tmp_path), "--u-norms",
+                        u_norm, "--k-max", "8"]) == 2
+        err = capsys.readouterr().err
+        assert "tau_levels=34" in err and f"|u|={float(u_norm):.3g}\n" in err
+        assert not os.path.exists(tmp_path / "capacity.csv")
+
     def test_capacity_guards(self, tmp_path):
         assert run_cli(["capacity", "--out", str(tmp_path),
                         "--gamma", "0"]) == 2
@@ -523,7 +569,7 @@ class TestReproducibility:
         ["dynkin", "--replicas", "4", "--grid-m", "128", "--quad-order", "16",
          "--quad3-order", "8"],
         ["capacity", "--u-norms", "2^-2..2^-5", "--k-max", "8",
-         "--tau-levels", "12", "--tau-order", "4"],
+         "--tau-levels", "14", "--tau-order", "6"],
         ["transport", "--count", "200", "--reg", "1.0", "--quad-levels", "12"],
         ["silt", "--dim", "3", "--u-norm", "0.3", "--u-dir", "1,0,0",
          "--replicas", "6", "--grid-m", "128", "--quad-order", "24",
@@ -560,7 +606,7 @@ class TestRuntimeImports:
             ["transport", "--count", "50", "--quad-levels", "6",
              "--reg", "1.0"],
             ["capacity", "--u-norms", "0.5", "--k-max", "4",
-             "--tau-levels", "6", "--tau-order", "3"],
+             "--tau-levels", "8", "--tau-order", "5"],
         ]
         assert sorted(run[0] for run in runs) == sorted(COMMANDS)
         runs = [run + ["--out", str(tmp_path), "--workers", "1"]
@@ -588,7 +634,7 @@ class TestRuntimeImports:
         runs = [["silt", "--replicas", "2", "--grid-m", "64", "--quad-order",
                  "8", "--eps-ladder", "0.2,0.1"],
                 ["capacity", "--u-norms", "0.5,0.25", "--k-max", "4",
-                 "--tau-levels", "6", "--tau-order", "3"]]
+                 "--tau-levels", "8", "--tau-order", "5"]]
         runs = [run + ["--out", str(tmp_path), "--workers", "2"]
                 for run in runs]
         code = (

@@ -461,12 +461,9 @@ class TestChaosTerm:
 
     def test_second_moment_matches_exact_term(self, quad_geo_fine):
         # E[term^2] for one multi-index against the exact collapsed integral
-        from siltkit.sobolev import SobolevSpec, sobolev_norm_sq_truncated
         r = 0.5
         u = axis_offset(r, 4)
         for idx in ((1, 0, 0, 0), (2, 0, 0, 0)):
-            k = sum(idx)
-            spec = SobolevSpec(gamma=0.0 - 0.5, K=k, u=u, d=4)
             # single-index share of the order-k term: isolate by zeroing the
             # other coordinates' contributions via direct computation
             samples = []

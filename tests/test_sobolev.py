@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from siltkit.quadrature import SimplexQuadrature, interval_overlap
 from siltkit.siltcore import Path, chaos_term, sample_path
 from siltkit.sobolev import (
-    CapacityResult,
-    SobolevSpec,
+    SobolevNormResult,
     _norm_orders_collapsed,
     _shift_integrals,
     capacity_lower_bound,
@@ -50,25 +49,28 @@ class TestIntervalOverlap:
         assert abs(moved - interval_overlap(s1, t1, s2, t2)) <= abs(shift) + 1e-12
 
 
-class TestSobolevSpec:
+class TestNormArguments:
     def test_gamma_guard(self):
-        with pytest.raises(ValueError):
-            SobolevSpec(gamma=0.0, K=4, u=axis_offset(0.5, 4), d=4)
-        with pytest.raises(ValueError):
-            SobolevSpec(gamma=-1.0, K=4, u=axis_offset(0.5, 3), d=3)
-        with pytest.raises(ValueError):
-            SobolevSpec(gamma=-1.0, K=4, u=np.zeros(4), d=4)
+        for norm in (sobolev_norm_sq_truncated, capacity_lower_bound):
+            with pytest.raises(ValueError, match="gamma"):
+                norm(axis_offset(0.5, 4), 0.0, 4)
+            with pytest.raises(ValueError, match="d >= 4"):
+                norm(axis_offset(0.5, 3), -1.0, 4)
+            with pytest.raises(ValueError, match="nonzero"):
+                norm(np.zeros(4), -1.0, 4)
+            # d is the offset's length, so one axis is all the shape check
+            with pytest.raises(ValueError, match="1-d"):
+                norm(np.full((2, 4), 0.5), -1.0, 4)
 
 
 class TestSobolevNorm:
     def test_order_zero_factorizes(self):
         u = axis_offset(0.3, 4)
-        spec = SobolevSpec(gamma=-0.5, K=0, u=u, d=4)
-        res = sobolev_norm_sq_truncated(spec)
+        res = sobolev_norm_sq_truncated(u, -0.5, 0)
         m_exact = simplex_moment_integral(0.0, 4, float(np.linalg.norm(u)))
         assert res.value == pytest.approx(m_exact ** 2, rel=1e-5)
         quad = SimplexQuadrature.gauss_legendre(24)
-        tensor = tensor_norm_sq(spec, quad)
+        tensor = tensor_norm_sq(u, -0.5, 0, quad)
         gaps = quad.nodes[:, 1] - quad.nodes[:, 0]
         mass_quad = float(np.dot(
             quad.weights, np.exp(-0.09 / (2 * gaps)) / (2 * np.pi * gaps) ** 2))
@@ -76,18 +78,16 @@ class TestSobolevNorm:
 
     def test_collapsed_and_tensor_schemes_agree(self):
         u = axis_offset(0.5, 4)
-        spec = SobolevSpec(gamma=-0.5, K=24, u=u, d=4)
-        collapsed = sobolev_norm_sq_truncated(spec)
+        collapsed = sobolev_norm_sq_truncated(u, -0.5, 24)
         tensor = tensor_norm_sq(
-            spec, SimplexQuadrature.geometric_diagonal(30, 4, 24))
+            u, -0.5, 24, SimplexQuadrature.geometric_diagonal(30, 4, 24))
         assert collapsed.value == pytest.approx(tensor, rel=1e-3)
 
     def test_gaps_below_float_resolution(self):
         # at 50 levels the smallest gaps (~1e-17) vanish against eta ~ 1/2 in
         # floating point; those collapsed intervals overlap nothing
         u = axis_offset(1e-7, 4)
-        res = sobolev_norm_sq_truncated(
-            SobolevSpec(gamma=-0.5, K=2, u=u, d=4, tau_levels=50))
+        res = sobolev_norm_sq_truncated(u, -0.5, 2, tau_levels=50)
         m_exact = simplex_moment_integral(0.0, 4, float(np.linalg.norm(u)))
         assert np.all(np.isfinite(res.terms))
         assert res.value == pytest.approx(m_exact ** 2, rel=1e-5)
@@ -95,33 +95,29 @@ class TestSobolevNorm:
     def test_tail_ratio_when_cut_at_order_zero(self):
         # order 1 already falls below the 1e-14 cutoff; the ratio reported
         # is that dropped order's, not order 0 against itself
-        res = sobolev_norm_sq_truncated(SobolevSpec(
-            gamma=-0.5, K=4, u=axis_offset(1e-7, 4), d=4, tau_levels=50))
+        res = sobolev_norm_sq_truncated(axis_offset(1e-7, 4), -0.5, 4,
+                                        tau_levels=50)
         assert res.K_used == 0
         assert res.tail_ratio == abs(res.terms[1]) / res.value
         assert 0 < res.tail_ratio < 1e-14
 
     def test_monotone_in_truncation_order(self):
         u = axis_offset(0.4, 4)
-        values = [sobolev_norm_sq_truncated(
-            SobolevSpec(gamma=-0.5, K=k, u=u, d=4)).value
-            for k in (0, 2, 4, 8, 16)]
+        values = [sobolev_norm_sq_truncated(u, -0.5, k).value
+                  for k in (0, 2, 4, 8, 16)]
         assert all(a < b for a, b in zip(values[:-1], values[1:]))
 
     def test_decreasing_in_gamma(self):
         u = axis_offset(0.4, 4)
-        high = sobolev_norm_sq_truncated(SobolevSpec(gamma=-0.5, K=16, u=u,
-                                                     d=4)).value
-        low = sobolev_norm_sq_truncated(SobolevSpec(gamma=-1.5, K=16, u=u,
-                                                    d=4)).value
+        high = sobolev_norm_sq_truncated(u, -0.5, 16).value
+        low = sobolev_norm_sq_truncated(u, -1.5, 16).value
         assert low < high
 
     def test_order_one_closed_form(self):
         # sum over |idx|=1 collapses to |u|^2/sqrt(tau1 tau2) times the
         # correlation; evaluated directly on the same pair geometry
         u = axis_offset(0.3, 4)
-        spec = SobolevSpec(gamma=-0.5, K=1, u=u, d=4)
-        res = sobolev_norm_sq_truncated(spec)
+        res = sobolev_norm_sq_truncated(u, -0.5, 1)
         from exact_oracles import single_index_second_moment
         direct = single_index_second_moment((1, 0, 0, 0), u)
         assert res.terms[1] == pytest.approx(2.0 ** -0.5 * direct, rel=1e-10)
@@ -130,24 +126,20 @@ class TestSobolevNorm:
         # the norm depends on u only through |u|: compare an axis offset
         # with a rotated one (exercises the multi-coordinate convolution)
         r = 0.4
-        axis = sobolev_norm_sq_truncated(
-            SobolevSpec(gamma=-0.5, K=12, u=axis_offset(r, 4), d=4))
+        axis = sobolev_norm_sq_truncated(axis_offset(r, 4), -0.5, 12)
         tilted_u = r * np.array([1.0, 1.0, 1.0, 1.0]) / 2.0
-        tilted = sobolev_norm_sq_truncated(
-            SobolevSpec(gamma=-0.5, K=12, u=tilted_u, d=4))
+        tilted = sobolev_norm_sq_truncated(tilted_u, -0.5, 12)
         assert tilted.value == pytest.approx(axis.value, rel=1e-6)
 
     def test_tail_ratio_small_at_selected_order(self):
-        spec = SobolevSpec(gamma=-0.5, K=64, u=axis_offset(0.3, 4), d=4)
-        res = sobolev_norm_sq_truncated(spec)
+        res = sobolev_norm_sq_truncated(axis_offset(0.3, 4), -0.5, 64)
         assert res.tail_ratio < 1e-3
 
     def test_monte_carlo_cross_check(self, quad_geo_fine):
         # sum over k<=2 of (k+1)^gamma E[(sum over order-k terms)^2]
         gamma = -0.5
         u = axis_offset(0.5, 4)
-        spec = SobolevSpec(gamma=gamma, K=2, u=u, d=4)
-        res = sobolev_norm_sq_truncated(spec)
+        res = sobolev_norm_sq_truncated(u, gamma, 2)
         indices = {k: [c for c in iproduct(range(3), repeat=4) if sum(c) == k]
                    for k in (1, 2)}
         sums = {k: [] for k in (1, 2)}
@@ -164,9 +156,9 @@ class TestSobolevNorm:
             assert abs(mc - res.terms[k]) <= 3 * se
 
 
-def assert_orders_match_gauss_eta(spec):
-    got = _norm_orders_collapsed(spec)
-    want = collapsed_orders_gauss_eta(spec)
+def assert_orders_match_gauss_eta(u, K):
+    got = _norm_orders_collapsed(u, K, 34, 6)
+    want = collapsed_orders_gauss_eta(u, K)
     assert np.all(want > 0)
     assert np.max(np.abs(got - want) / want) <= 1e-12
 
@@ -177,17 +169,14 @@ class TestClosedFormShiftIntegral:
 
     @pytest.mark.parametrize("j", range(2, 8))
     def test_default_sweep_matches_gauss_eta(self, j):
-        assert_orders_match_gauss_eta(
-            SobolevSpec(gamma=-0.5, K=64, u=axis_offset(2.0 ** -j, 4), d=4))
+        assert_orders_match_gauss_eta(axis_offset(2.0 ** -j, 4), 64)
 
     def test_multi_coordinate_offset_matches_gauss_eta(self):
-        assert_orders_match_gauss_eta(SobolevSpec(
-            gamma=-0.5, K=64, u=np.array([0.3, 0.2, 0.0, 0.1]), d=4))
+        assert_orders_match_gauss_eta(np.array([0.3, 0.2, 0.0, 0.1]), 64)
 
     @pytest.mark.parametrize("K", [0, 1, 2, 256])
     def test_order_caps_match_gauss_eta(self, K):
-        assert_orders_match_gauss_eta(
-            SobolevSpec(gamma=-0.5, K=K, u=axis_offset(0.25, 4), d=4))
+        assert_orders_match_gauss_eta(axis_offset(0.25, 4), K)
 
     @pytest.mark.parametrize("k", [8, 32, 64])
     def test_piece_integral_against_mpmath(self, k):
@@ -230,20 +219,18 @@ class TestToeplitzConvolution:
     the per-order convolution loop it replaced."""
 
     @staticmethod
-    def assert_orders_match_loop(spec):
-        got = _norm_orders_collapsed(spec)
-        want = collapsed_orders_convolution_loop(spec)
+    def assert_orders_match_loop(u, K):
+        got = _norm_orders_collapsed(u, K, 34, 6)
+        want = collapsed_orders_convolution_loop(u, K)
         assert np.all(want > 0)
         assert np.max(np.abs(got - want) / want) <= 1e-14
 
     @pytest.mark.parametrize("j", range(2, 8))
     def test_default_sweep_matches_loop(self, j):
-        self.assert_orders_match_loop(
-            SobolevSpec(gamma=-0.5, K=64, u=axis_offset(2.0 ** -j, 4), d=4))
+        self.assert_orders_match_loop(axis_offset(2.0 ** -j, 4), 64)
 
     def test_multi_coordinate_offset_matches_loop(self):
-        self.assert_orders_match_loop(SobolevSpec(
-            gamma=-0.5, K=64, u=np.array([0.3, 0.2, 0.0, 0.1]), d=4))
+        self.assert_orders_match_loop(np.array([0.3, 0.2, 0.0, 0.1]), 64)
 
 
 
@@ -251,19 +238,18 @@ class TestUnorderedPairs:
     """Each unordered gap pair visited once with weight 2, against the sum
     over ordered pairs it replaced, order by order."""
 
+    # each case: (u, K, tau_levels, tau_order)
     @pytest.mark.parametrize("spec", [
-        *(SobolevSpec(gamma=-0.5, K=64, u=axis_offset(2.0 ** -j, 4), d=4)
-          for j in range(2, 8)),
-        SobolevSpec(gamma=-0.5, K=64, u=np.array([0.3, 0.2, 0.0, 0.1]), d=4),
-        SobolevSpec(gamma=-0.5, K=1, u=axis_offset(0.25, 4), d=4),
-        SobolevSpec(gamma=-0.5, K=256, u=axis_offset(0.25, 4), d=4),
+        *((axis_offset(2.0 ** -j, 4), 64, 34, 6) for j in range(2, 8)),
+        (np.array([0.3, 0.2, 0.0, 0.1]), 64, 34, 6),
+        (axis_offset(0.25, 4), 1, 34, 6),
+        (axis_offset(0.25, 4), 256, 34, 6),
         # 296 gap nodes kept: the unordered pairs span two chunks
-        SobolevSpec(gamma=-0.5, K=16, u=axis_offset(2.0 ** -7, 4), d=4,
-                    tau_order=12),
+        (axis_offset(2.0 ** -7, 4), 16, 34, 12),
     ])
     def test_orders_match_ordered_pairs(self, spec):
-        got = _norm_orders_collapsed(spec)
-        want = collapsed_orders_ordered_pairs(spec)
+        got = _norm_orders_collapsed(*spec)
+        want = collapsed_orders_ordered_pairs(*spec)
         assert got[0] == want[0]
         assert np.all(want > 0)
         assert np.max(np.abs(got - want) / want) <= 1e-14
@@ -278,26 +264,37 @@ class TestCapacity:
         assert slope == pytest.approx(-2.0, abs=0.05)
 
     def test_baseline_value(self):
-        res = capacity_lower_bound(
-            SobolevSpec(gamma=-0.5, K=64, u=axis_offset(0.5, 4), d=4))
-        assert res.value == pytest.approx(CAPACITY_BASELINE_4_HALF, rel=1e-6)
+        bound, _, _ = capacity_lower_bound(axis_offset(0.5, 4), -0.5, 64)
+        assert bound == pytest.approx(CAPACITY_BASELINE_4_HALF, rel=1e-6)
 
     def test_scaled_bound_stays_positive(self):
         # capacity_lb * |u|^-4 bounded away from zero along the sweep
         values = []
         for r in [2.0 ** -k for k in range(2, 8)]:
-            res = capacity_lower_bound(
-                SobolevSpec(gamma=-0.5, K=64, u=axis_offset(r, 4), d=4))
-            values.append(res.value * r ** -4)
+            bound, _, _ = capacity_lower_bound(axis_offset(r, 4), -0.5, 64)
+            values.append(bound * r ** -4)
         assert min(values) > 1.0
 
+    def test_bound_at_most_one_or_refused(self):
+        # the order-0 term is the gap rule's mass squared, so the bound is at
+        # most 1 wherever that mass is m to 1e-6; elsewhere |u| is refused
+        refused = []
+        for r in (1e-5, 3e-5, 1e-4, 0.25, 4.0, 10.0):
+            try:
+                bound, _, _ = capacity_lower_bound(axis_offset(r, 4), -0.5, 8)
+            except ValueError as exc:
+                assert "tau_levels=34" in str(exc), exc
+                assert str(exc).endswith(f"|u|={r:.3g}"), exc
+                refused.append(r)
+                continue
+            assert bound <= 1.0 + 3e-6, (r, bound)
+        assert refused == [1e-5, 10.0]
+
     def test_result_fields(self):
-        res = capacity_lower_bound(
-            SobolevSpec(gamma=-0.5, K=8, u=axis_offset(0.4, 4), d=4))
-        assert isinstance(res, CapacityResult)
-        assert res.value == pytest.approx(res.mass ** 2 / res.norm_sq,
-                                          rel=1e-14)
-        assert 0 <= res.K_used <= 8
+        bound, mass, norm = capacity_lower_bound(axis_offset(0.4, 4), -0.5, 8)
+        assert isinstance(norm, SobolevNormResult)
+        assert bound == pytest.approx(mass ** 2 / norm.value, rel=1e-14)
+        assert 0 <= norm.K_used <= 8
 
 
 @dataclass(frozen=True)

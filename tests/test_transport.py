@@ -15,7 +15,6 @@ from siltkit.rng import stream_generator
 from siltkit import transport
 from siltkit.specfun import log_gaussian_kernel_batch, simplex_moment_integral
 from siltkit.transport import (
-    TransportPlanSpec,
     empirical_w2,
     entropic_w2,
     entropy_bound,
@@ -320,9 +319,7 @@ class TestEntropicTransport:
     def test_self_distance_small(self):
         gen = stream_generator(1, 2)
         x = gen.standard_normal((600, 2))
-        plan = TransportPlanSpec(regularization=0.3, max_iterations=20000,
-                                 tolerance=1e-9)
-        value, err, _ = entropic_w2(x, x, plan)
+        value, err, _ = entropic_w2(x, x, 0.3)
         assert abs(value) < 0.05
         assert err < 1e-9
 
@@ -331,24 +328,20 @@ class TestEntropicTransport:
         mu0 = np.array([0.7, 0.4])
         x = gen.standard_normal((2000, 2))
         y = gen.standard_normal((2000, 2)) + mu0
-        plan = TransportPlanSpec(regularization=0.25, max_iterations=20000,
-                                 tolerance=1e-9)
-        value, _, _ = entropic_w2(x, y, plan)
+        value, _, _ = entropic_w2(x, y, 0.25)
         assert value == pytest.approx(float(mu0 @ mu0), rel=0.10)
 
     def test_triangle_sanity(self):
         gen = stream_generator(3, 4)
-        plan = TransportPlanSpec(regularization=0.25, max_iterations=20000,
-                                 tolerance=1e-9)
         a = gen.standard_normal((800, 2))
         b = gen.standard_normal((800, 2)) + np.array([1.0, 0.0])
         c = gen.standard_normal((800, 2)) + np.array([1.0, 1.0])
 
         def w2_with_bar(x, y):
-            full, _, _ = entropic_w2(x, y, plan)
+            full, _, _ = entropic_w2(x, y, 0.25)
             half = len(x) // 2
-            wa, _, _ = entropic_w2(x[:half], y[:half], plan)
-            wb, _, _ = entropic_w2(x[half:], y[half:], plan)
+            wa, _, _ = entropic_w2(x[:half], y[:half], 0.25)
+            wb, _, _ = entropic_w2(x[half:], y[half:], 0.25)
             return math.sqrt(max(full, 0.0)), 0.5 * abs(wa - wb)
 
         dab, eab = w2_with_bar(a, b)
@@ -447,13 +440,12 @@ class TestEntropicTransport:
 
         monkeypatch.setattr(transport, "sinkhorn_log", fake_sinkhorn)
         points = np.arange(41 * 4.0).reshape(41, 2, 2)
-        plan = TransportPlanSpec(regularization=0.5)
         mapper = partial(parallel_map, workers=workers)
         with pytest.raises(ConvergenceError, match="^20 at 1.0$"):
-            empirical_w2(points, 0, plan, mapper)
+            empirical_w2(points, 0, 0.5, mapper=mapper)
         monkeypatch.setattr(transport, "sinkhorn_log", lambda *a: (1.0, 0.0, 1))
-        assert empirical_w2(points, 0, plan, mapper) == \
-            empirical_w2(points, 0, plan)
+        assert empirical_w2(points, 0, 0.5, mapper=mapper) == \
+            empirical_w2(points, 0, 0.5)
 
     def test_nonconvergence_error_unchanged(self):
         gen = stream_generator(5, 6)
@@ -467,32 +459,34 @@ class TestEntropicTransport:
         assert str(got.value) == str(want.value)
 
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            TransportPlanSpec(regularization=0.0)
-        with pytest.raises(ValueError):
-            TransportPlanSpec(tolerance=-1.0)
+        cost = np.ones((5, 5))
+        with pytest.raises(ValueError, match="regularization must be positive"):
+            sinkhorn_log(cost, 0.0, 200, 1e-9)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            sinkhorn_log(cost, 1.0, 200, -1.0)
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            sinkhorn_log(cost, 1.0, 0, 1e-9)
+        with pytest.raises(ValueError, match="regularization must be positive"):
+            entropic_w2(cost, cost, 0.0)
 
     def test_caps_enforced(self, quad64):
-        plan = TransportPlanSpec()
         u = axis_offset(0.3, 4)
         with pytest.raises(ValueError):
             empirical_w2(weighted_theta_samples(u, 4, 2, 1, 6000, quad64), 1,
-                         plan)
+                         0.25)
         with pytest.raises(ValueError):
             empirical_w2(weighted_theta_samples(u, 4, 5, 1, 100, quad64), 1,
-                         plan)
+                         0.25)
         one = weighted_theta_samples(u, 4, 2, 1, 1, quad64)
         with pytest.raises(ValueError):  # a one-sample batch has no halves
-            empirical_w2(one, 1, plan)
+            empirical_w2(one, 1, 0.25)
         with pytest.raises(ValueError):  # ... and no standard error
             theta_relative_entropy(u, one, quad64)
 
     def test_end_to_end_below_talagrand(self, quad64):
         u = axis_offset(0.3, 4)
-        plan = TransportPlanSpec(regularization=0.3, max_iterations=20000,
-                                 tolerance=1e-8)
         est = empirical_w2(weighted_theta_samples(u, 4, 2, 31, 1000, quad64),
-                           31, plan)
+                           31, 0.3, 20000, 1e-8)
         bound = talagrand_bound(u, 4, 2)
         assert not bound.vacuous
         assert est.value <= bound.value
